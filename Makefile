@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test golden mem-guard race race-obs race-fault race-shards race-scenario scenario-lint cover cover-check fuzz-smoke vet lint bench-quick bench-obs bench-smoke bench-shards bench-json bench-mem bench-compare smoke ci clean
+.PHONY: all build test golden mem-guard race race-obs race-fault race-scenario scenario-lint cover cover-check fuzz-smoke vet lint bench-quick bench-obs bench-smoke bench-json bench-mem bench-compare smoke ci clean
 
 all: build
 
@@ -17,11 +17,12 @@ test:
 # The race target doubles as the shared-trace immutability proof:
 # TestSharedTraceConcurrentRuns and the runner pool tests replay shared
 # traces from many goroutines under the race detector. The raised
-# timeout covers internal/experiments, whose six quick-suite golden
-# generations run ~3 min each under -race on a single-core container —
-# past Go's default 10 m package budget without any test hanging.
+# timeout covers internal/experiments: its two quick-suite golden
+# generations plus the scenario tests take ~11 min under -race on a
+# 2-vCPU host — past Go's default 10 m package budget without any test
+# hanging. 25 m leaves over 2x headroom.
 race:
-	$(GO) test -race -timeout 45m ./...
+	$(GO) test -race -timeout 25m ./...
 
 # Observability-focused race pass: the obs package and engine-probe
 # tests (including the schema-stability goldens) plus the worker-pool
@@ -58,7 +59,7 @@ cover-check:
 # Fuzz smoke: five seconds of coverage-guided fuzzing on each target
 # (the hardened binary-trace decoder, the SID predictor, the
 # timing-wheel-vs-reference-heap scheduler equivalence, and the
-# scenario JSON codec round-trip). The committed
+# scenario and fault-plan JSON codec round-trips). The committed
 # seed corpora under testdata/fuzz/ also replay in every ordinary
 # `go test` run.
 fuzz-smoke:
@@ -66,6 +67,7 @@ fuzz-smoke:
 	$(GO) test ./internal/device -run '^$$' -fuzz FuzzPredictor -fuzztime 5s
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEngineMatchesHeapRef -fuzztime 5s
 	$(GO) test ./internal/scenario -run '^$$' -fuzz FuzzScenarioCodec -fuzztime 5s
+	$(GO) test ./internal/fault -run '^$$' -fuzz FuzzFaultPlanCodec -fuzztime 5s
 
 vet:
 	$(GO) vet ./...
@@ -79,9 +81,8 @@ lint: vet
 
 # Byte-identity gate: the quick experiment suite must reproduce the
 # committed sha256 manifest exactly (internal/experiments/testdata).
-# The pattern also matches TestQuickSuiteGoldenSharded, so one target
-# pins the serial engine and the sharded coordinator (shards 2 and 8)
-# to the same manifest.
+# The pattern also matches TestQuickSuiteGoldenStreaming, so one target
+# pins materialized and streaming runs to the same manifest.
 golden:
 	$(GO) test -run TestQuickSuiteGolden -count=1 ./internal/experiments
 
@@ -91,20 +92,10 @@ golden:
 mem-guard:
 	$(GO) test -run TestMegaTenantHeapBudget -count=1 ./internal/experiments
 
-# Sharded-execution race pass: the coordinator's domain goroutines,
-# SPSC rings and lookahead bookkeeping under the race detector — the
-# sim- and core-level determinism tests, then the full quick suite on
-# the parallel coordinator (shards=8) held to the golden manifest.
-race-shards:
-	$(GO) test -race -run 'TestParallel|TestLockstep|TestLookahead|TestSPSC' ./internal/sim
-	$(GO) test -race -run 'TestSharded' ./internal/core
-	$(GO) test -race -run 'TestQuickSuiteGoldenSharded/shards=8' -count=1 ./internal/experiments
-
 # Scenario race pass: the scenario DSL package under -race, plus the
-# scenario signal/conservation tests and the five-mode differential
-# determinism check (serial vs sharded vs streaming) at experiments
-# level — the adversarial suite's full contract under the race
-# detector.
+# scenario signal/conservation tests and the differential determinism
+# check (materialized vs streaming) at experiments level — the
+# adversarial suite's full contract under the race detector.
 race-scenario:
 	$(GO) test -race ./internal/scenario
 	$(GO) test -race -run 'Scenario|Signal' -count=1 ./internal/experiments
@@ -127,11 +118,6 @@ bench-obs:
 # that panics or no longer compiles) without paying measurement time.
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
-
-# One iteration of the sharded end-to-end variants: serial baseline
-# against the two-domain run at every shard count.
-bench-shards:
-	$(GO) test -bench 'BenchmarkEndToEnd/shards' -benchtime 1x -run '^$$' .
 
 # Machine-readable performance snapshot (ns/op, allocs/op, pkts/s and
 # the quick-suite wall time) written to BENCH_PR9.json. Pass
@@ -162,7 +148,7 @@ bench-mem:
 smoke:
 	$(GO) run ./cmd/experiments -quick -out results-smoke
 
-ci: build lint test golden mem-guard race race-obs race-fault race-shards race-scenario scenario-lint cover-check fuzz-smoke bench-smoke bench-shards bench-compare smoke
+ci: build lint test golden mem-guard race race-obs race-fault race-scenario scenario-lint cover-check fuzz-smoke bench-smoke bench-compare smoke
 
 clean:
 	rm -rf results-smoke cover.out bench-compare.json

@@ -174,63 +174,21 @@ func BenchmarkEndToEnd(b *testing.B) {
 			b.ReportMetric(float64(last.Packets)*float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
 		})
 	}
-
-	// Sharded variants: the same Base replay with the simulation split
-	// across device and IOMMU event domains. Driver unmaps are stripped
-	// from the trace so shards >= 2 run the true parallel mode (domains
-	// on their own goroutines under conservative PCIe lookahead) rather
-	// than lockstep; shards=1 is the classic single-engine execution of
-	// the identical trace, the baseline the others are read against.
-	for _, shards := range []int{1, 2, 4, 8} {
-		shards := shards
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			tr, err := hypertrio.ConstructTrace(hypertrio.TraceConfig{
-				Benchmark:  hypertrio.Websearch,
-				Tenants:    128,
-				Interleave: hypertrio.RR1,
-				Seed:       42,
-				Scale:      0.002,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			tr = stripUnmaps(tr)
-			cfg := hypertrio.BaseConfig()
-			cfg.Shards = shards
-			b.ReportAllocs()
-			b.ResetTimer()
-			var last hypertrio.Result
-			for i := 0; i < b.N; i++ {
-				last, err = hypertrio.Run(cfg, tr)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(last.AchievedGbps, "modelGb/s")
-			b.ReportMetric(float64(last.Packets)*float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
-		})
-	}
-}
-
-// stripUnmaps copies the trace with every driver unmap removed — the
-// instantaneous device↔chipset coupling that forces sharded runs into
-// lockstep. The packet stream is otherwise identical.
-func stripUnmaps(tr *hypertrio.Trace) *hypertrio.Trace {
-	cp := *tr
-	cp.Packets = append([]workload.Packet(nil), tr.Packets...)
-	for i := range cp.Packets {
-		cp.Packets[i].UnmapIOVA, cp.Packets[i].UnmapShift = 0, 0
-	}
-	return &cp
 }
 
 // --- micro-benchmarks -------------------------------------------------
+
+// nopSink is an event sink that does nothing: the engine benchmarks
+// measure the bare schedule+fire cycle.
+type nopSink struct{}
+
+func (nopSink) HandleEvent(*sim.Engine, sim.Time, uint64) {}
 
 func BenchmarkEngineScheduleFire(b *testing.B) {
 	e := sim.NewEngine()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.Schedule(sim.Duration(i%64)*sim.Nanosecond, func(*sim.Engine, sim.Time) {})
+		e.ScheduleEvent(sim.Duration(i%64)*sim.Nanosecond, nopSink{}, 0)
 		if i%64 == 63 {
 			e.Run()
 		}
@@ -248,17 +206,16 @@ func BenchmarkEngineScheduleFirePending(b *testing.B) {
 	for _, pending := range []int{100, 10_000, 1_000_000} {
 		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
 			e := sim.NewEngine()
-			nop := func(*sim.Engine, sim.Time) {}
 			for i := 0; i < pending; i++ {
 				// Spread the backlog across ~4 s of far future: many
 				// distinct slots across several wheel levels plus, at the
 				// 10^6 point, the beyond-horizon overflow heap.
-				e.Schedule(sim.Second+sim.Duration(i)*3*sim.Microsecond, nop)
+				e.ScheduleEvent(sim.Second+sim.Duration(i)*3*sim.Microsecond, nopSink{}, 0)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.Schedule(sim.Duration(i%64)*sim.Nanosecond, nop)
+				e.ScheduleEvent(sim.Duration(i%64)*sim.Nanosecond, nopSink{}, 0)
 				if i%64 == 63 {
 					for j := 0; j < 64; j++ {
 						e.Step()

@@ -39,17 +39,11 @@ type cliOptions struct {
 	quick      bool
 	seed       int64
 	parallel   int
-	shards     int
 	sampleUs   int
 	invariants bool
 	list       bool
 	cpuProfile string
 	memProfile string
-
-	// parallelSet records whether -parallel was given explicitly, so
-	// -shards can shrink the worker default without silently overriding
-	// (or silently obeying) a worker count the user asked for.
-	parallelSet bool
 }
 
 // parseFlags binds the flags to a fresh option set; errors and usage go
@@ -63,7 +57,6 @@ func parseFlags(args []string, stderr io.Writer) (cliOptions, error) {
 	fs.BoolVar(&o.quick, "quick", false, "reduced tenant counts and trace lengths")
 	fs.Int64Var(&o.seed, "seed", 42, "trace construction seed")
 	fs.IntVar(&o.parallel, "parallel", runtime.NumCPU(), "simulation worker goroutines (1 = serial)")
-	fs.IntVar(&o.shards, "shards", 0, "event-domain shards per simulation cell: 0/1 single engine, >=2 sharded coordinator (tables identical)")
 	fs.IntVar(&o.sampleUs, "sample-us", 0, "emit per-cell time series sampled every N simulated µs under <out>/series/<id>/ (0 = off)")
 	fs.BoolVar(&o.invariants, "invariants", false, "compose the conservation-checking pipeline stage into every cell (transparent; violations fail the run)")
 	fs.BoolVar(&o.list, "list", false, "list experiments and exit")
@@ -77,40 +70,7 @@ func parseFlags(args []string, stderr io.Writer) (cliOptions, error) {
 		fmt.Fprintln(stderr, "experiments:", err)
 		return o, err
 	}
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "parallel" {
-			o.parallelSet = true
-		}
-	})
 	return o, nil
-}
-
-// resolveConcurrency composes the two concurrency axes — worker
-// goroutines across cells (-parallel) and event domains within a cell
-// (-shards) — so their product never oversubscribes the machine. When
-// only -shards is given, the worker default shrinks to NumCPU/shards;
-// an explicit worker count is never adjusted, but an explicit
-// oversubscribing combination is rejected up front rather than thrashing
-// for the whole sweep.
-func (o *cliOptions) resolveConcurrency(ncpu int) error {
-	if o.shards < 0 {
-		return fmt.Errorf("-shards must be >= 0, got %d", o.shards)
-	}
-	if o.shards < 2 {
-		return nil
-	}
-	if !o.parallelSet {
-		o.parallel = ncpu / o.shards
-		if o.parallel < 1 {
-			o.parallel = 1
-		}
-		return nil
-	}
-	if o.parallel > 1 && o.parallel*o.shards > ncpu {
-		return fmt.Errorf("-parallel %d x -shards %d = %d goroutines oversubscribes %d CPUs; lower one (or drop -parallel to let -shards pick the worker count)",
-			o.parallel, o.shards, o.parallel*o.shards, ncpu)
-	}
-	return nil
 }
 
 // cliMain is main minus the process exit, so tests can drive the full
@@ -192,13 +152,10 @@ func run(o cliOptions, out io.Writer) error {
 	if o.sampleUs < 0 {
 		return fmt.Errorf("-sample-us must be >= 0, got %d", o.sampleUs)
 	}
-	if err := o.resolveConcurrency(runtime.NumCPU()); err != nil {
-		return err
-	}
 	opts := experiments.Options{
 		Seed: o.seed, Quick: o.quick, Workers: o.parallel,
 		SampleEvery: sim.Duration(o.sampleUs) * sim.Microsecond,
-		Invariants:  o.invariants, Shards: o.shards,
+		Invariants:  o.invariants,
 	}
 	selected, err := selectExperiments(o.only)
 	if err != nil {

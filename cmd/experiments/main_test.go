@@ -114,64 +114,6 @@ func TestRunWithInvariants(t *testing.T) {
 	}
 }
 
-// TestResolveConcurrency pins how the two concurrency axes compose:
-// -shards shrinks the worker default, never an explicit worker count,
-// and an explicitly oversubscribing combination is rejected up front.
-func TestResolveConcurrency(t *testing.T) {
-	cases := []struct {
-		name         string
-		o            cliOptions
-		ncpu         int
-		wantParallel int
-		wantErr      bool
-	}{
-		{"no shards untouched", cliOptions{parallel: 8}, 8, 8, false},
-		{"shards=1 untouched", cliOptions{parallel: 8, shards: 1}, 8, 8, false},
-		{"negative shards rejected", cliOptions{parallel: 1, shards: -1}, 8, 1, true},
-		{"default workers shrink", cliOptions{parallel: 8, shards: 2}, 8, 4, false},
-		{"default workers floor at one", cliOptions{parallel: 1, shards: 8}, 1, 1, false},
-		{"explicit exact fit", cliOptions{parallel: 4, shards: 2, parallelSet: true}, 8, 4, false},
-		{"explicit serial workers kept", cliOptions{parallel: 1, shards: 8, parallelSet: true}, 1, 1, false},
-		{"explicit oversubscription", cliOptions{parallel: 8, shards: 2, parallelSet: true}, 8, 8, true},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			err := c.o.resolveConcurrency(c.ncpu)
-			if (err != nil) != c.wantErr {
-				t.Fatalf("err = %v, wantErr %v", err, c.wantErr)
-			}
-			if err == nil && c.o.parallel != c.wantParallel {
-				t.Errorf("parallel = %d, want %d", c.o.parallel, c.wantParallel)
-			}
-		})
-	}
-}
-
-// TestRunShardedOutputsIdentical regenerates a subset serially and on
-// the sharded coordinator; every output file must match byte for byte.
-func TestRunShardedOutputsIdentical(t *testing.T) {
-	serialDir, shardedDir := t.TempDir(), t.TempDir()
-	if err := run(cliOptions{outDir: serialDir, only: "fig8a", quick: true, seed: 42, parallel: 1}, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(cliOptions{outDir: shardedDir, only: "fig8a", quick: true, seed: 42, parallel: 1, shards: 2}, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"fig8a.txt", "fig8a.csv", "INDEX.txt"} {
-		a, err := os.ReadFile(filepath.Join(serialDir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(filepath.Join(shardedDir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(a) != string(b) {
-			t.Errorf("%s diverged between serial and sharded runs", name)
-		}
-	}
-}
-
 // TestCLIExitCodes drives the full argv-to-exit-code path: flag misuse
 // exits 2, runtime failures exit 1, success exits 0.
 func TestCLIExitCodes(t *testing.T) {
@@ -186,7 +128,7 @@ func TestCLIExitCodes(t *testing.T) {
 		{"help", []string{"-h"}, 0},
 		{"unknown experiment", []string{"-only", "fig99", "-quick"}, 1},
 		{"negative sample interval", []string{"-only", "table2", "-sample-us", "-1"}, 1},
-		{"negative shards", []string{"-only", "table2", "-shards", "-1"}, 1},
+		{"removed shards flag", []string{"-shards", "2"}, 2},
 		{"bad cpuprofile path", []string{"-only", "table2", "-quick", "-cpuprofile", "/nonexistent/dir/cpu.pprof"}, 1},
 		{"bad memprofile path", []string{"-only", "table2", "-quick", "-memprofile", "/nonexistent/dir/mem.pprof"}, 1},
 		{"list", []string{"-list"}, 0},

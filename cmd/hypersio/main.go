@@ -73,7 +73,6 @@ type options struct {
 	chipsetIOTLB int
 	noPrefetch   bool
 	serial       bool
-	shards       int
 	describe     bool
 	verbose      bool
 
@@ -112,7 +111,6 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 	fs.IntVar(&o.chipsetIOTLB, "chipset-iotlb", 0, "enable a shared (unpartitioned) chipset IOTLB with this many entries, 8-way LRU")
 	fs.BoolVar(&o.noPrefetch, "no-prefetch", false, "disable the Prefetch Unit")
 	fs.BoolVar(&o.serial, "serial", false, "serialize a packet's translations (legacy device)")
-	fs.IntVar(&o.shards, "shards", 0, "event-domain shards: 0/1 single engine, >=2 device + IOMMU domains under the sharded coordinator (results identical)")
 	fs.BoolVar(&o.describe, "describe", false, "print the resolved translation datapath and exit without simulating")
 	fs.BoolVar(&o.verbose, "v", false, "print per-structure statistics")
 
@@ -217,9 +215,6 @@ func (o options) validate() error {
 	if o.chipsetIOTLB < 0 || o.chipsetIOTLB%8 != 0 {
 		return fmt.Errorf("-chipset-iotlb must be a non-negative multiple of 8, got %d", o.chipsetIOTLB)
 	}
-	if o.shards < 0 {
-		return fmt.Errorf("-shards must be >= 0, got %d", o.shards)
-	}
 	if o.sampleUs < 0 {
 		return fmt.Errorf("-sample-us must be >= 0, got %d", o.sampleUs)
 	}
@@ -283,7 +278,6 @@ func run(o options, out io.Writer) error {
 		cfg.Prefetch = nil
 	}
 	cfg.SerialRequests = o.serial
-	cfg.Shards = o.shards
 
 	if o.faultsFile != "" {
 		f, err := os.Open(o.faultsFile)
@@ -412,13 +406,6 @@ func run(o options, out io.Writer) error {
 	sys, err := hypertrio.NewSystemSource(cfg, src)
 	if err != nil {
 		return err
-	}
-	if sh := sys.Sharded(); sh != nil {
-		mode := "lockstep"
-		if sh.Parallel() {
-			mode = "parallel"
-		}
-		fmt.Fprintf(out, "sharded execution: device + IOMMU event domains, %s mode\n", mode)
 	}
 	res, err := sys.Run()
 	if err != nil {

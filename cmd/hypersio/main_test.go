@@ -83,7 +83,6 @@ func TestRunErrors(t *testing.T) {
 		{"negative devtlb", func(o *options) { o.devtlbSize = -8 }},
 		{"indivisible devtlb", func(o *options) { o.devtlbSize = 100 }},
 		{"negative sample interval", func(o *options) { o.sampleUs = -1 }},
-		{"negative shards", func(o *options) { o.shards = -2 }},
 		{"engine trace without trace file", func(o *options) { o.engineEvents = true }},
 		{"missing replay file", func(o *options) { o.replayFile = "/nonexistent.hsio" }},
 		{"tenants above cap", func(o *options) { o.tenants = 1_000_001; o.stream = true }},
@@ -126,34 +125,6 @@ func TestRunStreamMatchesMaterialized(t *testing.T) {
 	// in both modes and agree between them.
 	if got, want := report(true, true), report(false, true); got != want {
 		t.Errorf("compact-RNG streaming report diverged from materialized:\n--- stream\n%s\n--- trace\n%s", got, want)
-	}
-}
-
-// TestRunShardedMatchesSerial pins the user-visible contract of -shards:
-// apart from the one extra line announcing the execution mode, a sharded
-// run's report is byte-identical to the serial run's.
-func TestRunShardedMatchesSerial(t *testing.T) {
-	var serial strings.Builder
-	if err := run(base(), &serial); err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{2, 8} {
-		o := base()
-		o.shards = shards
-		var sharded strings.Builder
-		if err := run(o, &sharded); err != nil {
-			t.Fatal(err)
-		}
-		got := sharded.String()
-		i := strings.Index(got, "sharded execution:")
-		if i < 0 {
-			t.Fatalf("shards=%d: report does not announce the execution mode:\n%s", shards, got)
-		}
-		j := strings.IndexByte(got[i:], '\n')
-		got = got[:i] + got[i+j+1:]
-		if got != serial.String() {
-			t.Errorf("shards=%d report diverged from serial:\n got %q\nwant %q", shards, got, serial.String())
-		}
 	}
 }
 
@@ -415,6 +386,10 @@ func TestCLIExitCodes(t *testing.T) {
 	if err := os.WriteFile(badPlan, []byte(`{"schema":"nope/9","events":[]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	farSIDPlan := filepath.Join(t.TempDir(), "far-sid.json")
+	if err := os.WriteFile(farSIDPlan, []byte(`{"schema":"hypertrio-faultplan/1","events":[{"at_ns":1000,"kind":"detach","sid":4000000000}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	small := []string{"-tenants", "4", "-scale", "0.002"}
 	cases := []struct {
 		name string
@@ -424,12 +399,14 @@ func TestCLIExitCodes(t *testing.T) {
 		{"unknown flag", []string{"-definitely-not-a-flag"}, 2},
 		{"malformed value", []string{"-tenants", "many"}, 2},
 		{"stray positional argument", []string{"extra"}, 2},
+		{"removed shards flag", []string{"-shards", "2"}, 2},
 		{"help", []string{"-h"}, 0},
 		{"unknown design", []string{"-design", "fancy"}, 1},
 		{"conflicting trace-engine", []string{"-trace-engine"}, 1},
 		{"conflicting describe+faults", []string{"-describe", "-faults", plan}, 1},
 		{"missing faults file", append(small, "-faults", "/nonexistent/plan.json"), 1},
 		{"bad faults schema", append(small, "-faults", badPlan), 1},
+		{"out-of-range SID plan", []string{"-tenants", "4", "-scale", "0.001", "-faults", farSIDPlan}, 1},
 		{"describe", []string{"-describe"}, 0},
 		{"faulted run", append(small, "-faults", plan), 0},
 		{"bad cpuprofile path", append(small, "-cpuprofile", "/nonexistent/dir/cpu.pprof"), 1},

@@ -71,7 +71,7 @@ func (p Params) validate() error {
 // touching the generators. Implementations must be deterministic pure
 // functions of their inputs: the same (base, now) pair always yields
 // the same gap, which is what keeps shaped runs byte-identical across
-// serial, sharded and streaming execution.
+// materialized and streaming execution.
 type ArrivalShaper interface {
 	// Gap returns the gap between the current link slot and the next,
 	// given the nominal (full-load) gap and the current simulated time.
@@ -125,18 +125,6 @@ type Config struct {
 	// paper's GPU-related work discusses (§VI) but its model leaves open.
 	IOMMUWalkers int
 
-	// Shards splits the single run across event domains executed by the
-	// sharded coordinator (internal/sim.ShardedEngine): 0 or 1 keeps the
-	// classic single-engine simulation; 2 or more moves the chipset's
-	// IOMMU/walker work into its own domain, with the device side in
-	// another, synchronized by conservative PCIe lookahead. The model has
-	// one device-side link, so shard counts above 2 clamp to the two
-	// domains that exist. Runs needing instantaneous cross-domain
-	// coupling (driver unmaps in the trace, prefetching, fault plans,
-	// observability) execute the domains in lockstep instead of in
-	// parallel. Results are byte-identical to serial for every value.
-	Shards int
-
 	// Obs attaches the observability layer (internal/obs): model-level
 	// event tracing, optional engine-kernel probing, and periodic
 	// time-series sampling. Nil turns everything off; observability only
@@ -162,9 +150,6 @@ type Config struct {
 func (c Config) Validate() error {
 	if err := c.Params.validate(); err != nil {
 		return err
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("core: Shards must be non-negative, got %d", c.Shards)
 	}
 	if c.TranslationOff {
 		return nil

@@ -2,8 +2,8 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
-	"strings"
 	"testing"
 
 	"hypertrio/internal/fault"
@@ -220,20 +220,29 @@ func TestFaultFreeRunIdenticalWithPlanNil(t *testing.T) {
 	}
 }
 
-// TestRemapUnknownSIDFailsTheRun pins the sticky-error path: a plan
-// touching a tenant the trace never built surfaces as a run error, not a
-// silent no-op.
-func TestRemapUnknownSIDFailsTheRun(t *testing.T) {
-	tr := makeTrace(t, workload.Iperf3, 4, trace.RR1, 0.002)
-	cfg := faultConfig(&fault.Plan{Events: []fault.Event{
+// TestPlanSIDOutOfRangeRejected pins the fault-plan SID bound: a plan
+// touching a tenant the trace never built is an error before anything is
+// allocated, not a silent no-op. Per-tenant state grows to the largest
+// SID it is handed, so one event at SID 4e9 would exhaust memory.
+func TestPlanSIDOutOfRangeRejected(t *testing.T) {
+	const tenants = 4
+	tr := makeTrace(t, workload.Iperf3, tenants, trace.RR1, 0.002)
+	for _, ev := range []fault.Event{
 		{At: 0, Kind: fault.Remap, SID: 99, IOVA: workload.RingPageFor(99), Shift: 12},
-	}})
-	s, err := NewSystem(cfg, tr)
-	if err != nil {
-		t.Fatal(err)
+		{At: 1000, Kind: fault.Detach, SID: 4_000_000_000},
+		{At: 1000, Kind: fault.InvalidateTenant, SID: tenants + 1},
+		{At: 1000, Kind: fault.InvalidatePage, SID: 4_000_000_000, IOVA: 0x1000, Shift: 12},
+		{At: 1000, Kind: fault.WalkerFault, SID: tenants + 1, N: 1},
+	} {
+		cfg := faultConfig(&fault.Plan{Events: []fault.Event{ev}})
+		if _, err := NewSystem(cfg, tr); !errors.Is(err, ErrPlanSID) {
+			t.Errorf("%s at SID %d: NewSystem() = %v, want ErrPlanSID", ev.Kind, ev.SID, err)
+		}
 	}
-	if _, err := s.Run(); err == nil || !strings.Contains(err.Error(), "remap") {
-		t.Fatalf("Run() = %v, want the remap failure", err)
+	// The last tenant is in range.
+	cfg := faultConfig(&fault.Plan{Events: []fault.Event{{At: 1000, Kind: fault.Detach, SID: tenants}}})
+	if _, err := NewSystem(cfg, tr); err != nil {
+		t.Fatalf("detach of SID %d: %v", tenants, err)
 	}
 }
 

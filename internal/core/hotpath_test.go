@@ -80,21 +80,11 @@ func warmSystem(t *testing.T, cfg Config) *System {
 	}
 	s.start()
 	for i := 0; i < 3000; i++ {
-		if !s.step() {
+		if !s.engine.Step() {
 			t.Fatal("engine drained during warm-up; trace too small for the test")
 		}
 	}
 	return s
-}
-
-// step advances the system by one event whichever engine topology it
-// runs: the serial engine directly, or the sharded coordinator's merged
-// execution.
-func (s *System) step() bool {
-	if s.sharded != nil {
-		return s.sharded.Step()
-	}
-	return s.engine.Step()
 }
 
 // warmStreamSystem is warmSystem over an online streaming source: the
@@ -115,7 +105,7 @@ func warmStreamSystem(t *testing.T, cfg Config) *System {
 	}
 	s.start()
 	for i := 0; i < 3000; i++ {
-		if !s.step() {
+		if !s.engine.Step() {
 			t.Fatal("engine drained during warm-up; stream too small for the test")
 		}
 	}
@@ -127,24 +117,18 @@ func warmStreamSystem(t *testing.T, cfg Config) *System {
 // arrivals, DevTLB hits, chipset misses, nested walks, completions —
 // performs zero heap allocations per event.
 func TestWarmPacketPathZeroAllocs(t *testing.T) {
-	base2 := BaseConfig()
-	base2.Shards = 2
-	ht2 := HyperTRIOConfig()
-	ht2.Shards = 2
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
 		{"base", BaseConfig()},
 		{"hypertrio", HyperTRIOConfig()},
-		{"base/shards=2", base2},
-		{"hypertrio/shards=2", ht2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := warmSystem(t, tc.cfg)
 			allocs := testing.AllocsPerRun(100, func() {
 				for i := 0; i < 10; i++ {
-					s.step()
+					s.engine.Step()
 				}
 			})
 			if allocs != 0 {
@@ -171,7 +155,7 @@ func TestWarmStreamPathZeroAllocs(t *testing.T) {
 			s := warmStreamSystem(t, tc.cfg)
 			allocs := testing.AllocsPerRun(100, func() {
 				for i := 0; i < 10; i++ {
-					s.step()
+					s.engine.Step()
 				}
 			})
 			if allocs != 0 {

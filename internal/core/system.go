@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -24,9 +25,8 @@ type System struct {
 	cfg Config
 	// src is the packet source the run consumes; tr is the materialized
 	// trace behind it, or nil for online (streaming) sources. Everything
-	// that genuinely needs the whole sequence at once — oracle
-	// precomputation, the unmap lookahead scan — checks tr and fails fast
-	// or degrades conservatively when it is nil.
+	// that genuinely needs the whole sequence at once (oracle
+	// precomputation, the end-of-run packet count check) checks tr first.
 	src  trace.Source
 	tr   *trace.Trace
 	meta trace.Meta
@@ -37,17 +37,6 @@ type System struct {
 	// simulated time (scenario load envelopes); nextGap is the only
 	// consumer, so a nil shaper keeps the constant-load fast path.
 	shaper ArrivalShaper
-
-	// Sharded-run topology (all nil/zero for Shards <= 1). The IOMMU
-	// domain is deliberately domain 0: at equal timestamps the merged
-	// order fires chipset-side events before device-side ones, which is
-	// exactly the order a serial engine reaches by sequence numbers —
-	// a completion or walk-end was always scheduled at least one PCIe
-	// traversal (> one packet slot) before any device event tying with
-	// it could be scheduled.
-	sharded *sim.ShardedEngine
-	ioDom   *sim.Domain
-	devDom  *sim.Domain
 
 	host    *mem.Space
 	ctx     *mem.ContextTable
@@ -118,6 +107,11 @@ const (
 	evHitDone        // an all-hit (or native) packet's completion time
 )
 
+// ErrPlanSID reports a fault-plan event that targets a SID outside the
+// trace's tenants 1..Tenants. Per-tenant state is indexed by SID, so
+// such a plan is rejected before anything is allocated.
+var ErrPlanSID = errors.New("core: fault plan targets a SID outside the trace's tenants")
+
 // NewSystem builds per-tenant page tables for every SID in the trace and
 // composes the configured translation datapath. A trace with tenants but
 // no packets is legal — an aggressive Scale can round a benchmark down
@@ -164,6 +158,14 @@ func NewSystemSource(cfg Config, src trace.Source) (*System, error) {
 	if meta.Tenants <= 0 {
 		return nil, fmt.Errorf("core: empty trace")
 	}
+	if cfg.Fault != nil {
+		for i, ev := range cfg.Fault.Events {
+			if uint64(ev.SID) > uint64(meta.Tenants) {
+				return nil, fmt.Errorf("%w: event %d (%s) targets SID %d, trace has %d tenants",
+					ErrPlanSID, i, ev.Kind, ev.SID, meta.Tenants)
+			}
+		}
+	}
 	tr := src.Materialized()
 	if tr == nil && RequiresMaterialized(cfg) {
 		return nil, fmt.Errorf("core: the Oracle (Belady) replacement policy requires a materialized trace; construct the trace instead of streaming it")
@@ -182,14 +184,7 @@ func NewSystemSource(cfg Config, src trace.Source) (*System, error) {
 	if len(meta.Classes) > 0 {
 		s.tenantDrops = make([]uint64, meta.Tenants+1)
 	}
-	if cfg.Shards >= 2 {
-		s.sharded = sim.NewSharded()
-		s.ioDom = s.sharded.AddDomain()
-		s.devDom = s.sharded.AddDomain()
-		s.engine = s.devDom.Engine()
-	} else {
-		s.engine = sim.NewEngine()
-	}
+	s.engine = sim.NewEngine()
 	// The tenant population is a sequence of classes over contiguous SID
 	// ranges; a classic single-profile trace is the one-class case, so
 	// both shapes share the build loop below (and the one-class case
@@ -298,12 +293,6 @@ func NewSystemSource(cfg Config, src trace.Source) (*System, error) {
 		env.Tracer = o.Tracer
 		if o.EngineEvents && o.Tracer != nil {
 			s.engine.SetProbe(obs.EngineProbe{T: o.Tracer})
-			if s.sharded != nil {
-				// Observability forces lockstep, where both engines run
-				// on one thread drawing one sequence counter, so the two
-				// probes interleave into exactly the serial stream.
-				s.ioDom.Engine().SetProbe(obs.EngineProbe{T: o.Tracer})
-			}
 		}
 	}
 	if cfg.Fault != nil {
@@ -319,57 +308,11 @@ func NewSystemSource(cfg Config, src trace.Source) (*System, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	s.chain = chain
-	if s.sharded != nil {
-		lookIO, lookDev := s.lookaheads()
-		toIO := s.sharded.Connect(s.devDom, s.ioDom, lookIO, 0)
-		toDev := s.sharded.Connect(s.ioDom, s.devDom, lookDev, 0)
-		s.chain.EnableSplit(toIO, toDev, s)
-		s.sharded.Seal()
-	}
 	if o := cfg.Obs; o != nil && o.SampleEvery > 0 {
 		s.sampler = newSampler(o.SampleEvery, &s.bytes, s.chain, cfg.IOMMUWalkers)
 	}
 	return s, nil
 }
-
-// lookaheads chooses the conservative synchronization windows of a
-// sharded run's two edges. The demand resolve path guarantees a minimum
-// latency in each direction — a miss reaches the chipset no sooner than
-// the DevTLB probe plus the PCIe traversal, and a completion returns no
-// sooner than one PCIe traversal — so a fault-free, observation-free,
-// prefetch-free run with no driver unmaps in the trace can execute the
-// domains in parallel. Everything else needs an instantaneous coupling
-// across the boundary (broadcast invalidations, the history reader's
-// device-side prefetch unit, the shared tracer/sampler, fault hooks on
-// both sides) and returns zero windows, which Seal turns into the
-// lockstep merge — still sharded, still byte-identical, one thread.
-func (s *System) lookaheads() (toIO, toDev sim.Duration) {
-	if s.cfg.TranslationOff {
-		// Native path: nothing ever crosses the boundary; any positive
-		// window lets the (empty) chipset domain stay out of the way.
-		return s.cfg.Params.PCIeOneWay, s.cfg.Params.PCIeOneWay
-	}
-	if s.cfg.Fault != nil || s.cfg.Obs != nil || s.cfg.Prefetch != nil {
-		return 0, 0
-	}
-	if s.tr == nil {
-		// Online source: the unmap scan below needs the whole sequence,
-		// which a stream cannot provide without materializing it. Degrade
-		// conservatively to the lockstep merge (zero windows) — still
-		// sharded, still byte-identical to serial.
-		return 0, 0
-	}
-	for _, p := range s.tr.Packets {
-		if p.UnmapIOVA != 0 {
-			return 0, 0
-		}
-	}
-	return s.cfg.Params.TLBHit + s.cfg.Params.PCIeOneWay, s.cfg.Params.PCIeOneWay
-}
-
-// Sharded returns the sharded coordinator (nil for Shards <= 1), for
-// white-box tests that step the merged execution manually.
-func (s *System) Sharded() *sim.ShardedEngine { return s.sharded }
 
 // Chain returns the composed translation datapath (for describe output
 // and tests; the simulation drives it internally).
@@ -468,11 +411,7 @@ func (s *System) Run() (Result, error) {
 		return Result{}, fmt.Errorf("core: System.Run called twice")
 	}
 	s.start()
-	if s.sharded != nil {
-		s.sharded.Run()
-	} else {
-		s.engine.Run()
-	}
+	s.engine.Run()
 	if s.curValid || !s.srcDone {
 		return Result{}, fmt.Errorf("core: simulation drained with the packet stream unconsumed (%d packets accepted)", s.consumed)
 	}

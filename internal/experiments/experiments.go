@@ -43,12 +43,6 @@ type Options struct {
 	// SeriesDir, when set together with SampleEvery, receives one CSV
 	// per cell (cell-000.csv, ... in submission order) for each sweep.
 	SeriesDir string
-	// Shards, when >= 2, runs every simulation cell on the sharded
-	// coordinator (core.Config.Shards): the chipset work in its own event
-	// domain, synchronized with the device domain by conservative PCIe
-	// lookahead. Sharding is an execution strategy, not a model change —
-	// rendered tables are byte-identical for every value.
-	Shards int
 	// Stream replays every queued cell through an online generator-backed
 	// source instead of a materialized trace (runner.Cell.Stream): memory
 	// stays O(tenants) per cell and rendered tables are byte-identical,
@@ -199,14 +193,9 @@ func (s *sweep) simTrace(cfg core.Config, tc trace.Config) {
 // writes the per-cell time series under SeriesDir.
 func (s *sweep) run() (*results, error) {
 	cells := s.cells
-	if s.o.SampleEvery > 0 || s.o.Invariants || s.o.Shards >= 2 {
+	if s.o.SampleEvery > 0 || s.o.Invariants {
 		cells = make([]runner.Cell, len(s.cells))
 		copy(cells, s.cells)
-	}
-	if s.o.Shards >= 2 {
-		for i := range cells {
-			cells[i].Config.Shards = s.o.Shards
-		}
 	}
 	if s.o.SampleEvery > 0 {
 		shared := &obs.Options{SampleEvery: s.o.SampleEvery}

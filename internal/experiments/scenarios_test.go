@@ -197,30 +197,25 @@ func TestScenarioConservation(t *testing.T) {
 }
 
 // Every committed scenario produces the identical Result — not just
-// the same table cells — across serial, sharded (2 and 8), streaming,
-// and sharded-streaming execution. The quick-suite golden tests pin
-// the same property at the rendered-output level; this pins the full
-// result structs, per run mode, with a precise failure message.
+// the same table cells — from a materialized trace and from a stream.
+// The quick-suite golden tests pin the same property at the
+// rendered-output level; this pins the full result structs, per run
+// mode, with a precise failure message.
 func TestScenarioDifferentialDeterminism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs every scenario five times; skipped in -short mode")
+		t.Skip("runs every scenario twice; skipped in -short mode")
 	}
 	modes := []struct {
 		name   string
-		shards int
 		stream bool
 	}{
-		{"serial", 0, false},
-		{"shards2", 2, false},
-		{"shards8", 8, false},
-		{"stream", 0, true},
-		{"stream-shards2", 2, true},
+		{"serial", false},
+		{"stream", true},
 	}
 	for _, name := range []string{"noisy-neighbor", "sid-flood", "incast", "diurnal", "storm"} {
 		var ref core.Result
 		for i, m := range modes {
 			o := quick()
-			o.Shards = m.shards
 			o.Stream = m.stream
 			s, err := scenarioFor(name, o)
 			if err != nil {

@@ -41,6 +41,20 @@ type eventDoc struct {
 	Silent bool    `json:"silent,omitempty"`
 }
 
+// maxPlanNs bounds every time in a JSON plan: 1000 s of simulated time,
+// far past any run. Below it a picosecond count survives the trip to
+// float nanoseconds and back exactly, so accepted plans round-trip.
+const maxPlanNs = 1e12
+
+// planNanos converts one time field, rejecting values outside
+// [0, maxPlanNs].
+func planNanos(field string, ns float64) (sim.Duration, error) {
+	if !(ns >= 0 && ns <= maxPlanNs) {
+		return 0, fmt.Errorf("%s %g outside [0, %g]", field, ns, maxPlanNs)
+	}
+	return sim.FromNanos(ns), nil
+}
+
 func parseIOVA(s string) (uint64, error) {
 	if s == "" {
 		return 0, nil
@@ -61,11 +75,15 @@ func ReadPlan(r io.Reader) (*Plan, error) {
 	}
 	p := &Plan{Seed: doc.Seed}
 	if rd := doc.Retry; rd != nil {
-		p.Retry = RetryPolicy{
-			MaxRetries: rd.MaxRetries,
-			Backoff:    sim.FromNanos(rd.BackoffNs),
-			BackoffMax: sim.FromNanos(rd.BackoffMaxNs),
+		backoff, err := planNanos("backoff_ns", rd.BackoffNs)
+		if err != nil {
+			return nil, fmt.Errorf("fault: retry: %w", err)
 		}
+		backoffMax, err := planNanos("backoff_max_ns", rd.BackoffMaxNs)
+		if err != nil {
+			return nil, fmt.Errorf("fault: retry: %w", err)
+		}
+		p.Retry = RetryPolicy{MaxRetries: rd.MaxRetries, Backoff: backoff, BackoffMax: backoffMax}
 	}
 	for i, ed := range doc.Events {
 		kind, err := KindFromString(ed.Kind)
@@ -76,14 +94,22 @@ func ReadPlan(r io.Reader) (*Plan, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fault: event %d: bad iova %q: %w", i, ed.IOVA, err)
 		}
+		at, err := planNanos("at_ns", ed.AtNs)
+		if err != nil {
+			return nil, fmt.Errorf("fault: event %d: %w", i, err)
+		}
+		dur, err := planNanos("dur_ns", ed.DurNs)
+		if err != nil {
+			return nil, fmt.Errorf("fault: event %d: %w", i, err)
+		}
 		p.Events = append(p.Events, Event{
-			At:     sim.Time(0).Add(sim.FromNanos(ed.AtNs)),
+			At:     sim.Time(0).Add(at),
 			Kind:   kind,
 			SID:    mem.SID(ed.SID),
 			IOVA:   iova,
 			Shift:  ed.Shift,
 			N:      ed.N,
-			Dur:    sim.FromNanos(ed.DurNs),
+			Dur:    dur,
 			Silent: ed.Silent,
 		})
 	}

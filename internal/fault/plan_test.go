@@ -51,11 +51,14 @@ func TestPlanJSONRoundTrip(t *testing.T) {
 
 func TestReadPlanRejects(t *testing.T) {
 	cases := map[string]string{
-		"bad schema":    `{"schema":"nope/9","events":[]}`,
-		"unknown kind":  `{"schema":"hypertrio-faultplan/1","events":[{"at_ns":1,"kind":"explode"}]}`,
-		"unknown field": `{"schema":"hypertrio-faultplan/1","events":[],"frobnicate":1}`,
-		"bad iova":      `{"schema":"hypertrio-faultplan/1","events":[{"at_ns":1,"kind":"invalidate_page","sid":1,"iova":"zz","shift":12}]}`,
-		"not json":      `hello`,
+		"bad schema":       `{"schema":"nope/9","events":[]}`,
+		"unknown kind":     `{"schema":"hypertrio-faultplan/1","events":[{"at_ns":1,"kind":"explode"}]}`,
+		"unknown field":    `{"schema":"hypertrio-faultplan/1","events":[],"frobnicate":1}`,
+		"bad iova":         `{"schema":"hypertrio-faultplan/1","events":[{"at_ns":1,"kind":"invalidate_page","sid":1,"iova":"zz","shift":12}]}`,
+		"not json":         `hello`,
+		"huge time":        `{"schema":"hypertrio-faultplan/1","events":[{"at_ns":4456320208626.653,"kind":"flush_all"}]}`,
+		"negative dur":     `{"schema":"hypertrio-faultplan/1","events":[{"at_ns":1,"kind":"detach","sid":1,"dur_ns":-1}]}`,
+		"negative backoff": `{"schema":"hypertrio-faultplan/1","retry":{"backoff_ns":-5},"events":[]}`,
 	}
 	for name, doc := range cases {
 		if _, err := ReadPlan(strings.NewReader(doc)); err == nil {

@@ -254,13 +254,18 @@ func TestMetricsExportEmpty(t *testing.T) {
 	}
 }
 
+// nopSink is an event sink that does nothing.
+type nopSink struct{}
+
+func (nopSink) HandleEvent(*sim.Engine, sim.Time, uint64) {}
+
 func TestEngineProbeEmits(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf)
 	e := sim.NewEngine()
 	e.SetProbe(EngineProbe{T: tr})
-	id := e.ScheduleLabeled(5, "a", func(*sim.Engine, sim.Time) {})
-	e.ScheduleLabeled(7, "b", func(*sim.Engine, sim.Time) {})
+	id := e.ScheduleEventLabeled(5, "a", nopSink{}, 0)
+	e.ScheduleEventLabeled(7, "b", nopSink{}, 0)
 	e.Cancel(id)
 	e.Run()
 	if err := tr.Flush(); err != nil {

@@ -127,10 +127,9 @@ type ChipsetStage struct {
 	pool    *WalkerPool
 	lat     Latencies
 	tracer  *obs.Tracer
-	faults  FaultHook   // nil in every fault-free run
-	fills   []Stage     // device-side stages refilled by demand completions
-	walkers int         // configured cap (0 = unlimited), for Describe
-	split   *chainSplit // non-nil when the stage runs in its own domain
+	faults  FaultHook // nil in every fault-free run
+	fills   []Stage   // device-side stages refilled by demand completions
+	walkers int       // configured cap (0 = unlimited), for Describe
 
 	walks []chipsetWalk // pooled in-flight miss records
 	free  []uint32
@@ -187,18 +186,6 @@ func (st *ChipsetStage) Register(r *obs.Registry, p string) { st.mmu.Register(r,
 func (st *ChipsetStage) IOMMU() *iommu.IOMMU { return st.mmu }
 
 func (st *ChipsetStage) Resolve(e *sim.Engine, rq Request, done Completer, ctx uint64) {
-	if sp := st.split; sp != nil {
-		// Split chain: the miss crosses the domain boundary as a
-		// message; the walk record is allocated on arrival, in the
-		// chipset's own domain. The completer was bound at EnableSplit
-		// (it cannot travel in a payload word), so it must be the one
-		// every caller passes.
-		if done != sp.dev.done {
-			panic("pipeline: split chain resolved with a different completer than EnableSplit bound")
-		}
-		sp.toIO.Send(sp.io, st.lat.TLBHit+st.lat.PCIeOneWay, xResolve, rq.IOVA, packRq(rq), ctx, 0)
-		return
-	}
 	idx := st.alloc()
 	w := &st.walks[idx]
 	w.rq, w.done, w.ctx = rq, done, ctx
@@ -218,12 +205,6 @@ func (st *ChipsetStage) HandleEvent(e *sim.Engine, now sim.Time, payload uint64)
 				SID: uint32(w.rq.SID), IOVA: obs.Hex(w.rq.IOVA), DurPs: int64(w.walk)})
 		}
 		st.pool.Release(e)
-		if st.split != nil {
-			// Split chains never schedule ckComplete — the completion
-			// crossed as a message carrying the result by value, so the
-			// record is done once the walker is back.
-			st.release(idx)
-		}
 	case ckComplete:
 		w := &st.walks[idx]
 		for _, f := range st.fills {
@@ -276,14 +257,6 @@ func (st *ChipsetStage) runWalk(e *sim.Engine, idx uint32) {
 			SID: uint32(w.rq.SID), IOVA: obs.Hex(w.rq.IOVA), Shift: w.rq.Shift, N: res.MemAccesses})
 	}
 	e.ScheduleEvent(walk, st, ckWalkEnd<<32|uint64(idx))
-	if sp := st.split; sp != nil {
-		// Same schedule order as serial (walk end, then completion) so a
-		// lockstep merge consumes the shared sequence counter at exactly
-		// the same points.
-		sp.toDev.Send(sp.dev, walk+st.lat.PCIeOneWay, xComplete,
-			w.rq.IOVA, packRq(w.rq), w.hpaBase, w.ctx)
-		return
-	}
 	e.ScheduleEvent(walk+st.lat.PCIeOneWay, st, ckComplete<<32|uint64(idx))
 }
 

@@ -196,7 +196,7 @@ func (c *Compiled) Materialize() (*trace.Trace, error) {
 
 // Apply composes the scenario onto a design configuration: the load
 // shaper and the composed fault plan. The design's own structure
-// (caches, PTB, prefetch, shards) is untouched, so one scenario sweeps
+// (caches, PTB, prefetch) is untouched, so one scenario sweeps
 // identically across Base/HyperTRIO/any future design. A scenario
 // without overlays leaves the config's own Fault script in place, so a
 // calm scenario composes with an externally scripted plan.

@@ -19,7 +19,7 @@
 // Scenarios serialize as JSON (schema "hypertrio-scenario/1") and
 // compile (Compile) into the runnable pieces. Everything downstream of
 // the seed is deterministic: the same scenario yields byte-identical
-// results across serial, sharded and streaming execution — the same
+// results from a materialized trace and from a stream — the same
 // contract the quick-suite golden manifest pins.
 package scenario
 

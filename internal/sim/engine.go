@@ -1,25 +1,16 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 )
 
-// Handler is a callback executed when an event fires. It receives the
-// engine so it can schedule follow-up events, and the firing time.
-type Handler func(e *Engine, now Time)
-
-// EventSink is the typed, closure-free scheduling path: a model
-// component implements HandleEvent once and schedules events against
-// itself with ScheduleEvent, threading per-event state through the
-// payload word instead of capturing it in a closure. Components that
-// need more than 64 bits of state keep it in a pooled record and pass
-// the record's index (see internal/core and internal/pipeline).
-//
-// Typed and closure events share one queue, one sequence numbering and
-// one firing order; which path scheduled an event is invisible to
-// determinism, probes and traces.
+// EventSink receives the engine's events: a model component implements
+// HandleEvent once and schedules events against itself with
+// ScheduleEvent, threading per-event state through the payload word
+// instead of capturing it in a closure. Components that need more than
+// 64 bits of state keep it in a pooled record and pass the record's
+// index (see internal/core and internal/pipeline).
 type EventSink interface {
 	HandleEvent(e *Engine, now Time, payload uint64)
 }
@@ -40,14 +31,12 @@ const (
 type eventRec struct {
 	at      Time
 	seq     uint64 // schedule order, breaks timestamp ties deterministically
-	fn      Handler
 	sink    EventSink
 	payload uint64
 	label   string
 	next    uint32
 	gen     uint32
 	state   uint8
-	dom     uint8 // owning domain; 0 for serial and lockstep engines
 }
 
 // EventID identifies a scheduled event so it can be cancelled. The zero
@@ -94,13 +83,13 @@ const (
 //
 // Internally the queue is a hierarchical timing wheel over a slab of
 // recycled event records: the slab keeps every record in one flat
-// allocation and the free list recycles slots, so Schedule/Step allocate
+// allocation and the free list recycles slots, so ScheduleEvent/Step allocate
 // nothing in steady state (pinned by TestScheduleStepZeroAllocs).
 // Scheduling hashes the timestamp into a wheel slot in O(1); firing
 // advances the cursor and cascades at most a handful of records to lower
 // levels, amortized O(1) per event because every relocation moves a
 // record to a strictly lower level. Events at exactly the cursor time
-// sit in a small "ready" heap ordered by (at, dom, seq), which is what
+// sit in a small "ready" heap ordered by (at, seq), which is what
 // preserves the exact total fire order of the previous 4-ary-heap
 // engine. Cancellation is lazy — a cancelled record stays in its slot,
 // is skipped and recycled when the cursor or a peek reaches it.
@@ -116,8 +105,8 @@ type Engine struct {
 
 	// Timing-wheel state. cur is the wheel cursor; it trails or equals
 	// the clock and only advances on a committed fire or a RunUntil
-	// deadline, never on a peek — cross-domain Deliver may legally insert
-	// below the currently peeked minimum (only >= now is guaranteed).
+	// deadline, never on a peek, so a schedule made after a peek may land
+	// below the peeked minimum (only >= now is guaranteed).
 	cur      Time
 	slotHead [wheelLevels * wheelSlots]uint32 // intrusive lists (slab index + 1)
 	occ      [wheelLevels]uint64              // per-level slot occupancy bitmaps
@@ -126,26 +115,10 @@ type Engine struct {
 	scratch  []uint32                         // reused cascade buffer
 
 	// Memoized minimum: findMin scans bitmaps and slot lists once, then
-	// repeated peeks (the lockstep merge loop re-peeks per step) are O(1)
-	// until a pop, a cancel of the cached minimum, or a smaller insert.
-	peekStamp Stamp
+	// repeated peeks (RunUntil peeks before every step) are O(1) until a
+	// pop, a cancel of the cached minimum, or a smaller insert.
+	peekStamp stamp
 	peekValid bool
-
-	// Sharding state (see ShardedEngine). A serial engine keeps the zero
-	// domain and its own sequence counter, making the comparator
-	// (at, dom, seq) degenerate to the historical (at, seq) order.
-	dom  uint8
-	seqp *uint64 // shared sequence counter; nil means &e.nextSeq
-
-	// Parked cross-domain messages, indexed by the payload word of the
-	// event Deliver schedules; recycled through a free list like the
-	// event slab so steady-state handoff allocates nothing.
-	msgs    []Msg
-	msgFree []uint32
-
-	// deliveries counts Deliver calls; the lockstep merge loop uses it to
-	// notice that a fired event lowered this engine's head mid-batch.
-	deliveries uint64
 }
 
 // NewEngine returns an engine with the clock at time zero.
@@ -174,107 +147,29 @@ func (e *Engine) Stopped() bool { return e.stopped }
 // sees events from the next operation onward.
 func (e *Engine) SetProbe(p Probe) { e.probe = p }
 
-// SetDomain tags every event this engine subsequently schedules with the
-// domain ID d. ShardedEngine uses it in parallel mode so the
-// (at, dom, seq) comparator totally orders events across domains even
-// though each domain assigns sequence numbers independently. Serial
-// engines and lockstep topologies keep the zero domain.
-func (e *Engine) SetDomain(d uint8) { e.dom = d }
+// stamp is an event's ordering key. Events fire in lexicographic
+// (at, seq) order: by time, then by schedule order.
+type stamp struct {
+	at  Time
+	seq uint64
+}
 
-// Domain returns the engine's domain tag.
-func (e *Engine) Domain() uint8 { return e.dom }
-
-// SetSharedSeq points the engine's sequence counter at an external
-// counter shared with other engines (the lockstep sharding mode), so
-// events scheduled across all of them draw from one global schedule
-// order — exactly the sequence a single serial engine would have
-// assigned. Passing nil restores the engine's own counter. Must be
-// called before any event is scheduled.
-func (e *Engine) SetSharedSeq(p *uint64) { e.seqp = p }
-
-// takeSeq consumes the next sequence number from the engine's counter
-// (its own, or the shared lockstep counter).
-func (e *Engine) takeSeq() uint64 {
-	p := e.seqp
-	if p == nil {
-		p = &e.nextSeq
+// less reports whether s orders strictly before o.
+func (s stamp) less(o stamp) bool {
+	if s.at != o.at {
+		return s.at < o.at
 	}
-	s := *p
-	*p++
-	return s
+	return s.seq < o.seq
 }
 
-// Stamp is an event's global ordering key. Events fire in lexicographic
-// (At, Dom, Seq) order; for serial engines Dom is always zero and the
-// order is the historical (At, Seq).
-type Stamp struct {
-	At  Time
-	Dom uint8
-	Seq uint64
-}
-
-// Less reports whether s orders strictly before o.
-func (s Stamp) Less(o Stamp) bool {
-	if s.At != o.At {
-		return s.At < o.At
-	}
-	if s.Dom != o.Dom {
-		return s.Dom < o.Dom
-	}
-	return s.Seq < o.Seq
-}
-
-// PeekStamp returns the ordering stamp of the earliest pending event
-// without firing it, discarding any cancelled records it encounters. The
-// second result is false when the queue is empty. Peeking never moves
-// the wheel cursor, so a later Deliver below the peeked minimum stays
-// legal.
-func (e *Engine) PeekStamp() (Stamp, bool) {
-	return e.findMin()
-}
-
-// Deliveries counts how many cross-domain messages have been delivered
-// into this engine (see Deliver).
-func (e *Engine) Deliveries() uint64 { return e.deliveries }
-
-// ErrPastEvent is returned by ScheduleAt when the requested time is
-// before the current simulation time.
-var ErrPastEvent = errors.New("sim: event scheduled in the past")
-
-// Schedule queues fn to run after delay. A negative delay panics: the
-// model must never travel backwards in time.
-func (e *Engine) Schedule(delay Duration, fn Handler) EventID {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d ps", int64(delay)))
-	}
-	return e.scheduleAt(e.now.Add(delay), fn, nil, 0, "")
-}
-
-// ScheduleAt queues fn to run at the absolute time at.
-func (e *Engine) ScheduleAt(at Time, fn Handler) (EventID, error) {
-	if at < e.now {
-		return EventID{}, fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, e.now)
-	}
-	return e.scheduleAt(at, fn, nil, 0, ""), nil
-}
-
-// ScheduleLabeled is Schedule with a debug label attached to the event.
-func (e *Engine) ScheduleLabeled(delay Duration, label string, fn Handler) EventID {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d ps", int64(delay)))
-	}
-	return e.scheduleAt(e.now.Add(delay), fn, nil, 0, label)
-}
-
-// ScheduleEvent queues a typed event: after delay, sink.HandleEvent
-// fires with the payload word. Unlike Schedule with a capturing
-// closure, this path allocates nothing — the hot-path alternative for
-// model components that schedule per packet or per translation.
+// ScheduleEvent queues an event: after delay, sink.HandleEvent fires
+// with the payload word. A negative delay panics: the model must never
+// travel backwards in time. Steady-state scheduling allocates nothing.
 func (e *Engine) ScheduleEvent(delay Duration, sink EventSink, payload uint64) EventID {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d ps", int64(delay)))
 	}
-	return e.scheduleAt(e.now.Add(delay), nil, sink, payload, "")
+	return e.scheduleAt(e.now.Add(delay), sink, payload, "")
 }
 
 // ScheduleEventLabeled is ScheduleEvent with a debug label attached.
@@ -282,16 +177,15 @@ func (e *Engine) ScheduleEventLabeled(delay Duration, label string, sink EventSi
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d ps", int64(delay)))
 	}
-	return e.scheduleAt(e.now.Add(delay), nil, sink, payload, label)
+	return e.scheduleAt(e.now.Add(delay), sink, payload, label)
 }
 
-func (e *Engine) scheduleAt(at Time, fn Handler, sink EventSink, payload uint64, label string) EventID {
+func (e *Engine) scheduleAt(at Time, sink EventSink, payload uint64, label string) EventID {
 	idx := e.allocRec()
 	rec := &e.slab[idx]
 	rec.at = at
-	rec.seq = e.takeSeq()
-	rec.dom = e.dom
-	rec.fn = fn
+	rec.seq = e.nextSeq
+	e.nextSeq++
 	rec.sink = sink
 	rec.payload = payload
 	rec.label = label
@@ -316,13 +210,12 @@ func (e *Engine) allocRec() uint32 {
 }
 
 // freeRec retires a slab slot: the generation bump invalidates any
-// outstanding EventID, and clearing the references releases the
-// handler/sink for GC.
+// outstanding EventID, and clearing the references releases the sink
+// for GC.
 func (e *Engine) freeRec(idx uint32) {
 	rec := &e.slab[idx]
 	rec.gen++
 	rec.state = recFree
-	rec.fn = nil
 	rec.sink = nil
 	rec.label = ""
 	rec.next = 0
@@ -345,7 +238,7 @@ func (e *Engine) Cancel(id EventID) bool {
 	}
 	rec.state = recCancelled
 	e.live--
-	if e.peekValid && e.peekStamp.At == rec.at && e.peekStamp.Dom == rec.dom && e.peekStamp.Seq == rec.seq {
+	if e.peekValid && e.peekStamp == (stamp{rec.at, rec.seq}) {
 		e.peekValid = false
 	}
 	if e.probe != nil {
@@ -364,7 +257,7 @@ func (e *Engine) Step() bool {
 	if !ok {
 		return false
 	}
-	e.advanceTo(st.At)
+	e.advanceTo(st.at)
 	// The minimum now sits in the ready bucket; anything cancelled ahead
 	// of it recycles on the way.
 	var idx uint32
@@ -382,7 +275,7 @@ func (e *Engine) Step() bool {
 	e.peekValid = false
 	rec := &e.slab[idx]
 	at, seq := rec.at, rec.seq
-	fn, sink, payload, label := rec.fn, rec.sink, rec.payload, rec.label
+	sink, payload, label := rec.sink, rec.payload, rec.label
 	// Recycle before firing: the handler may schedule into this very
 	// slot, which is exactly why EventIDs are generation-checked.
 	e.freeRec(idx)
@@ -395,11 +288,7 @@ func (e *Engine) Step() bool {
 	if e.probe != nil {
 		e.probe.OnFire(at, seq, label)
 	}
-	if fn != nil {
-		fn(e, e.now)
-	} else {
-		sink.HandleEvent(e, e.now, payload)
-	}
+	sink.HandleEvent(e, e.now, payload)
 	return true
 }
 
@@ -427,7 +316,7 @@ func (e *Engine) RunUntil(deadline Time) uint64 {
 	e.stopped = false
 	for !e.stopped {
 		st, ok := e.findMin()
-		if !ok || st.At > deadline {
+		if !ok || st.at > deadline {
 			break
 		}
 		e.Step()
@@ -471,8 +360,8 @@ func (e *Engine) RunLimit(n uint64) uint64 {
 func (e *Engine) enqueue(idx uint32) {
 	rec := &e.slab[idx]
 	if e.peekValid {
-		st := Stamp{At: rec.at, Dom: rec.dom, Seq: rec.seq}
-		if st.Less(e.peekStamp) {
+		st := stamp{rec.at, rec.seq}
+		if st.less(e.peekStamp) {
 			e.peekStamp = st
 		}
 	}
@@ -508,7 +397,7 @@ func lowOnes(n uint) uint64 {
 // recycling any cancelled records it encounters, and memoizes the
 // result for repeated peeks. The second result is false when the queue
 // holds no live events.
-func (e *Engine) findMin() (Stamp, bool) {
+func (e *Engine) findMin() (stamp, bool) {
 	if e.peekValid {
 		return e.peekStamp, true
 	}
@@ -518,7 +407,7 @@ func (e *Engine) findMin() (Stamp, bool) {
 		top := e.ready[0]
 		if e.slab[top].state != recCancelled {
 			r := &e.slab[top]
-			e.peekStamp = Stamp{At: r.at, Dom: r.dom, Seq: r.seq}
+			e.peekStamp = stamp{r.at, r.seq}
 			e.peekValid = true
 			return e.peekStamp, true
 		}
@@ -551,22 +440,22 @@ func (e *Engine) findMin() (Stamp, bool) {
 		top := e.ovfl[0]
 		if e.slab[top].state != recCancelled {
 			r := &e.slab[top]
-			e.peekStamp = Stamp{At: r.at, Dom: r.dom, Seq: r.seq}
+			e.peekStamp = stamp{r.at, r.seq}
 			e.peekValid = true
 			return e.peekStamp, true
 		}
 		e.ovfl, _ = e.heapPopFrom(e.ovfl)
 		e.freeRec(top)
 	}
-	return Stamp{}, false
+	return stamp{}, false
 }
 
 // scanSlot walks one wheel slot's list, unlinking and recycling
 // cancelled records, and returns the minimum live stamp. When no live
 // record remains the slot empties and its occupancy bit clears.
-func (e *Engine) scanSlot(lvl, slot int) (Stamp, bool) {
+func (e *Engine) scanSlot(lvl, slot int) (stamp, bool) {
 	pos := lvl*wheelSlots + slot
-	var best Stamp
+	var best stamp
 	found := false
 	prev := uint32(0)
 	cur := e.slotHead[pos]
@@ -584,8 +473,8 @@ func (e *Engine) scanSlot(lvl, slot int) (Stamp, bool) {
 			cur = next
 			continue
 		}
-		st := Stamp{At: rec.at, Dom: rec.dom, Seq: rec.seq}
-		if !found || st.Less(best) {
+		st := stamp{rec.at, rec.seq}
+		if !found || st.less(best) {
 			best = st
 			found = true
 		}
@@ -716,13 +605,11 @@ func (e *Engine) advanceTo(T Time) {
 
 // --- 4-ary min-heaps over slab indices --------------------------------
 //
-// The ready bucket (events at exactly the cursor time, ordered by
-// (at, dom, seq)) and the overflow bucket (events beyond the wheel
-// horizon) are small 4-ary heaps: shallow, cache-friendly, and shared
-// with nothing. Ordering pairs are unique (a domain never reuses a
-// sequence number), so the comparator is a total order; serial engines
-// keep dom == 0 everywhere, making pop order exactly the historical
-// (at, seq) firing order.
+// The ready bucket (events at exactly the cursor time) and the overflow
+// bucket (events beyond the wheel horizon) are small 4-ary heaps:
+// shallow, cache-friendly, and shared with nothing. Sequence numbers are
+// unique, so the (at, seq) comparator is a total order and pop order is
+// exactly the firing order.
 
 const heapArity = 4
 
@@ -730,9 +617,6 @@ func (e *Engine) heapLess(a, b uint32) bool {
 	ra, rb := &e.slab[a], &e.slab[b]
 	if ra.at != rb.at {
 		return ra.at < rb.at
-	}
-	if ra.dom != rb.dom {
-		return ra.dom < rb.dom
 	}
 	return ra.seq < rb.seq
 }

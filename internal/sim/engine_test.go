@@ -7,12 +7,23 @@ import (
 	"testing/quick"
 )
 
+// funcSink adapts a plain function to EventSink, so tests can queue
+// one-off callbacks without declaring a sink type for each.
+type funcSink func(e *Engine, now Time)
+
+func (f funcSink) HandleEvent(e *Engine, now Time, _ uint64) { f(e, now) }
+
+// schedule queues fn after delay through a funcSink.
+func schedule(e *Engine, delay Duration, fn funcSink) EventID {
+	return e.ScheduleEvent(delay, fn, 0)
+}
+
 func TestScheduleOrdering(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.Schedule(30*Nanosecond, func(*Engine, Time) { got = append(got, 3) })
-	e.Schedule(10*Nanosecond, func(*Engine, Time) { got = append(got, 1) })
-	e.Schedule(20*Nanosecond, func(*Engine, Time) { got = append(got, 2) })
+	schedule(e, 30*Nanosecond, func(*Engine, Time) { got = append(got, 3) })
+	schedule(e, 10*Nanosecond, func(*Engine, Time) { got = append(got, 1) })
+	schedule(e, 20*Nanosecond, func(*Engine, Time) { got = append(got, 2) })
 	if n := e.Run(); n != 3 {
 		t.Fatalf("Run fired %d events, want 3", n)
 	}
@@ -29,7 +40,7 @@ func TestTieBreakIsScheduleOrder(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.Schedule(5*Nanosecond, func(*Engine, Time) { got = append(got, i) })
+		schedule(e, 5*Nanosecond, func(*Engine, Time) { got = append(got, i) })
 	}
 	e.Run()
 	for i, v := range got {
@@ -42,14 +53,14 @@ func TestTieBreakIsScheduleOrder(t *testing.T) {
 func TestNestedScheduling(t *testing.T) {
 	e := NewEngine()
 	var ticks []Time
-	var tick Handler
+	var tick funcSink
 	tick = func(e *Engine, now Time) {
 		ticks = append(ticks, now)
 		if len(ticks) < 5 {
-			e.Schedule(7*Nanosecond, tick)
+			schedule(e, 7*Nanosecond, tick)
 		}
 	}
-	e.Schedule(0, tick)
+	schedule(e, 0, tick)
 	e.Run()
 	if len(ticks) != 5 {
 		t.Fatalf("got %d ticks, want 5", len(ticks))
@@ -65,7 +76,7 @@ func TestNestedScheduling(t *testing.T) {
 func TestCancel(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	id := e.Schedule(10*Nanosecond, func(*Engine, Time) { fired = true })
+	id := schedule(e, 10*Nanosecond, func(*Engine, Time) { fired = true })
 	if !e.Cancel(id) {
 		t.Fatal("Cancel returned false for a pending event")
 	}
@@ -80,7 +91,7 @@ func TestCancel(t *testing.T) {
 
 func TestCancelAfterFire(t *testing.T) {
 	e := NewEngine()
-	id := e.Schedule(1*Nanosecond, func(*Engine, Time) {})
+	id := schedule(e, 1*Nanosecond, func(*Engine, Time) {})
 	e.Run()
 	if e.Cancel(id) {
 		t.Fatal("Cancel after fire should return false")
@@ -91,7 +102,7 @@ func TestStop(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	for i := 0; i < 10; i++ {
-		e.Schedule(Duration(i)*Nanosecond, func(e *Engine, _ Time) {
+		schedule(e, Duration(i)*Nanosecond, func(e *Engine, _ Time) {
 			count++
 			if count == 4 {
 				e.Stop()
@@ -111,7 +122,7 @@ func TestRunUntil(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
 	for i := 1; i <= 10; i++ {
-		e.Schedule(Duration(i)*Microsecond, func(_ *Engine, now Time) { fired = append(fired, now) })
+		schedule(e, Duration(i)*Microsecond, func(_ *Engine, now Time) { fired = append(fired, now) })
 	}
 	n := e.RunUntil(Time(5 * Microsecond))
 	if n != 5 {
@@ -133,29 +144,11 @@ func TestRunUntil(t *testing.T) {
 func TestRunLimit(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 100; i++ {
-		e.Schedule(Duration(i), func(*Engine, Time) {})
+		schedule(e, Duration(i), func(*Engine, Time) {})
 	}
 	if n := e.RunLimit(17); n != 17 {
 		t.Fatalf("RunLimit fired %d, want 17", n)
 	}
-}
-
-func TestScheduleAtPast(t *testing.T) {
-	e := NewEngine()
-	e.Schedule(10*Nanosecond, func(*Engine, Time) {})
-	e.Run()
-	if _, err := e.ScheduleAt(Time(5*Nanosecond), func(*Engine, Time) {}); err == nil {
-		t.Fatal("ScheduleAt in the past should error")
-	}
-}
-
-func TestNegativeDelayPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative delay did not panic")
-		}
-	}()
-	NewEngine().Schedule(-1, func(*Engine, Time) {})
 }
 
 // Property: any batch of randomly timed events fires in nondecreasing
@@ -173,7 +166,7 @@ func TestPropertyEventOrdering(t *testing.T) {
 		var fired []firing
 		for i, d := range delays {
 			i := i
-			e.Schedule(Duration(d)*Nanosecond, func(_ *Engine, now Time) {
+			schedule(e, Duration(d)*Nanosecond, func(_ *Engine, now Time) {
 				fired = append(fired, firing{now, i})
 			})
 		}
@@ -206,7 +199,7 @@ func TestPropertyCancelSubset(t *testing.T) {
 		ids := make([]EventID, n)
 		for i := 0; i < n; i++ {
 			i := i
-			ids[i] = e.Schedule(Duration(rng.Intn(1000))*Nanosecond, func(*Engine, Time) { firedSet[i] = true })
+			ids[i] = schedule(e, Duration(rng.Intn(1000))*Nanosecond, func(*Engine, Time) { firedSet[i] = true })
 		}
 		cancelled := make(map[int]bool)
 		for i := 0; i < n; i++ {
@@ -266,26 +259,10 @@ func TestTimeArithmetic(t *testing.T) {
 	}
 }
 
-func TestScheduleLabeled(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	e.ScheduleLabeled(5*Nanosecond, "pcie-return", func(*Engine, Time) { fired = true })
-	e.Run()
-	if !fired {
-		t.Fatal("labeled event did not fire")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative labeled delay did not panic")
-		}
-	}()
-	e.ScheduleLabeled(-1, "bad", func(*Engine, Time) {})
-}
-
 func TestFiredAndPendingCounters(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 5; i++ {
-		e.Schedule(Duration(i)*Nanosecond, func(*Engine, Time) {})
+		schedule(e, Duration(i)*Nanosecond, func(*Engine, Time) {})
 	}
 	if e.Pending() != 5 || e.Fired() != 0 {
 		t.Fatalf("pending=%d fired=%d", e.Pending(), e.Fired())
@@ -318,11 +295,11 @@ func TestDurationStd(t *testing.T) {
 func TestRunUntilStopMidWindow(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.Schedule(10*Nanosecond, func(e *Engine, _ Time) {
+	schedule(e, 10*Nanosecond, func(e *Engine, _ Time) {
 		got = append(got, 1)
 		e.Stop()
 	})
-	e.Schedule(20*Nanosecond, func(*Engine, Time) { got = append(got, 2) })
+	schedule(e, 20*Nanosecond, func(*Engine, Time) { got = append(got, 2) })
 
 	deadline := Time(50 * Nanosecond)
 	if n := e.RunUntil(deadline); n != 1 {
@@ -364,13 +341,13 @@ func TestCancelSameTimestampDuringFiring(t *testing.T) {
 	var ids [3]EventID
 	var fired [3]bool
 	var selfCancel, laterCancel bool
-	ids[0] = e.Schedule(5*Nanosecond, func(e *Engine, _ Time) {
+	ids[0] = schedule(e, 5*Nanosecond, func(e *Engine, _ Time) {
 		fired[0] = true
 		selfCancel = e.Cancel(ids[0])  // popped: must fail
 		laterCancel = e.Cancel(ids[2]) // still queued at the same ts: must succeed
 	})
-	ids[1] = e.Schedule(5*Nanosecond, func(*Engine, Time) { fired[1] = true })
-	ids[2] = e.Schedule(5*Nanosecond, func(*Engine, Time) { fired[2] = true })
+	ids[1] = schedule(e, 5*Nanosecond, func(*Engine, Time) { fired[1] = true })
+	ids[2] = schedule(e, 5*Nanosecond, func(*Engine, Time) { fired[2] = true })
 	e.Run()
 
 	if selfCancel {
@@ -394,12 +371,12 @@ func TestCancelSameTimestampDuringFiring(t *testing.T) {
 // TestStoppedReset verifies Stopped clears on every run entry point.
 func TestStoppedReset(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(1*Nanosecond, func(e *Engine, _ Time) { e.Stop() })
+	schedule(e, 1*Nanosecond, func(e *Engine, _ Time) { e.Stop() })
 	e.Run()
 	if !e.Stopped() {
 		t.Fatal("Stopped() false after Stop")
 	}
-	e.Schedule(1*Nanosecond, func(*Engine, Time) {})
+	schedule(e, 1*Nanosecond, func(*Engine, Time) {})
 	e.Run()
 	if e.Stopped() {
 		t.Fatal("Stopped() not cleared by the next Run")

@@ -14,12 +14,12 @@ import (
 // cancel the slot's new occupant.
 func TestCancelStaleIDAfterRecycle(t *testing.T) {
 	e := NewEngine()
-	stale := e.Schedule(1*Nanosecond, func(*Engine, Time) {})
+	stale := schedule(e, 1*Nanosecond, func(*Engine, Time) {})
 	e.Run() // fires; the slot goes to the free list
 
 	// The next schedule reuses the freed slot (single-slot slab).
 	fired := false
-	fresh := e.Schedule(1*Nanosecond, func(*Engine, Time) { fired = true })
+	fresh := schedule(e, 1*Nanosecond, func(*Engine, Time) { fired = true })
 	if fresh.slot != stale.slot {
 		t.Fatalf("slot not recycled: stale=%d fresh=%d", stale.slot, fresh.slot)
 	}
@@ -49,7 +49,7 @@ func TestCancelZeroAndOutOfRangeIDs(t *testing.T) {
 	if e.Cancel(EventID{slot: 99, gen: 0}) {
 		t.Fatal("out-of-range EventID cancelled something")
 	}
-	id := e.Schedule(1*Nanosecond, func(*Engine, Time) {})
+	id := schedule(e, 1*Nanosecond, func(*Engine, Time) {})
 	if !e.Cancel(id) {
 		t.Fatal("live event did not cancel")
 	}
@@ -64,9 +64,9 @@ func TestCancelZeroAndOutOfRangeIDs(t *testing.T) {
 // fire.
 func TestRunUntilSkipsCancelledHead(t *testing.T) {
 	e := NewEngine()
-	id := e.Schedule(5*Nanosecond, func(*Engine, Time) { t.Fatal("cancelled event fired") })
+	id := schedule(e, 5*Nanosecond, func(*Engine, Time) { t.Fatal("cancelled event fired") })
 	fired := false
-	e.Schedule(20*Nanosecond, func(*Engine, Time) { fired = true })
+	schedule(e, 20*Nanosecond, func(*Engine, Time) { fired = true })
 	e.Cancel(id)
 	if n := e.RunUntil(Time(10 * Nanosecond)); n != 0 {
 		t.Fatalf("RunUntil fired %d events, want 0", n)
@@ -86,7 +86,7 @@ func TestRunUntilSkipsCancelledHead(t *testing.T) {
 	}
 }
 
-// --- typed (closure-free) events --------------------------------------
+// --- event sinks and payloads -----------------------------------------
 
 type recordingSink struct {
 	fired []uint64
@@ -98,13 +98,13 @@ func (s *recordingSink) HandleEvent(_ *Engine, now Time, payload uint64) {
 	s.ats = append(s.ats, now)
 }
 
-// TestScheduleEventPayloadAndOrder: typed events carry their payload and
-// interleave with closure events in one (time, seq) order.
+// TestScheduleEventPayloadAndOrder: events carry their payload and
+// interleave across sinks in one (time, seq) order.
 func TestScheduleEventPayloadAndOrder(t *testing.T) {
 	e := NewEngine()
 	sink := &recordingSink{}
 	var order []string
-	e.Schedule(10*Nanosecond, func(*Engine, Time) { order = append(order, "closure") })
+	schedule(e, 10*Nanosecond, func(*Engine, Time) { order = append(order, "func") })
 	e.ScheduleEvent(10*Nanosecond, sink, 42) // same timestamp: fires second by seq
 	e.ScheduleEvent(5*Nanosecond, sink, 7)   // earlier: fires first
 	e.Run()
@@ -114,12 +114,12 @@ func TestScheduleEventPayloadAndOrder(t *testing.T) {
 	if sink.ats[0] != Time(5*Nanosecond) || sink.ats[1] != Time(10*Nanosecond) {
 		t.Fatalf("fire times = %v", sink.ats)
 	}
-	if len(order) != 1 || order[0] != "closure" {
-		t.Fatalf("closure event lost: %v", order)
+	if len(order) != 1 || order[0] != "func" {
+		t.Fatalf("funcSink event lost: %v", order)
 	}
 }
 
-// TestScheduleEventCancel: typed events cancel like closure events.
+// TestScheduleEventCancel: a cancelled event never reaches its sink.
 func TestScheduleEventCancel(t *testing.T) {
 	e := NewEngine()
 	sink := &recordingSink{}
@@ -167,29 +167,18 @@ type drainSink struct{ n int }
 
 func (s *drainSink) HandleEvent(*Engine, Time, uint64) { s.n++ }
 
-// TestScheduleStepZeroAllocs pins the tentpole allocation contract:
-// after warm-up, Schedule (closure path with a non-capturing function),
-// ScheduleEvent (typed path) and Step allocate nothing. Future PRs
+// TestScheduleStepZeroAllocs pins the allocation contract: after
+// warm-up, ScheduleEvent and Step allocate nothing. Future changes
 // cannot silently reintroduce per-event garbage.
 func TestScheduleStepZeroAllocs(t *testing.T) {
 	e := NewEngine()
 	sink := &drainSink{}
-	nop := func(*Engine, Time) {}
 	// Warm-up: grow the slab, heap and free list to steady-state size.
-	for i := 0; i < 256; i++ {
-		e.Schedule(Duration(i%16)*Nanosecond, nop)
+	for i := 0; i < 512; i++ {
 		e.ScheduleEvent(Duration(i%16)*Nanosecond, sink, uint64(i))
 	}
 	e.Run()
 
-	if avg := testing.AllocsPerRun(1000, func() {
-		e.Schedule(3*Nanosecond, nop)
-		if !e.Step() {
-			t.Fatal("queue empty")
-		}
-	}); avg != 0 {
-		t.Fatalf("closure Schedule+Step allocates %v/op in steady state, want 0", avg)
-	}
 	if avg := testing.AllocsPerRun(1000, func() {
 		e.ScheduleEvent(3*Nanosecond, sink, 9)
 		if !e.Step() {
@@ -307,19 +296,9 @@ func TestSlabEngineMatchesReference(t *testing.T) {
 	const ops = 10000
 	for i := 0; i < ops; i++ {
 		switch op := rng.Intn(10); {
-		case op < 5: // schedule (typed and closure paths alternate)
+		case op < 5: // schedule
 			d := Duration(rng.Intn(500)) * Nanosecond
-			var id EventID
-			if i%2 == 0 {
-				id = e.ScheduleEvent(d, sink, 0)
-			} else {
-				id = e.Schedule(d, func(_ *Engine, now Time) {
-					// The closure path records via the engine's own state;
-					// seq is not visible here, so recover it from the
-					// reference: both fire in lockstep below.
-					record(now, 0)
-				})
-			}
+			id := e.ScheduleEvent(d, sink, 0)
 			liveIDs = append(liveIDs, id)
 			liveRefs = append(liveRefs, ref.schedule(d))
 		case op < 7: // cancel a random outstanding event
@@ -377,10 +356,10 @@ func (r firingRecorder) HandleEvent(_ *Engine, now Time, _ uint64) { r.record(no
 // waves must not grow the slab beyond its high-water mark.
 func TestSlabReuseBoundsGrowth(t *testing.T) {
 	e := NewEngine()
-	nop := func(*Engine, Time) {}
+	sink := &drainSink{}
 	for wave := 0; wave < 50; wave++ {
 		for i := 0; i < 100; i++ {
-			e.Schedule(Duration(i)*Nanosecond, nop)
+			e.ScheduleEvent(Duration(i)*Nanosecond, sink, 0)
 		}
 		e.Run()
 	}

@@ -11,26 +11,23 @@ import (
 // cancelled, and RunUntil deadlines that sit exactly on slot and horizon
 // boundaries.
 
-// claimingSink records cross-domain deliveries in fire order, reclaiming
-// the parked message as the Deliver contract requires.
-type claimingSink struct{ seqs []uint64 }
-
-func (s *claimingSink) HandleEvent(e *Engine, _ Time, payload uint64) {
-	m := e.ClaimMsg(payload)
-	s.seqs = append(s.seqs, m.Seq)
+// scheduleAt queues fn at the absolute time at, which must not precede
+// the clock.
+func scheduleAt(e *Engine, at Time, fn funcSink) EventID {
+	return schedule(e, at.Sub(e.Now()), fn)
 }
 
 // TestWheelSameTickOrderAcrossLevels schedules three events for one
 // absolute timestamp from three different cursor positions, so they
 // enter the structure at three different places — a level-2 slot, a
-// level-1 slot and the ready heap — plus a cross-domain delivery with a
-// non-zero domain tag. All four must still fire in (at, dom, seq) order.
+// level-1 slot and the ready heap. All three must still fire in
+// (at, seq) order.
 func TestWheelSameTickOrderAcrossLevels(t *testing.T) {
 	e := NewEngine()
 	const T = Time(0x1040) // diverges from cursor 0 at bit 12: level 2
 
 	var order []string
-	at := func(name string) Handler {
+	at := func(name string) funcSink {
 		return func(_ *Engine, now Time) {
 			if now != T {
 				t.Fatalf("%s fired at %v, want %v", name, now, T)
@@ -40,24 +37,15 @@ func TestWheelSameTickOrderAcrossLevels(t *testing.T) {
 	}
 
 	// seq 0, inserted with cur=0: level 2.
-	if _, err := e.ScheduleAt(T, at("lvl2")); err != nil {
-		t.Fatal(err)
-	}
+	scheduleAt(e, T, at("lvl2"))
 	// A filler at 0x1000 advances the cursor into T's level-2 slot; the
 	// lvl2 record cascades down to level 1 when it fires.
-	e.Schedule(Duration(0x1000), func(*Engine, Time) {}) // seq 1
+	schedule(e, Duration(0x1000), func(*Engine, Time) {}) // seq 1
 	if !e.Step() {
 		t.Fatal("filler did not fire")
 	}
 	// seq 2, inserted with cur=0x1000: T now diverges at bit 6, level 1.
-	if _, err := e.ScheduleAt(T, at("lvl1")); err != nil {
-		t.Fatal(err)
-	}
-	// A cross-domain delivery at the same tick with dom=1 and a sequence
-	// number below every scheduled one: dom orders after all dom-0 events
-	// regardless of seq.
-	sink := &claimingSink{}
-	e.Deliver(Msg{Stamp: Stamp{At: T, Dom: 1, Seq: 0}, Sink: sink})
+	scheduleAt(e, T, at("lvl1"))
 	// Fire the tick's minimum — the level-2 record, which the cursor
 	// advance cascades into the ready heap first. The cursor now sits at
 	// exactly T, so the last same-tick insert goes straight to ready.
@@ -67,9 +55,7 @@ func TestWheelSameTickOrderAcrossLevels(t *testing.T) {
 	if len(order) != 1 || order[0] != "lvl2" {
 		t.Fatalf("first event at T was %v, want lvl2 (lowest seq)", order)
 	}
-	if _, err := e.ScheduleAt(T, at("ready")); err != nil { // seq 3
-		t.Fatal(err)
-	}
+	scheduleAt(e, T, at("ready")) // seq 3
 
 	e.Run()
 	want := []string{"lvl2", "lvl1", "ready"}
@@ -80,11 +66,6 @@ func TestWheelSameTickOrderAcrossLevels(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("fire order %v, want %v (seq ties must break by schedule order across levels)", order, want)
 		}
-	}
-	// dom=1 orders after every dom=0 event at the same tick, so the
-	// delivery fired last of all.
-	if len(sink.seqs) != 1 || sink.seqs[0] != 0 {
-		t.Fatalf("delivery seqs = %v, want [0]", sink.seqs)
 	}
 	if e.Now() != T || e.Pending() != 0 {
 		t.Fatalf("now=%v pending=%d after drain", e.Now(), e.Pending())
@@ -100,8 +81,8 @@ func TestWheelCancelAfterLevelMigration(t *testing.T) {
 	e := NewEngine()
 	const T = Time(0x1040)
 
-	far := e.Schedule(Duration(T), func(*Engine, Time) { t.Fatal("cancelled event fired") })
-	e.Schedule(Duration(0x1000), func(*Engine, Time) {})
+	far := schedule(e, Duration(T), func(*Engine, Time) { t.Fatal("cancelled event fired") })
+	schedule(e, Duration(0x1000), func(*Engine, Time) {})
 	if !e.Step() { // cursor -> 0x1000; far migrates level 2 -> level 1
 		t.Fatal("filler did not fire")
 	}
@@ -122,7 +103,7 @@ func TestWheelCancelAfterLevelMigration(t *testing.T) {
 
 	// Reuse the recycled slot and check the stale ID stays inert.
 	fired := false
-	fresh := e.Schedule(1*Nanosecond, func(*Engine, Time) { fired = true })
+	fresh := schedule(e, 1*Nanosecond, func(*Engine, Time) { fired = true })
 	if e.Cancel(far) {
 		t.Fatal("stale EventID cancelled the slot's new occupant")
 	}
@@ -152,12 +133,8 @@ func TestRunUntilOnWheelBoundaries(t *testing.T) {
 	var prev Time
 	for _, b := range boundaries {
 		firedAt := Time(-1)
-		if _, err := e.ScheduleAt(b, func(_ *Engine, now Time) { firedAt = now }); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.ScheduleAt(b+1, func(*Engine, Time) {}); err != nil {
-			t.Fatal(err)
-		}
+		scheduleAt(e, b, func(_ *Engine, now Time) { firedAt = now })
+		scheduleAt(e, b+1, func(*Engine, Time) {})
 		if n := e.RunUntil(b); n != 1 {
 			t.Fatalf("RunUntil(%#x) fired %d events, want 1", uint64(b), n)
 		}
@@ -188,9 +165,7 @@ func TestRunUntilOnWheelBoundaries(t *testing.T) {
 func TestRunUntilBoundaryWithEmptyWindow(t *testing.T) {
 	e := NewEngine()
 	const seam = Time(1 << (2 * wheelBits))
-	if _, err := e.ScheduleAt(seam*4, func(*Engine, Time) {}); err != nil {
-		t.Fatal(err)
-	}
+	scheduleAt(e, seam*4, func(*Engine, Time) {})
 	if n := e.RunUntil(seam); n != 0 {
 		t.Fatalf("empty window fired %d events", n)
 	}
@@ -198,7 +173,7 @@ func TestRunUntilBoundaryWithEmptyWindow(t *testing.T) {
 		t.Fatalf("clock = %v, want %v", e.Now(), seam)
 	}
 	firedAt := Time(-1)
-	e.Schedule(1*Picosecond, func(_ *Engine, now Time) { firedAt = now })
+	schedule(e, 1*Picosecond, func(_ *Engine, now Time) { firedAt = now })
 	if n := e.RunUntil(seam + 1); n != 1 {
 		t.Fatalf("fired %d events, want 1", n)
 	}
@@ -217,13 +192,12 @@ func TestRunUntilBoundaryWithEmptyWindow(t *testing.T) {
 // the advance rather than leaking until some later scan.
 func TestRunUntilDrainsCancelledSlots(t *testing.T) {
 	e := NewEngine()
-	nop := func(*Engine, Time) {}
 
 	// Cancelled records across several levels, then a deadline beyond all
 	// of them with nothing live: every passed slot must drain.
 	var ids []EventID
 	for _, d := range []Duration{0x40, 0x1000, 0x40000, 0x1000000} {
-		ids = append(ids, e.Schedule(d, func(*Engine, Time) { t.Fatal("cancelled event fired") }))
+		ids = append(ids, schedule(e, d, func(*Engine, Time) { t.Fatal("cancelled event fired") }))
 	}
 	for _, id := range ids {
 		if !e.Cancel(id) {
@@ -241,9 +215,9 @@ func TestRunUntilDrainsCancelledSlots(t *testing.T) {
 	// Jump past the whole wheel horizon with a cancelled record inside it
 	// and a live one beyond it (in the overflow heap): the advance drains
 	// every level, migrates the overflow event in, and fires it.
-	stale := e.Schedule(Duration(0x40), func(*Engine, Time) { t.Fatal("cancelled event fired") })
+	stale := schedule(e, Duration(0x40), func(*Engine, Time) { t.Fatal("cancelled event fired") })
 	fired := false
-	e.Schedule(Duration(1)<<horizonBits+Duration(0x40), func(*Engine, Time) { fired = true })
+	schedule(e, Duration(1)<<horizonBits+Duration(0x40), func(*Engine, Time) { fired = true })
 	if !e.Cancel(stale) {
 		t.Fatal("cancel failed")
 	}
@@ -257,7 +231,7 @@ func TestRunUntilDrainsCancelledSlots(t *testing.T) {
 		t.Fatalf("free list (%d) does not cover the slab (%d) after horizon jump",
 			len(e.free), len(e.slab))
 	}
-	e.Schedule(1*Nanosecond, nop)
+	schedule(e, 1*Nanosecond, func(*Engine, Time) {})
 	if !e.Step() {
 		t.Fatal("engine dead after horizon jump")
 	}
