@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test golden mem-guard race race-obs race-fault race-scenario scenario-lint cover cover-check fuzz-smoke vet lint bench-quick bench-obs bench-smoke bench-json bench-mem bench-compare smoke ci clean
+.PHONY: all build test golden mem-guard race race-obs race-fault race-scenario scenario-lint cover cover-check fuzz-smoke vet lint bench-quick bench-obs bench-smoke bench-json bench-mem bench-compare smoke loc ci clean
 
 all: build
 
@@ -147,6 +147,11 @@ bench-mem:
 # CI smoke run: the reduced-scale experiment suite end to end.
 smoke:
 	$(GO) run ./cmd/experiments -quick -out results-smoke
+
+# Non-test Go line count outside the bench module: the size figure
+# CHANGES.md records before and after each change.
+loc:
+	@find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs wc -l
 
 ci: build lint test golden mem-guard race race-obs race-fault race-scenario scenario-lint cover-check fuzz-smoke bench-smoke bench-compare smoke
 

@@ -407,6 +407,9 @@ func TestCLIExitCodes(t *testing.T) {
 		{"missing faults file", append(small, "-faults", "/nonexistent/plan.json"), 1},
 		{"bad faults schema", append(small, "-faults", badPlan), 1},
 		{"out-of-range SID plan", []string{"-tenants", "4", "-scale", "0.001", "-faults", farSIDPlan}, 1},
+		{"bad devtlb geometry", append(small, "-devtlb-entries", "24"), 1},
+		{"bad chipset-iotlb geometry", append(small, "-chipset-iotlb", "24"), 1},
+		{"bad devtlb geometry describe", []string{"-devtlb-entries", "24", "-describe"}, 1},
 		{"describe", []string{"-describe"}, 0},
 		{"faulted run", append(small, "-faults", plan), 0},
 		{"bad cpuprofile path", append(small, "-cpuprofile", "/nonexistent/dir/cpu.pprof"), 1},

@@ -140,10 +140,11 @@ type Config struct {
 	// run starts, so one plan value may be shared across systems.
 	Fault *fault.Plan
 
-	// ExtraStages are appended to the resolved pipeline spec after the
-	// datapath stages — verification and experimental stages (e.g. the
-	// "invariants" conservation checker). Ignored when TranslationOff.
-	ExtraStages []pipeline.StageSpec
+	// Invariants composes the conservation checker
+	// (pipeline.InvariantStage) after the datapath; Run then fails on any
+	// admission/release violation. The checker is transparent: results
+	// are identical with it on or off. Ignored when TranslationOff.
+	Invariants bool
 }
 
 // Validate reports configuration errors.
@@ -163,35 +164,40 @@ func (c Config) Validate() error {
 	if err := c.Fault.Validate(); err != nil {
 		return err
 	}
+	// Cache geometry is checked here, before any page table is built, so
+	// a bad size is an error rather than a panic inside the cache.
+	caches := []tlb.Config{c.IOMMU.ContextCache, c.IOMMU.L2PWC, c.IOMMU.L3PWC}
+	if c.DevTLB.Sets > 0 {
+		caches = append(caches, c.DevTLB)
+	}
+	if c.IOMMU.IOTLB.Sets > 0 {
+		caches = append(caches, c.IOMMU.IOTLB)
+	}
+	for _, cc := range caches {
+		if err := cc.Validate(); err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+	}
 	return nil
 }
 
-// PipelineSpec resolves the configuration into the stage sequence it
-// composes: admission, then the device-side probe levels in probe order,
-// then the chipset resolver and its history reader. TranslationOff
-// resolves to the empty spec (the native path). Every design variant —
-// baseline, partitioned, prefetching, and future ones — is a different
-// spec of the same stage kinds, not a different code path.
-func (c Config) PipelineSpec() pipeline.Spec {
+// datapath resolves the configuration into the chain it composes:
+// admission, the device-side probe levels, then the chipset and its
+// history reader. TranslationOff resolves to the zero pipeline.Config
+// (the native path). Every design variant — baseline, partitioned,
+// prefetching — is a different geometry of the same chain.
+func (c Config) datapath() pipeline.Config {
 	if c.TranslationOff {
-		return pipeline.Spec{}
+		return pipeline.Config{}
 	}
-	var spec pipeline.Spec
-	spec.Stages = append(spec.Stages, pipeline.StageSpec{Kind: "ptb", Entries: c.PTBEntries})
-	if c.DevTLB.Sets > 0 {
-		spec.Stages = append(spec.Stages, pipeline.StageSpec{Kind: "devtlb", Cache: c.DevTLB})
+	return pipeline.Config{
+		PTBEntries: c.PTBEntries,
+		DevTLB:     c.DevTLB,
+		Prefetch:   c.Prefetch,
+		IOMMU:      c.IOMMU,
+		Walkers:    c.IOMMUWalkers,
+		Invariants: c.Invariants,
 	}
-	if c.Prefetch != nil {
-		spec.Stages = append(spec.Stages, pipeline.StageSpec{Kind: "prefetch-buffer", Prefetch: *c.Prefetch})
-	}
-	spec.Stages = append(spec.Stages, pipeline.StageSpec{
-		Kind: "chipset", IOMMU: c.IOMMU, Walkers: c.IOMMUWalkers,
-	})
-	if c.Prefetch != nil {
-		spec.Stages = append(spec.Stages, pipeline.StageSpec{Kind: "history-reader"})
-	}
-	spec.Stages = append(spec.Stages, c.ExtraStages...)
-	return spec
 }
 
 // DescribePipeline renders the datapath the configuration resolves to,
@@ -200,20 +206,17 @@ func DescribePipeline(cfg Config) (string, error) {
 	if err := cfg.Validate(); err != nil {
 		return "", err
 	}
-	// Describe-only build: no tenants, no oracle future. Stage builders
-	// only touch the memory system when translations run, so a chain
-	// built against an empty context table still renders.
-	chain, err := pipeline.BuildChain(cfg.PipelineSpec(), pipeline.Env{
+	// Describe-only build: no tenants, no oracle future. Stages only
+	// touch the memory system when translations run, so a chain built
+	// against an empty context table still renders.
+	chain := pipeline.New(pipeline.Env{
 		Lat: pipeline.Latencies{
 			PCIeOneWay:   cfg.Params.PCIeOneWay,
 			DRAMLatency:  cfg.Params.DRAMLatency,
 			TLBHit:       cfg.Params.TLBHit,
 			Interarrival: cfg.Params.Interarrival(),
 		},
-	})
-	if err != nil {
-		return "", err
-	}
+	}, cfg.datapath())
 	return chain.Describe(), nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"hypertrio/internal/obs"
 	"hypertrio/internal/sim"
 	"hypertrio/internal/tlb"
 	"hypertrio/internal/trace"
@@ -105,6 +106,72 @@ func TestConfigValidation(t *testing.T) {
 	bad.Params.ArrivalGbps = 300
 	if err := bad.Validate(); err == nil {
 		t.Error("arrival above link accepted")
+	}
+}
+
+// TestConfigRejectsBadCacheGeometry pins geometry validation at config
+// level: a cache the model cannot build is an error from Validate (and
+// so from NewSystem and DescribePipeline), never a panic inside the
+// cache constructor. Disabled caches (Sets == 0) are not checked.
+func TestConfigRejectsBadCacheGeometry(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(*Config)
+		ok   bool
+	}{
+		{"devtlb sets not a power of two", func(c *Config) { c.DevTLB.Sets = 3 }, false},
+		{"devtlb zero ways", func(c *Config) { c.DevTLB.Ways = 0 }, false},
+		{"devtlb disabled", func(c *Config) { c.DevTLB.Sets, c.DevTLB.Ways = 0, 0 }, true},
+		{"iotlb sets not a power of two", func(c *Config) {
+			c.IOMMU.IOTLB = tlb.Config{Name: "iotlb", Sets: 3, Ways: 8, Policy: tlb.LRU}
+		}, false},
+		{"iotlb disabled", func(c *Config) { c.IOMMU.IOTLB = tlb.Config{} }, true},
+		{"context cache empty", func(c *Config) { c.IOMMU.ContextCache.Sets = 0 }, false},
+		{"l2pwc sets not a power of two", func(c *Config) { c.IOMMU.L2PWC.Sets = 24 }, false},
+		{"l3pwc PLRU with odd ways", func(c *Config) {
+			c.IOMMU.L3PWC.Policy, c.IOMMU.L3PWC.Ways = tlb.PLRU, 3
+		}, false},
+	}
+	tr := makeTrace(t, workload.Iperf3, 2, trace.RR1, 0.002)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := HyperTRIOConfig()
+			tc.edit(&cfg)
+			err := cfg.Validate()
+			if (err == nil) != tc.ok {
+				t.Fatalf("Validate() = %v, want ok=%v", err, tc.ok)
+			}
+			if _, err := DescribePipeline(cfg); (err == nil) != tc.ok {
+				t.Fatalf("DescribePipeline() err = %v, want ok=%v", err, tc.ok)
+			}
+			if _, err := NewSystem(cfg, tr); (err == nil) != tc.ok {
+				t.Fatalf("NewSystem() err = %v, want ok=%v", err, tc.ok)
+			}
+		})
+	}
+}
+
+// TestDevTLBNameDoesNotChangeResults pins that the DevTLB's name is a
+// label only: renaming it moves its registry prefix and hit-event name,
+// but every Result counter and sampled rate stays the same.
+func TestDevTLBNameDoesNotChangeResults(t *testing.T) {
+	tr := makeTrace(t, workload.Iperf3, 16, trace.RR1, 0.002)
+	runSampled := func(name string) Result {
+		cfg := HyperTRIOConfig()
+		cfg.DevTLB.Name = name
+		cfg.Obs = &obs.Options{SampleEvery: 5 * sim.Microsecond}
+		return run(t, cfg, tr)
+	}
+	def, named := runSampled("devtlb"), runSampled("l1")
+	if def.DevTLBServed == 0 || def.DevTLB.Lookups == 0 {
+		t.Fatalf("default run never used the DevTLB: served %d, %+v", def.DevTLBServed, def.DevTLB)
+	}
+	if named.DevTLBServed != def.DevTLBServed || named.DevTLB != def.DevTLB {
+		t.Fatalf("renamed DevTLB: served %d, %+v; default: served %d, %+v",
+			named.DevTLBServed, named.DevTLB, def.DevTLBServed, def.DevTLB)
+	}
+	if !reflect.DeepEqual(named, def) {
+		t.Fatalf("renamed DevTLB changed the result:\n named   %+v\n default %+v", named, def)
 	}
 }
 

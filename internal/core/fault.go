@@ -5,7 +5,6 @@ import (
 
 	"hypertrio/internal/fault"
 	"hypertrio/internal/mem"
-	"hypertrio/internal/pipeline"
 	"hypertrio/internal/workload"
 )
 
@@ -50,32 +49,29 @@ func (s *System) FaultStats() (fault.Stats, bool) {
 	return s.injector.Stats(), true
 }
 
-// verifyInvariants cross-checks the composed invariant-checker stages (if
-// any) against the system's own packet accounting after the run drains.
-// A chain without an "invariants" stage verifies nothing and costs
-// nothing.
+// verifyInvariants cross-checks the composed invariant checker (if any)
+// against the system's own packet accounting after the run drains. A
+// chain without the checker verifies nothing and costs nothing.
 func (s *System) verifyInvariants(r Result) error {
-	for _, st := range s.chain.Stages() {
-		iv, ok := st.(*pipeline.InvariantStage)
-		if !ok {
-			continue
-		}
-		if err := iv.CheckFinal(); err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-		rep := iv.Report()
-		if rep.Attempts != r.Packets+r.Drops {
-			return fmt.Errorf("core: invariant violated: %d admission attempts != %d packets + %d drops",
-				rep.Attempts, r.Packets, r.Drops)
-		}
-		if rep.Admitted != r.Packets || rep.Rejected != r.Drops {
-			return fmt.Errorf("core: invariant violated: admitted/rejected %d/%d != packets/drops %d/%d",
-				rep.Admitted, rep.Rejected, r.Packets, r.Drops)
-		}
-		if want := r.Packets * workload.RequestsPerPacket; r.Requests != want {
-			return fmt.Errorf("core: invariant violated: %d requests != %d packets x %d",
-				r.Requests, r.Packets, workload.RequestsPerPacket)
-		}
+	iv := s.chain.Invariants()
+	if iv == nil {
+		return nil
+	}
+	if err := iv.CheckFinal(); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	rep := iv.Report()
+	if rep.Attempts != r.Packets+r.Drops {
+		return fmt.Errorf("core: invariant violated: %d admission attempts != %d packets + %d drops",
+			rep.Attempts, r.Packets, r.Drops)
+	}
+	if rep.Admitted != r.Packets || rep.Rejected != r.Drops {
+		return fmt.Errorf("core: invariant violated: admitted/rejected %d/%d != packets/drops %d/%d",
+			rep.Admitted, rep.Rejected, r.Packets, r.Drops)
+	}
+	if want := r.Packets * workload.RequestsPerPacket; r.Requests != want {
+		return fmt.Errorf("core: invariant violated: %d requests != %d packets x %d",
+			r.Requests, r.Packets, workload.RequestsPerPacket)
 	}
 	return nil
 }

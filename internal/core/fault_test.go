@@ -8,7 +8,6 @@ import (
 
 	"hypertrio/internal/fault"
 	"hypertrio/internal/obs"
-	"hypertrio/internal/pipeline"
 	"hypertrio/internal/sim"
 	"hypertrio/internal/trace"
 	"hypertrio/internal/workload"
@@ -20,7 +19,7 @@ import (
 func faultConfig(p *fault.Plan) Config {
 	cfg := HyperTRIOConfig()
 	cfg.Fault = p
-	cfg.ExtraStages = []pipeline.StageSpec{{Kind: "invariants"}}
+	cfg.Invariants = true
 	return cfg
 }
 
@@ -191,7 +190,7 @@ func TestInvariantStageTransparent(t *testing.T) {
 		t.Run(base.name, func(t *testing.T) {
 			plain := run(t, base.cfg, tr)
 			checked := base.cfg
-			checked.ExtraStages = []pipeline.StageSpec{{Kind: "invariants"}}
+			checked.Invariants = true
 			if got := run(t, checked, tr); !reflect.DeepEqual(got, plain) {
 				t.Errorf("invariant checker perturbed the run:\n with    %+v\n without %+v", got, plain)
 			}

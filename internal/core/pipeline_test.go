@@ -8,20 +8,21 @@ import (
 	"testing"
 
 	"hypertrio/internal/obs"
+	"hypertrio/internal/pipeline"
 	"hypertrio/internal/sim"
 	"hypertrio/internal/tlb"
 	"hypertrio/internal/trace"
 	"hypertrio/internal/workload"
 )
 
-// TestPipelineSpecResolvesVariants pins the config -> stage-sequence
-// mapping: every design variant is a different spec of the same kinds.
-func TestPipelineSpecResolvesVariants(t *testing.T) {
+// TestDatapathResolvesVariants pins the config -> stage-sequence
+// mapping: every design variant is a different geometry of one chain.
+func TestDatapathResolvesVariants(t *testing.T) {
 	kinds := func(c Config) []string {
-		spec := c.PipelineSpec()
-		out := make([]string, len(spec.Stages))
-		for i, s := range spec.Stages {
-			out[i] = s.Kind
+		stages := pipeline.New(pipeline.Env{}, c.datapath()).Stages()
+		out := make([]string, len(stages))
+		for i, s := range stages {
+			out[i] = s.Name()
 		}
 		return out
 	}
@@ -36,14 +37,20 @@ func TestPipelineSpecResolvesVariants(t *testing.T) {
 			}
 		}
 	}
-	check("base", kinds(BaseConfig()), []string{"ptb", "devtlb", "chipset"})
+	check("base", kinds(BaseConfig()), []string{"ptb", "devtlb", "iommu"})
 	check("hypertrio", kinds(HyperTRIOConfig()),
-		[]string{"ptb", "devtlb", "prefetch-buffer", "chipset", "history-reader"})
+		[]string{"ptb", "devtlb", "prefetch", "iommu", "history-reader"})
 	off := Config{Params: DefaultParams(), TranslationOff: true}
 	check("native", kinds(off), nil)
 	noTLB := BaseConfig()
 	noTLB.DevTLB.Sets = 0
-	check("no devtlb", kinds(noTLB), []string{"ptb", "chipset"})
+	check("no devtlb", kinds(noTLB), []string{"ptb", "iommu"})
+	checked := HyperTRIOConfig()
+	checked.Invariants = true
+	check("invariants", kinds(checked),
+		[]string{"ptb", "devtlb", "prefetch", "iommu", "history-reader", "invariants"})
+	off.Invariants = true
+	check("native ignores invariants", kinds(off), nil)
 }
 
 // TestDescribePipeline checks the user-facing -describe rendering.

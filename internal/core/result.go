@@ -91,8 +91,8 @@ func (s *System) result() Result {
 		Bytes:          s.bytes.Value(),
 		Elapsed:        sim.Duration(s.lastCompletion),
 		Requests:       s.requests.Value(),
-		DevTLBServed:   s.chain.Served("devtlb").Value(),
-		PrefetchServed: s.chain.Served("prefetch").Value(),
+		DevTLBServed:   s.chain.DevTLBServed().Value(),
+		PrefetchServed: s.chain.PrefetchServed().Value(),
 	}
 	if s.sampler != nil {
 		r.Series = s.sampler.series
@@ -175,7 +175,7 @@ func (s *System) result() Result {
 			lo += cl.Tenants
 		}
 	}
-	r.DevTLB = s.chain.CacheStats("devtlb")
+	r.DevTLB = s.chain.DevTLBStats()
 	r.PTB = s.chain.PTBStats()
 	r.Prefetch = s.chain.PrefetchStats()
 	r.IOMMU = s.chain.IOMMUStats()

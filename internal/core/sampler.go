@@ -68,7 +68,7 @@ func (sp *sampler) record(now sim.Time) {
 	p.Gbps = float64((bytes-sp.prevBytes)*8) / window.Seconds() / 1e9
 	sp.prevBytes = bytes
 	p.PTBInUse = sp.chain.PTBInUse()
-	dev := sp.chain.CacheStats("devtlb")
+	dev := sp.chain.DevTLBStats()
 	if dl := dev.Lookups - sp.prevDevLookups; dl > 0 {
 		p.DevTLBHitRate = float64(dev.Hits-sp.prevDevHits) / float64(dl)
 	}

@@ -123,21 +123,24 @@ func NewSystem(cfg Config, tr *trace.Trace) (*System, error) {
 	return NewSystemSource(cfg, tr.Source())
 }
 
-// RequiresMaterialized reports whether the configuration's resolved
-// pipeline needs the whole request sequence ahead of time — true exactly
-// when any cache runs the Oracle (Belady) policy, whose replacement
+// RequiresMaterialized reports whether the configuration's datapath
+// needs the whole request sequence ahead of time — true exactly when any
+// cache it composes runs the Oracle (Belady) policy, whose replacement
 // decisions look into the future. Streaming sources cannot drive such a
 // configuration; NewSystemSource fails fast instead of silently
 // materializing O(requests) state.
 func RequiresMaterialized(cfg Config) bool {
-	for _, ss := range cfg.PipelineSpec().Stages {
-		for _, cc := range []tlb.Config{
-			ss.Cache,
-			ss.IOMMU.ContextCache, ss.IOMMU.IOTLB, ss.IOMMU.L2PWC, ss.IOMMU.L3PWC,
-		} {
-			if cc.Policy == tlb.Oracle {
-				return true
-			}
+	if cfg.TranslationOff {
+		return false
+	}
+	if cfg.DevTLB.Sets > 0 && cfg.DevTLB.Policy == tlb.Oracle {
+		return true
+	}
+	for _, cc := range []tlb.Config{
+		cfg.IOMMU.ContextCache, cfg.IOMMU.IOTLB, cfg.IOMMU.L2PWC, cfg.IOMMU.L3PWC,
+	} {
+		if cc.Policy == tlb.Oracle {
+			return true
 		}
 	}
 	return false
@@ -284,8 +287,8 @@ func NewSystemSource(cfg Config, src trace.Source) (*System, error) {
 	}
 	if tr != nil {
 		// Only materialized sources can serve the oracle's future; the
-		// builder skips SetFuture when this hook is absent, and the
-		// fail-fast check above guarantees no Oracle stage was configured.
+		// DevTLB skips SetFuture when this hook is absent, and the
+		// fail-fast check above guarantees no Oracle cache was configured.
 		env.OracleKeys = func() []tlb.Key { return flattenKeys(tr) }
 	}
 	if o := cfg.Obs; o != nil {
@@ -303,11 +306,7 @@ func NewSystemSource(cfg Config, src trace.Source) (*System, error) {
 		s.injector = inj
 		env.Faults = inj
 	}
-	chain, err := pipeline.BuildChain(cfg.PipelineSpec(), env)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	s.chain = chain
+	s.chain = pipeline.New(env, cfg.datapath())
 	if o := cfg.Obs; o != nil && o.SampleEvery > 0 {
 		s.sampler = newSampler(o.SampleEvery, &s.bytes, s.chain, cfg.IOMMUWalkers)
 	}
@@ -336,8 +335,8 @@ func (s *System) register(r *obs.Registry) {
 	r.Counter("core.drops", &s.drops)
 	r.Counter("core.bytes", &s.bytes)
 	r.Counter("core.requests", &s.requests)
-	r.Counter("core.devtlb_served", s.chain.Served("devtlb"))
-	r.Counter("core.prefetch_served", s.chain.Served("prefetch"))
+	r.Counter("core.devtlb_served", s.chain.DevTLBServed())
+	r.Counter("core.prefetch_served", s.chain.PrefetchServed())
 	r.Counter("core.miss_latency_ps", &s.missLatencySum)
 	r.Counter("core.misses", &s.missCount)
 	r.Histogram("core.miss_latency", &s.missHist)
@@ -458,9 +457,9 @@ func (s *System) HandleEvent(e *sim.Engine, now sim.Time, payload uint64) {
 	}
 }
 
-// arrival models one packet slot on the I/O link. The chain methods are
-// total — an absent stage admits/misses/no-ops — so this path never
-// branches on which stages the configuration composed.
+// arrival models one packet slot on the I/O link. The chain skips the
+// stages the configuration leaves out — an absent stage admits, misses
+// or does nothing — so this path never branches on them.
 func (s *System) arrival(e *sim.Engine, now sim.Time) {
 	if !s.curValid {
 		if s.srcDone {
@@ -606,7 +605,7 @@ func (s *System) allocPkt() uint32 {
 
 func (s *System) releasePkt(idx uint32) { s.freePkts = append(s.freePkts, idx) }
 
-// startMiss sends one translation down the chain's resolver; the chain
+// startMiss sends one translation down the chain to the chipset; the chain
 // calls s.Complete with the context index at the completion time.
 func (s *System) startMiss(e *sim.Engine, rq pipeline.Request, idx uint32) {
 	s.pkts[idx].issued = e.Now()

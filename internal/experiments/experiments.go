@@ -16,7 +16,6 @@ import (
 
 	"hypertrio/internal/core"
 	"hypertrio/internal/obs"
-	"hypertrio/internal/pipeline"
 	"hypertrio/internal/runner"
 	"hypertrio/internal/sim"
 	"hypertrio/internal/stats"
@@ -51,8 +50,8 @@ type Options struct {
 	// front (the Oracle policy) transparently fall back to the
 	// materialized path.
 	Stream bool
-	// Invariants composes the conservation-checking pipeline stage
-	// ("invariants") into every simulation cell. The checker is
+	// Invariants sets core.Config.Invariants on every simulation cell,
+	// composing the conservation checker into its datapath. The checker is
 	// transparent — rendered tables are byte-identical with it on or
 	// off — but any conservation violation (a packet completing without
 	// admission, PTB occupancy escaping its capacity, attempts not
@@ -205,11 +204,7 @@ func (s *sweep) run() (*results, error) {
 	}
 	if s.o.Invariants {
 		for i := range cells {
-			// Fresh slice per cell: never share a backing array with the
-			// submitted spec (TranslationOff cells ignore ExtraStages).
-			extra := make([]pipeline.StageSpec, 0, len(cells[i].Config.ExtraStages)+1)
-			extra = append(extra, cells[i].Config.ExtraStages...)
-			cells[i].Config.ExtraStages = append(extra, pipeline.StageSpec{Kind: "invariants"})
+			cells[i].Config.Invariants = true // TranslationOff cells ignore it
 		}
 	}
 	rs, err := runner.Pool{Workers: s.o.Workers}.Run(cells)

@@ -9,8 +9,8 @@ import (
 )
 
 // Target is the running system as the injector sees it: the invalidation
-// datapath (core.System over pipeline.Chain's Invalidator role) plus the
-// page tables a Remap rewrites. Every method applies at the instant the
+// datapath (core.System over pipeline.Chain's invalidation methods) plus
+// the page tables a Remap rewrites. Every method applies at the instant the
 // scripted event fires.
 type Target interface {
 	// InvalidatePage propagates one page's invalidation through every

@@ -5,7 +5,7 @@
 // (SID teardown / re-attach) — that an Injector schedules into the
 // sim.Engine as typed events and applies to the running system through
 // the Target interface (implemented by core.System over pipeline.Chain's
-// Invalidator role).
+// invalidation methods).
 //
 // The subsystem is zero-cost-off: without a plan no Injector exists, no
 // hook is installed, and the simulation is byte-identical to a build

@@ -88,24 +88,14 @@ func TestTenantInvalidationPropagation(t *testing.T) {
 	}
 	for _, combo := range combos {
 		t.Run(combo.name, func(t *testing.T) {
-			spec := Spec{Stages: []StageSpec{{Kind: "ptb", Entries: 4}}}
 			seeded := 0 // per-SID entries installed on the device side
 			if combo.devtlb {
-				spec.Stages = append(spec.Stages, devtlbSpec())
 				seeded++
 			}
 			if combo.prefetch {
-				spec.Stages = append(spec.Stages, prefetchSpec())
 				seeded++
 			}
-			spec.Stages = append(spec.Stages, chipsetSpec())
-			if combo.prefetch {
-				spec.Stages = append(spec.Stages, StageSpec{Kind: "history-reader"})
-			}
-			c, err := BuildChain(spec, testEnv())
-			if err != nil {
-				t.Fatal(err)
-			}
+			c := New(testEnv(), testConfig(4, combo.devtlb, combo.prefetch))
 			for _, st := range c.Stages() {
 				switch v := st.(type) {
 				case *CacheStage:
@@ -150,12 +140,7 @@ func TestProbeHitNotifiesFaultHook(t *testing.T) {
 	env := testEnv()
 	hook := &fakeHook{}
 	env.Faults = hook
-	c, err := BuildChain(Spec{Stages: []StageSpec{
-		{Kind: "ptb", Entries: 4}, devtlbSpec(), chipsetSpec(),
-	}}, env)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := New(env, testConfig(4, true, false))
 	rq := Request{SID: 2, IOVA: 0x9000, Shift: 12}
 	e := sim.NewEngine()
 	if c.Lookup(e, rq) {
@@ -186,17 +171,15 @@ func resolveOnce(t *testing.T, hook *fakeHook) (sim.Time, string) {
 	tr := obs.NewTracer(&buf)
 	env.Tracer = tr
 	env.Faults = hook
-	c, err := BuildChain(Spec{Stages: []StageSpec{
-		{Kind: "ptb", Entries: 4},
-		{Kind: "chipset", IOMMU: iommu.Config{
+	c := New(env, Config{
+		PTBEntries: 4,
+		IOMMU: iommu.Config{
 			ContextCache: iommu.DefaultContextCache(),
 			L2PWC:        tlb.Config{Name: "l2pwc", Sets: 4, Ways: 4, Policy: tlb.LRU},
 			L3PWC:        tlb.Config{Name: "l3pwc", Sets: 4, Ways: 4, Policy: tlb.LRU},
-		}, Walkers: 1},
-	}}, env)
-	if err != nil {
-		t.Fatal(err)
-	}
+		},
+		Walkers: 1,
+	})
 	e := sim.NewEngine()
 	done := &doneRecorder{}
 	c.Resolve(e, Request{SID: as.SID, IOVA: as.Ring, Shift: 12}, done, 77)
@@ -246,18 +229,10 @@ func TestChipsetWalkerFaultRetry(t *testing.T) {
 // TestInvariantStageDecoratesAdmission checks the conservation checker
 // wraps the real admitter: decisions pass through, counts add up.
 func TestInvariantStageDecoratesAdmission(t *testing.T) {
-	c, err := BuildChain(Spec{Stages: []StageSpec{
-		{Kind: "ptb", Entries: 2}, chipsetSpec(), {Kind: "invariants"},
-	}}, testEnv())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var iv *InvariantStage
-	for _, st := range c.Stages() {
-		if v, ok := st.(*InvariantStage); ok {
-			iv = v
-		}
-	}
+	cfg := testConfig(2, false, false)
+	cfg.Invariants = true
+	c := New(testEnv(), cfg)
+	iv := c.Invariants()
 	if iv == nil {
 		t.Fatal("invariants stage not composed")
 	}
@@ -284,19 +259,13 @@ func TestInvariantStageDecoratesAdmission(t *testing.T) {
 
 func TestInvariantStageCatchesViolations(t *testing.T) {
 	build := func(t *testing.T) (*Chain, *InvariantStage) {
-		c, err := BuildChain(Spec{Stages: []StageSpec{
-			{Kind: "ptb", Entries: 2}, chipsetSpec(), {Kind: "invariants"},
-		}}, testEnv())
-		if err != nil {
-			t.Fatal(err)
+		cfg := testConfig(2, false, false)
+		cfg.Invariants = true
+		c := New(testEnv(), cfg)
+		if c.Invariants() == nil {
+			t.Fatal("invariants stage not composed")
 		}
-		for _, st := range c.Stages() {
-			if v, ok := st.(*InvariantStage); ok {
-				return c, v
-			}
-		}
-		t.Fatal("invariants stage not composed")
-		return nil, nil
+		return c, c.Invariants()
 	}
 
 	t.Run("release without admission", func(t *testing.T) {
@@ -318,12 +287,9 @@ func TestInvariantStageCatchesViolations(t *testing.T) {
 // TestInvariantStageWithoutAdmitter pins the unbounded fallback: composed
 // into a chain with no PTB it admits everything and still balances.
 func TestInvariantStageWithoutAdmitter(t *testing.T) {
-	c, err := BuildChain(Spec{Stages: []StageSpec{
-		chipsetSpec(), {Kind: "invariants"},
-	}}, testEnv())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := testConfig(0, false, false)
+	cfg.Invariants = true
+	c := New(testEnv(), cfg)
 	for i := 0; i < 5; i++ {
 		if !c.Admit() {
 			t.Fatal("unbounded invariant admitter refused admission")
@@ -332,11 +298,7 @@ func TestInvariantStageWithoutAdmitter(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		c.ReleaseSlot()
 	}
-	for _, st := range c.Stages() {
-		if iv, ok := st.(*InvariantStage); ok {
-			if err := iv.CheckFinal(); err != nil {
-				t.Fatalf("unbounded checker violation: %v", err)
-			}
-		}
+	if err := c.Invariants().CheckFinal(); err != nil {
+		t.Fatalf("unbounded checker violation: %v", err)
 	}
 }

@@ -3,28 +3,27 @@ package pipeline
 import (
 	"fmt"
 
-	"hypertrio/internal/mem"
 	"hypertrio/internal/obs"
 )
 
 // InvariantStage is a verification decorator over the chain's admission
-// role: it observes every admission attempt and every slot release and
+// stage: it observes every admission attempt and every slot release and
 // asserts the model's conservation properties as they happen —
 //
 //   - occupancy never exceeds the admitter's capacity,
 //   - a slot is never released that was never admitted,
 //   - attempts always split exactly into admissions plus rejections.
 //
-// It is composed like any other stage (spec kind "invariants", appended
-// after the datapath), binds itself as the chain's admitter wrapping the
-// real one, and changes nothing about the simulation: admit/reject
-// decisions pass through untouched, so a run with the checker is
-// byte-identical to one without. The first violation is sticky and
-// reported by CheckFinal; internal/core cross-checks the counts against
-// its packet accounting after the run drains.
+// Config.Invariants composes it last in the chain, which then routes
+// every admission and release through it to the PTB. It changes nothing
+// about the simulation: admit/reject decisions pass through untouched,
+// so a run with the checker is byte-identical to one without. The first
+// violation is sticky and reported by CheckFinal; internal/core
+// cross-checks the counts against its packet accounting after the run
+// drains.
 type InvariantStage struct {
-	inner    Admitter // the decorated admission role (never nil)
-	capacity int      // inner capacity; 0 = unbounded (noop admitter)
+	inner    *AdmissionStage // the decorated admission; nil admits everything
+	capacity int             // inner capacity; 0 = unbounded (no admission)
 
 	attempts    obs.Counter
 	admitted    obs.Counter
@@ -42,10 +41,16 @@ func (st *InvariantStage) violate(format string, args ...any) {
 	}
 }
 
-func (st *InvariantStage) Name() string                      { return "invariants" }
-func (st *InvariantStage) Lookup(Request) bool               { return false }
-func (st *InvariantStage) Fill(Request, uint64)              {}
-func (st *InvariantStage) Invalidate(mem.SID, uint64, uint8) {}
+// newInvariantStage decorates inner (nil for a chain without admission).
+func newInvariantStage(inner *AdmissionStage) *InvariantStage {
+	st := &InvariantStage{inner: inner}
+	if inner != nil {
+		st.capacity = inner.PTB().Capacity()
+	}
+	return st
+}
+
+func (st *InvariantStage) Name() string { return "invariants" }
 
 func (st *InvariantStage) Register(r *obs.Registry, p string) {
 	r.Counter(p+".attempts", &st.attempts)
@@ -59,7 +64,7 @@ func (st *InvariantStage) Describe() string {
 	return "invariant checker: conservation of admissions, releases and occupancy"
 }
 
-// Admit decorates the real admitter's decision with occupancy accounting.
+// Admit decorates the real admission decision with occupancy accounting.
 func (st *InvariantStage) Admit() bool {
 	st.attempts.Inc()
 	ok := st.inner.Admit()
@@ -124,17 +129,4 @@ func (st *InvariantStage) CheckFinal() error {
 		return fmt.Errorf("invariant violated: %d admitted != %d released", ad, rl)
 	}
 	return nil
-}
-
-func init() {
-	RegisterBuilder("invariants", func(spec StageSpec, b *Build) (Stage, error) {
-		st := &InvariantStage{inner: b.Admitter}
-		if st.inner == nil {
-			st.inner = noopAdmitter{}
-		}
-		if a, ok := st.inner.(*AdmissionStage); ok {
-			st.capacity = a.PTB().Capacity()
-		}
-		return st, nil
-	})
 }

@@ -1,20 +1,19 @@
-// Package pipeline decomposes the translation datapath into composable
-// stages. The paper's architecture is explicitly staged — PTB admission,
-// the on-device DevTLB and Prefetch Buffer, then the chipset's context
-// cache, optional IOTLB, partitioned L2/L3 page-walk caches and bounded
-// walker pool, with the IOVA history reader issuing prefetches — and
-// this package makes each of those a Stage value behind one interface,
-// composed into a Chain by a stage-builder registry.
+// Package pipeline is the translation datapath, one level per stage of
+// the paper's staged architecture: PTB admission, the on-device DevTLB
+// and Prefetch Buffer, then the chipset's context cache, optional IOTLB,
+// partitioned L2/L3 page-walk caches and bounded walker pool, with the
+// IOVA history reader issuing prefetches.
 //
-// Which stages exist, in what order, with what geometry and policies is
-// a Spec — data, not code — so the Base design, the full HyperTRIO
-// design, and future variants (shared chipset IOTLB, pseudo-LRU DevTLB,
-// new levels entirely) are configurations rather than branches inside
-// the performance model. internal/core drives the Chain from the event
+// The datapath is one fixed Chain with a concrete field per stage. Which
+// optional stages exist and with what geometry and policies is a Config —
+// the Base design, the full HyperTRIO design and their ablations are
+// different Configs of the same chain, not branches inside the
+// performance model. internal/core drives the Chain from the event
 // kernel; stages charge latency by scheduling against the sim.Engine.
 package pipeline
 
 import (
+	"hypertrio/internal/device"
 	"hypertrio/internal/iommu"
 	"hypertrio/internal/mem"
 	"hypertrio/internal/obs"
@@ -32,26 +31,12 @@ type Request struct {
 // Key returns the request's cache key at its native granule.
 func (r Request) Key() tlb.Key { return iommu.PageKey(r.SID, r.IOVA, r.Shift) }
 
-// Stage is one level of the translation datapath. Lookup and Fill are
-// the synchronous cache-like face (a stage that is not a lookup
-// structure answers false / ignores fills); Invalidate propagates a
-// driver unmap; Register publishes the stage's observability cells under
-// its name. Asynchronous work — walks, prefetches — is expressed by the
-// capability interfaces below, which schedule completions against the
-// sim.Engine rather than blocking.
+// Stage is one composed level of the datapath as Describe, Register and
+// Stages see it. The packet path calls the stages' concrete methods.
 type Stage interface {
 	// Name identifies the stage: its metrics prefix in the registry and
 	// its label in Describe output.
 	Name() string
-	// Lookup consults the stage for a demand request, updating
-	// replacement state on a hit.
-	Lookup(rq Request) bool
-	// Fill installs a completed translation (hpaBase is the host
-	// physical base of the mapped page). Stages that are not demand-fill
-	// targets ignore it.
-	Fill(rq Request, hpaBase uint64)
-	// Invalidate drops cached state for one unmapped page.
-	Invalidate(sid mem.SID, iova uint64, shift uint8)
 	// Register publishes the stage's metric cells under prefix.
 	Register(r *obs.Registry, prefix string)
 	// Describe returns a one-line human summary of the stage's
@@ -59,64 +44,13 @@ type Stage interface {
 	Describe() string
 }
 
-// Prober marks device-side stages consulted synchronously at packet
-// arrival, in chain order, before a miss travels to the resolver.
-// HitEvent names the trace event emitted when the stage serves a
-// request ("devtlb_hit", "prefetch_hit").
-type Prober interface {
-	Stage
-	HitEvent() string
-}
-
-// Admitter is the admission stage: a packet must take a slot before its
-// translations issue, and frees it at completion. A chain without an
-// admitter admits everything.
-type Admitter interface {
-	Stage
-	// Admit takes one slot, reporting whether one was available.
-	Admit() bool
-	// Release frees the slot taken by Admit.
-	Release()
-}
-
 // Completer receives resolved demand misses. It is the closure-free
 // completion callback: the caller implements Complete once, passes
-// itself to Resolve with an opaque context word (typically an index
-// into its own pooled per-packet records), and gets both back at the
-// completion time. Resolvers thread ctx through untouched.
+// itself to Chain.Resolve with an opaque context word (typically an
+// index into its own pooled per-packet records), and gets both back at
+// the completion time. The chipset threads ctx through untouched.
 type Completer interface {
 	Complete(e *sim.Engine, at sim.Time, ctx uint64)
-}
-
-// Resolver is the terminal stage: it resolves a demand miss
-// asynchronously (PCIe to the chipset, the nested walk, PCIe back),
-// refills the device-side probe stages, and calls done.Complete at the
-// completion time with the caller's ctx word.
-type Resolver interface {
-	Stage
-	Resolve(e *sim.Engine, rq Request, done Completer, ctx uint64)
-}
-
-// Issuer is the prefetch-issuing stage: Observe feeds it the accepted
-// packet stream; Issue gives it the chance to start an asynchronous
-// prefetch after a demand miss.
-type Issuer interface {
-	Stage
-	Observe(sid mem.SID)
-	Issue(e *sim.Engine, current mem.SID)
-}
-
-// Invalidator marks stages holding per-tenant cached state that a
-// tenant-scoped or broadcast invalidation must reach. Stages without such
-// state (admission, history reader) simply do not implement it.
-type Invalidator interface {
-	Stage
-	// InvalidateSID drops every cached object belonging to one tenant
-	// (SID teardown / domain flush), returning how many were dropped.
-	InvalidateSID(sid mem.SID) int
-	// FlushAll drops every cached translation the stage holds (broadcast
-	// invalidation), returning how many were dropped.
-	FlushAll() int
 }
 
 // FaultHook is the chain's view of a fault injector (internal/fault).
@@ -145,4 +79,42 @@ type Latencies struct {
 	DRAMLatency  sim.Duration
 	TLBHit       sim.Duration
 	Interarrival sim.Duration
+}
+
+// Env is the world a chain is built into: physical latencies, the
+// observability tracer, and the memory system the chipset walks.
+type Env struct {
+	Lat    Latencies
+	Tracer *obs.Tracer
+	// Ctx and Tenants are the context table and per-tenant nested page
+	// tables the chipset translates against.
+	Ctx     *mem.ContextTable
+	Tenants *mem.TenantTables
+	// OracleKeys supplies the flattened future access sequence for a
+	// Belady-policy DevTLB; consulted only when the DevTLB runs the
+	// Oracle policy. Nil leaves the future unset (Describe-only builds).
+	OracleKeys func() []tlb.Key
+	// Faults is the fault injector's hook (nil in every fault-free run;
+	// every consultation in the chain is nil-guarded).
+	Faults FaultHook
+}
+
+// Config is the datapath's geometry: which optional stages the chain
+// composes and how each is sized. The zero Config composes no stages —
+// the native (translation-off) path.
+type Config struct {
+	// PTBEntries sizes the Pending Translation Buffer; 0 composes no
+	// admission stage (every packet is admitted).
+	PTBEntries int
+	// DevTLB is the on-device translation cache; Sets == 0 composes none.
+	DevTLB tlb.Config
+	// Prefetch, when non-nil, composes the Prefetch Buffer and the
+	// chipset's IOVA history reader that fills it.
+	Prefetch *device.PrefetchConfig
+	// IOMMU configures the chipset.
+	IOMMU iommu.Config
+	// Walkers bounds the chipset's walk concurrency (0 = unlimited).
+	Walkers int
+	// Invariants composes the conservation checker over admission.
+	Invariants bool
 }

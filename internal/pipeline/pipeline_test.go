@@ -7,7 +7,6 @@ import (
 	"hypertrio/internal/device"
 	"hypertrio/internal/iommu"
 	"hypertrio/internal/mem"
-	"hypertrio/internal/obs"
 	"hypertrio/internal/sim"
 	"hypertrio/internal/tlb"
 )
@@ -24,22 +23,25 @@ func testEnv() Env {
 	}
 }
 
-func devtlbSpec() StageSpec {
-	return StageSpec{Kind: "devtlb", Cache: tlb.Config{
-		Name: "devtlb", Sets: 4, Ways: 4, Policy: tlb.LRU, Index: tlb.ByAddress,
-	}}
-}
-
-func chipsetSpec() StageSpec {
-	return StageSpec{Kind: "chipset", IOMMU: iommu.Config{
-		ContextCache: iommu.DefaultContextCache(),
-		L2PWC:        tlb.Config{Name: "l2pwc", Sets: 4, Ways: 4, Policy: tlb.LRU, Index: tlb.ByAddress},
-		L3PWC:        tlb.Config{Name: "l3pwc", Sets: 4, Ways: 4, Policy: tlb.LRU, Index: tlb.ByAddress},
-	}}
-}
-
-func prefetchSpec() StageSpec {
-	return StageSpec{Kind: "prefetch-buffer", Prefetch: device.DefaultPrefetchConfig()}
+// testConfig is a small chain: ptbEntries admission slots (0 for none),
+// a 4x4 chipset, and optionally a 4x4 DevTLB and the prefetch stages.
+func testConfig(ptbEntries int, devtlb, prefetch bool) Config {
+	cfg := Config{
+		PTBEntries: ptbEntries,
+		IOMMU: iommu.Config{
+			ContextCache: iommu.DefaultContextCache(),
+			L2PWC:        tlb.Config{Name: "l2pwc", Sets: 4, Ways: 4, Policy: tlb.LRU, Index: tlb.ByAddress},
+			L3PWC:        tlb.Config{Name: "l3pwc", Sets: 4, Ways: 4, Policy: tlb.LRU, Index: tlb.ByAddress},
+		},
+	}
+	if devtlb {
+		cfg.DevTLB = tlb.Config{Name: "devtlb", Sets: 4, Ways: 4, Policy: tlb.LRU, Index: tlb.ByAddress}
+	}
+	if prefetch {
+		pf := device.DefaultPrefetchConfig()
+		cfg.Prefetch = &pf
+	}
+	return cfg
 }
 
 // countingTask records every RunWalk payload, standing in for a stage.
@@ -119,32 +121,10 @@ func TestWalkerPoolQueueReusesBacking(t *testing.T) {
 	}
 }
 
-func TestBuildChainErrors(t *testing.T) {
-	env := testEnv()
-	cases := []struct {
-		name string
-		spec Spec
-		want string
-	}{
-		{"unknown kind", Spec{Stages: []StageSpec{{Kind: "quantum-tlb"}}}, "unknown stage kind"},
-		{"ptb without entries", Spec{Stages: []StageSpec{{Kind: "ptb"}, chipsetSpec()}}, "Entries > 0"},
-		{"history reader without prereqs", Spec{Stages: []StageSpec{chipsetSpec(), {Kind: "history-reader"}}}, "prefetch-buffer"},
-		{"stages but no resolver", Spec{Stages: []StageSpec{{Kind: "ptb", Entries: 4}}}, "no resolver"},
-	}
-	for _, tc := range cases {
-		if _, err := BuildChain(tc.spec, env); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
-		}
-	}
-}
-
 // TestEmptyChainIsTotal pins the native-path contract: every chain method
 // works on the empty chain, so core never branches on stage presence.
 func TestEmptyChainIsTotal(t *testing.T) {
-	c, err := BuildChain(Spec{}, testEnv())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := New(testEnv(), Config{})
 	e := sim.NewEngine()
 	if !c.Admit() {
 		t.Fatal("empty chain refused admission")
@@ -159,41 +139,20 @@ func TestEmptyChainIsTotal(t *testing.T) {
 	if c.WalkersBusy() != 0 || c.WalkQueue() != 0 || c.PTBInUse() != 0 {
 		t.Fatal("empty chain reports occupancy")
 	}
-	if s := c.CacheStats("devtlb"); s != (tlb.Stats{}) {
+	if s := c.DevTLBStats(); s != (tlb.Stats{}) {
 		t.Fatalf("empty chain cache stats: %+v", s)
 	}
 	if got := c.Describe(); !strings.Contains(got, "translation off") {
 		t.Fatalf("empty chain describe: %q", got)
 	}
-	if c.Served("devtlb").Value() != 0 {
+	if c.DevTLBServed().Value() != 0 {
 		t.Fatal("served counter non-zero")
 	}
 }
 
-// recorderStage is a registered test stage that records invalidate
-// broadcasts — it doubles as the proof that new stage kinds compose via
-// the builder registry without touching the chain.
-type recorderStage struct {
-	calls []tlb.Key
-}
-
-func (st *recorderStage) Name() string         { return "recorder" }
-func (st *recorderStage) Lookup(Request) bool  { return false }
-func (st *recorderStage) Fill(Request, uint64) {}
-func (st *recorderStage) Invalidate(sid mem.SID, iova uint64, shift uint8) {
-	st.calls = append(st.calls, iommu.PageKey(sid, iova, shift))
-}
-func (st *recorderStage) Register(*obs.Registry, string) {}
-func (st *recorderStage) Describe() string               { return "records invalidations" }
-
-func init() {
-	RegisterBuilder("recorder", func(StageSpec, *Build) (Stage, error) {
-		return &recorderStage{}, nil
-	})
-}
-
 // TestInvalidatePropagation checks that a chain-level invalidate reaches
-// every composed stage, across all enabled-stage combinations.
+// every composed stage, the chipset included, across all enabled-stage
+// combinations.
 func TestInvalidatePropagation(t *testing.T) {
 	const (
 		sid   = mem.SID(3)
@@ -212,32 +171,19 @@ func TestInvalidatePropagation(t *testing.T) {
 	}
 	for _, combo := range combos {
 		t.Run(combo.name, func(t *testing.T) {
-			spec := Spec{Stages: []StageSpec{{Kind: "ptb", Entries: 4}}}
-			if combo.devtlb {
-				spec.Stages = append(spec.Stages, devtlbSpec())
-			}
-			if combo.prefetch {
-				spec.Stages = append(spec.Stages, prefetchSpec())
-			}
-			spec.Stages = append(spec.Stages, chipsetSpec(), StageSpec{Kind: "recorder"})
-			if combo.prefetch {
-				spec.Stages = append(spec.Stages, StageSpec{Kind: "history-reader"})
-			}
-			c, err := BuildChain(spec, testEnv())
-			if err != nil {
-				t.Fatal(err)
-			}
+			c := New(testEnv(), testConfig(4, combo.devtlb, combo.prefetch))
 
 			// Seed every translation-holding stage with the page.
-			var rec *recorderStage
+			var chipset *ChipsetStage
 			for _, st := range c.Stages() {
 				switch v := st.(type) {
 				case *CacheStage:
 					v.Fill(Request{SID: sid, IOVA: iova, Shift: shift}, 0xBEEF000)
 				case *PrefetchBufferStage:
 					v.Unit().Complete(sid, []tlb.Entry{{Key: key, Value: 0xBEEF000, PageShift: shift}}, 0)
-				case *recorderStage:
-					rec = v
+				case *ChipsetStage:
+					v.IOMMU().History().Record(sid, iova, shift)
+					chipset = v
 				}
 			}
 			e := sim.NewEngine()
@@ -252,8 +198,8 @@ func TestInvalidatePropagation(t *testing.T) {
 			if c.Lookup(e, Request{SID: sid, IOVA: iova, Shift: shift}) {
 				t.Fatal("page still served after invalidate")
 			}
-			if len(rec.calls) != 1 || rec.calls[0] != key {
-				t.Fatalf("recorder stage saw %v, want exactly [%v]", rec.calls, key)
+			if got := chipset.IOMMU().History().Recent(sid, 8); len(got) != 0 {
+				t.Fatalf("chipset history still holds %v after invalidate", got)
 			}
 			// The broadcast must also reach stages individually, not just
 			// miss at the chain level.
@@ -276,14 +222,7 @@ func TestInvalidatePropagation(t *testing.T) {
 // TestServedCountsPerStage checks the chain's hit attribution: a request
 // present only in the prefetch buffer is credited to it, not the DevTLB.
 func TestServedCountsPerStage(t *testing.T) {
-	spec := Spec{Stages: []StageSpec{
-		{Kind: "ptb", Entries: 4}, devtlbSpec(), prefetchSpec(),
-		chipsetSpec(), {Kind: "history-reader"},
-	}}
-	c, err := BuildChain(spec, testEnv())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := New(testEnv(), testConfig(4, true, true))
 	key := iommu.PageKey(1, 0x3000, 12)
 	for _, st := range c.Stages() {
 		if v, ok := st.(*PrefetchBufferStage); ok {
@@ -294,10 +233,10 @@ func TestServedCountsPerStage(t *testing.T) {
 	if !c.Lookup(e, Request{SID: 1, IOVA: 0x3000, Shift: 12}) {
 		t.Fatal("prefetched page not served")
 	}
-	if got := c.Served("prefetch").Value(); got != 1 {
+	if got := c.PrefetchServed().Value(); got != 1 {
 		t.Fatalf("prefetch served = %d, want 1", got)
 	}
-	if got := c.Served("devtlb").Value(); got != 0 {
+	if got := c.DevTLBServed().Value(); got != 0 {
 		t.Fatalf("devtlb served = %d, want 0", got)
 	}
 }
@@ -305,15 +244,7 @@ func TestServedCountsPerStage(t *testing.T) {
 // TestDescribeListsStages pins the -describe rendering to the composed
 // stage names in order.
 func TestDescribeListsStages(t *testing.T) {
-	spec := Spec{Stages: []StageSpec{
-		{Kind: "ptb", Entries: 32}, devtlbSpec(), prefetchSpec(),
-		chipsetSpec(), {Kind: "history-reader"},
-	}}
-	c, err := BuildChain(spec, testEnv())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := c.Describe()
+	got := New(testEnv(), testConfig(32, true, true)).Describe()
 	last := -1
 	for _, name := range []string{"ptb", "devtlb", "prefetch", "iommu", "history-reader"} {
 		i := strings.Index(got, name)
@@ -324,25 +255,5 @@ func TestDescribeListsStages(t *testing.T) {
 			t.Fatalf("describe lists %q out of order:\n%s", name, got)
 		}
 		last = i
-	}
-}
-
-func TestBuilderKindsSorted(t *testing.T) {
-	kinds := BuilderKinds()
-	for _, want := range []string{"chipset", "devtlb", "history-reader", "prefetch-buffer", "ptb"} {
-		found := false
-		for _, k := range kinds {
-			if k == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("builder registry missing %q: %v", want, kinds)
-		}
-	}
-	for i := 1; i < len(kinds); i++ {
-		if kinds[i-1] >= kinds[i] {
-			t.Fatalf("kinds not sorted: %v", kinds)
-		}
 	}
 }

@@ -13,19 +13,25 @@ import (
 )
 
 // AdmissionStage wraps the Pending Translation Buffer as the chain's
-// admitter: a packet allocates its in-flight translation context here or
+// admission: a packet allocates its in-flight translation context here or
 // is dropped and retried by the link model.
 type AdmissionStage struct {
 	ptb *device.PTB
 }
 
 func (st *AdmissionStage) Name() string                       { return "ptb" }
-func (st *AdmissionStage) Lookup(Request) bool                { return false }
-func (st *AdmissionStage) Fill(Request, uint64)               {}
-func (st *AdmissionStage) Invalidate(mem.SID, uint64, uint8)  {}
 func (st *AdmissionStage) Register(r *obs.Registry, p string) { st.ptb.Register(r, p) }
-func (st *AdmissionStage) Admit() bool                        { return st.ptb.Alloc() }
-func (st *AdmissionStage) Release()                           { st.ptb.Release() }
+
+// Admit takes one slot, reporting whether one was available. A nil
+// stage (a chain without admission) admits everything.
+func (st *AdmissionStage) Admit() bool { return st == nil || st.ptb.Alloc() }
+
+// Release frees the slot taken by Admit (a no-op on a nil stage).
+func (st *AdmissionStage) Release() {
+	if st != nil {
+		st.ptb.Release()
+	}
+}
 
 // PTB exposes the underlying buffer for occupancy sampling and stats.
 func (st *AdmissionStage) PTB() *device.PTB { return st.ptb }
@@ -35,16 +41,29 @@ func (st *AdmissionStage) Describe() string {
 		st.ptb.Capacity())
 }
 
-// CacheStage wraps a tlb.Cache as a device-side probe level — the
-// DevTLB in every shipped configuration, but any geometry/policy/name
-// can be composed in.
+// CacheStage wraps a tlb.Cache as the DevTLB, the first device-side
+// probe level. Its name (default "devtlb") prefixes its metrics and its
+// hit event.
 type CacheStage struct {
-	name  string
-	cache *tlb.Cache
+	name     string
+	hitEvent string
+	cache    *tlb.Cache
 }
 
-func (st *CacheStage) Name() string     { return st.name }
-func (st *CacheStage) HitEvent() string { return st.name + "_hit" }
+// newCacheStage builds the DevTLB; a Belady (Oracle) policy is handed
+// the future access sequence when oracleKeys supplies one.
+func newCacheStage(cfg tlb.Config, oracleKeys func() []tlb.Key) *CacheStage {
+	if cfg.Name == "" {
+		cfg.Name = "devtlb"
+	}
+	cache := tlb.New(cfg)
+	if cfg.Policy == tlb.Oracle && oracleKeys != nil {
+		cache.SetFuture(tlb.NewFuture(oracleKeys()))
+	}
+	return &CacheStage{name: cfg.Name, hitEvent: cfg.Name + "_hit", cache: cache}
+}
+
+func (st *CacheStage) Name() string { return st.name }
 
 func (st *CacheStage) Lookup(rq Request) bool {
 	_, ok := st.cache.Lookup(rq.Key())
@@ -80,15 +99,12 @@ type PrefetchBufferStage struct {
 	pu *device.PrefetchUnit
 }
 
-func (st *PrefetchBufferStage) Name() string     { return "prefetch" }
-func (st *PrefetchBufferStage) HitEvent() string { return "prefetch_hit" }
+func (st *PrefetchBufferStage) Name() string { return "prefetch" }
 
 func (st *PrefetchBufferStage) Lookup(rq Request) bool {
 	_, ok := st.pu.Lookup(rq.Key())
 	return ok
 }
-
-func (st *PrefetchBufferStage) Fill(Request, uint64) {}
 
 func (st *PrefetchBufferStage) Invalidate(sid mem.SID, iova uint64, shift uint8) {
 	st.pu.Invalidate(sid, iova, shift)
@@ -112,24 +128,22 @@ func (st *PrefetchBufferStage) Describe() string {
 		cfg.BufferEntries, cfg.Degree, adaptive, cfg.HistoryLen)
 }
 
-// ChipsetStage is the resolver: it carries a demand miss over PCIe to
+// ChipsetStage resolves demand misses: it carries a miss over PCIe to
 // the chipset, claims a walker, runs the translation (context cache,
 // optional IOTLB, page-walk caches, nested walk), charges the memory
-// latency, refills the device-side probe stages and completes back over
-// PCIe.
+// latency, refills the DevTLB and completes back over PCIe.
 //
 // The whole resolve path is closure-free: each in-flight miss lives in
 // a pooled chipsetWalk record, and the stage schedules typed events
 // against itself with the record's index (plus an event-kind tag) in
 // the payload word. Steady-state resolution allocates nothing.
 type ChipsetStage struct {
-	mmu     *iommu.IOMMU
-	pool    *WalkerPool
-	lat     Latencies
-	tracer  *obs.Tracer
-	faults  FaultHook // nil in every fault-free run
-	fills   []Stage   // device-side stages refilled by demand completions
-	walkers int       // configured cap (0 = unlimited), for Describe
+	mmu    *iommu.IOMMU
+	pool   *WalkerPool
+	lat    Latencies
+	tracer *obs.Tracer
+	faults FaultHook   // nil in every fault-free run
+	devtlb *CacheStage // refilled by demand completions; nil without one
 
 	walks []chipsetWalk // pooled in-flight miss records
 	free  []uint32
@@ -169,9 +183,7 @@ func (st *ChipsetStage) release(idx uint32) {
 	st.free = append(st.free, idx)
 }
 
-func (st *ChipsetStage) Name() string         { return "iommu" }
-func (st *ChipsetStage) Lookup(Request) bool  { return false }
-func (st *ChipsetStage) Fill(Request, uint64) {}
+func (st *ChipsetStage) Name() string { return "iommu" }
 
 func (st *ChipsetStage) Invalidate(sid mem.SID, iova uint64, shift uint8) {
 	st.mmu.Invalidate(sid, iova, shift)
@@ -185,6 +197,7 @@ func (st *ChipsetStage) Register(r *obs.Registry, p string) { st.mmu.Register(r,
 // IOMMU exposes the chipset model for stats and the history reader.
 func (st *ChipsetStage) IOMMU() *iommu.IOMMU { return st.mmu }
 
+// Resolve starts one demand miss on its PCIe trip to the chipset.
 func (st *ChipsetStage) Resolve(e *sim.Engine, rq Request, done Completer, ctx uint64) {
 	idx := st.alloc()
 	w := &st.walks[idx]
@@ -207,8 +220,8 @@ func (st *ChipsetStage) HandleEvent(e *sim.Engine, now sim.Time, payload uint64)
 		st.pool.Release(e)
 	case ckComplete:
 		w := &st.walks[idx]
-		for _, f := range st.fills {
-			f.Fill(w.rq, w.hpaBase)
+		if st.devtlb != nil {
+			st.devtlb.Fill(w.rq, w.hpaBase)
 		}
 		done, ctx := w.done, w.ctx
 		st.release(idx)
@@ -267,8 +280,8 @@ func (st *ChipsetStage) Describe() string {
 		iotlb = fmt.Sprintf("%dx%d %s %s", c.IOTLB.Sets, c.IOTLB.Ways, c.IOTLB.Policy, c.IOTLB.Index)
 	}
 	walkers := "unlimited walkers"
-	if st.walkers > 0 {
-		walkers = fmt.Sprintf("%d walkers", st.walkers)
+	if n := st.pool.Capacity(); n > 0 {
+		walkers = fmt.Sprintf("%d walkers", n)
 	}
 	return fmt.Sprintf("chipset: context cache %d-entry %s; IOTLB %s; L2 PWC %dx%d %s %s; L3 PWC %dx%d %s %s; %s",
 		c.ContextCache.Entries(), c.ContextCache.Policy, iotlb,
@@ -329,18 +342,18 @@ func (st *HistoryReaderStage) release(idx uint32) {
 	st.free = append(st.free, idx)
 }
 
-func (st *HistoryReaderStage) Name() string                      { return "history-reader" }
-func (st *HistoryReaderStage) Lookup(Request) bool               { return false }
-func (st *HistoryReaderStage) Fill(Request, uint64)              {}
-func (st *HistoryReaderStage) Invalidate(mem.SID, uint64, uint8) {}
+func (st *HistoryReaderStage) Name() string { return "history-reader" }
 
 // Register is a no-op: the prefetch unit's cells (including the
 // predictor this stage drives) are published by the PrefetchBufferStage
 // under "prefetch", and double registration would panic the registry.
 func (st *HistoryReaderStage) Register(*obs.Registry, string) {}
 
+// Observe feeds one accepted packet's SID to the predictor.
 func (st *HistoryReaderStage) Observe(sid mem.SID) { st.pu.Predictor().Observe(sid) }
 
+// Issue starts a prefetch of the predicted tenant, if the prefetch unit
+// asks for one after a demand miss by current.
 func (st *HistoryReaderStage) Issue(e *sim.Engine, current mem.SID) {
 	target, ok := st.pu.ShouldPrefetch(current)
 	if !ok {

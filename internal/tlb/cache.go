@@ -73,7 +73,8 @@ type Config struct {
 // Entries returns the total capacity.
 func (c Config) Entries() int { return c.Sets * c.Ways }
 
-func (c Config) validate() error {
+// Validate reports a geometry or policy the cache cannot be built with.
+func (c Config) Validate() error {
 	if c.Sets <= 0 || c.Sets&(c.Sets-1) != 0 {
 		return fmt.Errorf("tlb: %s: sets must be a positive power of two, got %d", c.Name, c.Sets)
 	}
@@ -158,7 +159,7 @@ type Cache struct {
 // is always a programming error in this codebase (configurations are
 // constructed from validated public API types).
 func New(cfg Config) *Cache {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	c := &Cache{cfg: cfg, sets: make([][]slot, cfg.Sets)}
