@@ -18,7 +18,6 @@ package collector
 
 import (
 	"fmt"
-	"math/rand"
 
 	"hypertrio/internal/mem"
 	"hypertrio/internal/trace"
@@ -106,16 +105,17 @@ func (c *Collector) Collect(n int) ([]TenantLog, error) {
 }
 
 // Merge is the Trace Constructor applied to recorded logs: it interleaves
-// the tenants' packet streams (round-robin or random with the configured
-// burst) and stops at the edge effect — the first exhausted log ends the
-// trace so every modeled tenant stays active throughout.
+// the tenants' packet streams with trace's arbiter (round-robin or random
+// with the configured burst) and stops at the edge effect — the first
+// exhausted log ends the trace so every modeled tenant stays active
+// throughout.
 func Merge(logs []TenantLog, benchmark workload.Kind, profile workload.Profile,
 	iv trace.Interleave, seed int64, scale float64) (*trace.Trace, error) {
 	if len(logs) == 0 {
 		return nil, fmt.Errorf("collector: no logs to merge")
 	}
-	if iv.Burst <= 0 {
-		return nil, fmt.Errorf("collector: interleave burst must be positive")
+	if err := iv.Validate(); err != nil {
+		return nil, err
 	}
 	for i, l := range logs {
 		if int(l.SID) != i+1 {
@@ -125,39 +125,27 @@ func Merge(logs []TenantLog, benchmark workload.Kind, profile workload.Profile,
 			return nil, fmt.Errorf("collector: log for SID %d is empty", l.SID)
 		}
 	}
-	tr := &trace.Trace{
+	tr := &trace.Trace{Meta: trace.Meta{
 		Benchmark:  benchmark,
 		Interleave: iv,
 		Tenants:    len(logs),
 		Seed:       seed,
 		Scale:      scale,
 		Profile:    profile,
-	}
-	stats := make([]trace.TenantStat, len(logs))
-	cursors := make([]int, len(logs))
+	}}
+	tr.Stats = make([]trace.TenantStat, len(logs))
 	for i, l := range logs {
-		stats[i] = trace.TenantStat{SID: l.SID, Budget: l.Budget}
+		tr.Stats[i] = trace.TenantStat{SID: l.SID, Budget: l.Budget}
 	}
-	rng := rand.New(rand.NewSource(seed ^ 0x7261_6e64))
-	cur := 0
-loop:
+	arb := trace.NewArbiter(iv, seed, len(logs))
 	for {
-		if iv.Kind == trace.Random {
-			cur = rng.Intn(len(logs))
+		t := arb.Next()
+		st := &tr.Stats[t]
+		if st.Packets == len(logs[t].Packets) {
+			return tr, nil // edge effect
 		}
-		for b := 0; b < iv.Burst; b++ {
-			if cursors[cur] >= len(logs[cur].Packets) {
-				break loop // edge effect
-			}
-			tr.Packets = append(tr.Packets, logs[cur].Packets[cursors[cur]])
-			cursors[cur]++
-			stats[cur].Packets++
-			stats[cur].Consumed += workload.RequestsPerPacket
-		}
-		if iv.Kind == trace.RoundRobin {
-			cur = (cur + 1) % len(logs)
-		}
+		tr.Packets = append(tr.Packets, logs[t].Packets[st.Packets])
+		st.Packets++
+		st.Consumed += workload.RequestsPerPacket
 	}
-	tr.Stats = stats
-	return tr, nil
 }

@@ -1,12 +1,11 @@
 package collector
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 
 	"hypertrio/internal/mem"
+	"hypertrio/internal/trace"
 	"hypertrio/internal/workload"
 )
 
@@ -19,8 +18,8 @@ import (
 //	version uvarint
 //	run     uvarint
 //	logs    uvarint
-//	per log: slot, sid, budget, packet count (uvarints), then packets as
-//	         ring-delta, data, unmap (+shift byte when unmap != 0)
+//	per log: slot, sid, budget, packet count (uvarints), then packets in
+//	         the packet record shared with HSIO traces (trace.Encoder)
 
 const (
 	logMagic   = "HLOG"
@@ -29,145 +28,44 @@ const (
 
 // WriteLogs serializes one run's logs.
 func WriteLogs(w io.Writer, run int, logs []TenantLog) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(logMagic); err != nil {
-		return err
-	}
-	var scratch [binary.MaxVarintLen64]byte
-	put := func(v uint64) error {
-		n := binary.PutUvarint(scratch[:], v)
-		_, err := bw.Write(scratch[:n])
-		return err
-	}
-	if err := put(logVersion); err != nil {
-		return err
-	}
-	if err := put(uint64(run)); err != nil {
-		return err
-	}
-	if err := put(uint64(len(logs))); err != nil {
-		return err
-	}
 	for _, l := range logs {
 		if l.Run != run {
 			return fmt.Errorf("collector: log for SID %d belongs to run %d, writing run %d", l.SID, l.Run, run)
 		}
-		if err := put(uint64(l.Slot)); err != nil {
-			return err
-		}
-		if err := put(uint64(l.SID)); err != nil {
-			return err
-		}
-		if err := put(uint64(l.Budget)); err != nil {
-			return err
-		}
-		if err := put(uint64(len(l.Packets))); err != nil {
-			return err
-		}
+	}
+	e := trace.NewEncoder(w, logMagic, logVersion)
+	e.Uvarint(uint64(run))
+	e.Uvarint(uint64(len(logs)))
+	for _, l := range logs {
+		e.Uvarint(uint64(l.Slot))
+		e.Uvarint(uint64(l.SID))
+		e.Uvarint(uint64(l.Budget))
+		e.Uvarint(uint64(len(l.Packets)))
 		for _, p := range l.Packets {
-			if err := put(p.Ring - workload.RingIOVA); err != nil {
-				return err
-			}
-			if err := put(p.Data); err != nil {
-				return err
-			}
-			if err := put(p.UnmapIOVA); err != nil {
-				return err
-			}
-			if p.UnmapIOVA != 0 {
-				if err := bw.WriteByte(p.UnmapShift); err != nil {
-					return err
-				}
-			}
+			e.Packet(p)
 		}
 	}
-	return bw.Flush()
+	return e.Flush()
 }
 
 // ReadLogs deserializes one run's logs.
 func ReadLogs(r io.Reader) (run int, logs []TenantLog, err error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, 4)
-	if _, err = io.ReadFull(br, head); err != nil {
-		return 0, nil, fmt.Errorf("collector: reading magic: %w", err)
-	}
-	if string(head) != logMagic {
-		return 0, nil, fmt.Errorf("collector: bad magic %q", head)
-	}
-	get := func() (uint64, error) { return binary.ReadUvarint(br) }
-	ver, err := get()
+	d, err := trace.NewDecoder(r, logMagic, logVersion)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, fmt.Errorf("collector: %w", err)
 	}
-	if ver != logVersion {
-		return 0, nil, fmt.Errorf("collector: unsupported log version %d", ver)
-	}
-	runU, err := get()
-	if err != nil {
-		return 0, nil, err
-	}
-	run = int(runU)
-	count, err := get()
-	if err != nil {
-		return 0, nil, err
-	}
+	run = int(d.Uvarint())
+	count := d.Uvarint()
 	if count > MaxSlotsPerRun {
 		return 0, nil, fmt.Errorf("collector: %d logs in one run (max %d)", count, MaxSlotsPerRun)
 	}
-	logs = make([]TenantLog, count)
-	for i := range logs {
-		slot, err := get()
-		if err != nil {
-			return 0, nil, err
-		}
-		sid, err := get()
-		if err != nil {
-			return 0, nil, err
-		}
-		budget, err := get()
-		if err != nil {
-			return 0, nil, err
-		}
-		npkts, err := get()
-		if err != nil {
-			return 0, nil, err
-		}
-		if npkts > 1<<31 {
-			return 0, nil, fmt.Errorf("collector: implausible packet count %d", npkts)
-		}
-		l := TenantLog{Run: run, Slot: int(slot), SID: mem.SID(sid), Budget: int(budget)}
-		l.Packets = make([]workload.Packet, npkts)
-		for j := range l.Packets {
-			ring, err := get()
-			if err != nil {
-				return 0, nil, err
-			}
-			data, err := get()
-			if err != nil {
-				return 0, nil, err
-			}
-			unmap, err := get()
-			if err != nil {
-				return 0, nil, err
-			}
-			ringAddr := workload.RingIOVA + ring
-			p := workload.Packet{
-				SID:       l.SID,
-				Ring:      ringAddr,
-				Data:      data,
-				Mailbox:   ringAddr&^uint64(mem.PageSize-1) + mem.PageSize,
-				UnmapIOVA: unmap,
-			}
-			if unmap != 0 {
-				shift, err := br.ReadByte()
-				if err != nil {
-					return 0, nil, err
-				}
-				p.UnmapShift = shift
-			}
-			l.Packets[j] = p
-		}
-		logs[i] = l
+	logs = trace.Records(d, count, func(d *trace.Decoder) TenantLog {
+		l := TenantLog{Run: run, Slot: int(d.Uvarint()), SID: mem.SID(d.Uvarint()), Budget: int(d.Uvarint())}
+		l.Packets = trace.Records(d, d.Uvarint(), func(d *trace.Decoder) workload.Packet { return d.Packet(l.SID) })
+		return l
+	})
+	if err := d.Err(); err != nil {
+		return 0, nil, fmt.Errorf("collector: %w", err)
 	}
 	return run, logs, nil
 }

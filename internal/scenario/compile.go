@@ -180,7 +180,7 @@ func (c *Compiled) composePlan() (*fault.Plan, error) {
 
 // Stream returns a fresh online source over the scenario's population
 // (O(tenants) memory; single-consumer, so every cell gets its own).
-func (c *Compiled) Stream() (*trace.MixStream, error) {
+func (c *Compiled) Stream() (*trace.Stream, error) {
 	return trace.NewMixStream(c.Mix)
 }
 

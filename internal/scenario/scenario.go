@@ -4,8 +4,9 @@
 // fault plans. A Scenario is a deterministic composition of
 //
 //   - tenant classes: per-class workload mixes over contiguous SID
-//     ranges (reusing trace.MixStream, so scenarios stream at 10⁶
-//     tenants in O(tenants) memory),
+//     ranges (built by trace.NewMixStream, the same Stream a uniform
+//     trace uses, so scenarios stream at 10⁶ tenants in O(tenants)
+//     memory),
 //   - adversary roles: a noisy-neighbor heavy-hitter that over-occupies
 //     arbitration slots, or a SID-flood thrasher whose access pattern
 //     sweeps the shared IOTLB,

@@ -384,7 +384,7 @@ func TestApply(t *testing.T) {
 
 var _ core.ArrivalShaper = (*Shaper)(nil)
 
-var _ trace.Source = (*trace.MixStream)(nil)
+var _ trace.Source = (*trace.Stream)(nil)
 
 // SID range bookkeeping stays consistent with mem.SID arithmetic.
 func TestClassRangeSIDType(t *testing.T) {

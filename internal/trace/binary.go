@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -19,8 +17,7 @@ import (
 //	        tenants varint, seed varint (zigzag), scale float64,
 //	        packet count varint, tenant-stat count varint
 //	tenant stats: sid, budget, consumed, packets (varints)
-//	packets: sid varint, ring-delta varint, data varint, unmap varint,
-//	         unmap shift uint8 (only when unmap != 0; presence flagged)
+//	packets: sid varint, then the shared packet record (codec.go)
 //
 // The format favours compactness (varints, per-field deltas) so that
 // paper-scale traces (~70M requests) remain practical on disk.
@@ -32,42 +29,13 @@ const (
 
 // Write serializes the trace to w.
 func Write(w io.Writer, t *Trace) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magic); err != nil {
-		return err
-	}
-	var scratch [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) error {
-		n := binary.PutUvarint(scratch[:], v)
-		_, err := bw.Write(scratch[:n])
-		return err
-	}
-	putVarint := func(v int64) error {
-		n := binary.PutVarint(scratch[:], v)
-		_, err := bw.Write(scratch[:n])
-		return err
-	}
-	if err := putUvarint(version); err != nil {
-		return err
-	}
-	if err := bw.WriteByte(byte(t.Benchmark)); err != nil {
-		return err
-	}
-	if err := bw.WriteByte(byte(t.Interleave.Kind)); err != nil {
-		return err
-	}
-	if err := putUvarint(uint64(t.Interleave.Burst)); err != nil {
-		return err
-	}
-	if err := putUvarint(uint64(t.Tenants)); err != nil {
-		return err
-	}
-	if err := putVarint(t.Seed); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, math.Float64bits(t.Scale)); err != nil {
-		return err
-	}
+	e := NewEncoder(w, magic, version)
+	e.Byte(byte(t.Benchmark))
+	e.Byte(byte(t.Interleave.Kind))
+	e.Uvarint(uint64(t.Interleave.Burst))
+	e.Uvarint(uint64(t.Tenants))
+	e.Varint(t.Seed)
+	e.Fixed64(math.Float64bits(t.Scale))
 	// Effective workload profile (drives page-table construction on
 	// replay); Kind is implied by the header's benchmark byte.
 	smallData := uint64(0)
@@ -82,185 +50,61 @@ func Write(w io.Writer, t *Trace) error {
 		uint64(t.Profile.MinRequests), uint64(t.Profile.MaxRequests),
 		smallData,
 	} {
-		if err := putUvarint(v); err != nil {
-			return err
-		}
+		e.Uvarint(v)
 	}
-	if err := putUvarint(uint64(len(t.Packets))); err != nil {
-		return err
-	}
-	if err := putUvarint(uint64(len(t.Stats))); err != nil {
-		return err
-	}
+	e.Uvarint(uint64(len(t.Packets)))
+	e.Uvarint(uint64(len(t.Stats)))
 	for _, s := range t.Stats {
-		if err := putUvarint(uint64(s.SID)); err != nil {
-			return err
-		}
-		if err := putUvarint(uint64(s.Budget)); err != nil {
-			return err
-		}
-		if err := putUvarint(uint64(s.Consumed)); err != nil {
-			return err
-		}
-		if err := putUvarint(uint64(s.Packets)); err != nil {
-			return err
-		}
+		e.Uvarint(uint64(s.SID))
+		e.Uvarint(uint64(s.Budget))
+		e.Uvarint(uint64(s.Consumed))
+		e.Uvarint(uint64(s.Packets))
 	}
 	for _, p := range t.Packets {
-		if err := putUvarint(uint64(p.SID)); err != nil {
-			return err
-		}
-		if err := putUvarint(p.Ring - workload.RingIOVA); err != nil {
-			return err
-		}
-		if err := putUvarint(p.Data); err != nil {
-			return err
-		}
-		if err := putUvarint(p.UnmapIOVA); err != nil {
-			return err
-		}
-		if p.UnmapIOVA != 0 {
-			if err := bw.WriteByte(p.UnmapShift); err != nil {
-				return err
-			}
-		}
+		e.Uvarint(uint64(p.SID))
+		e.Packet(p)
 	}
-	return bw.Flush()
+	return e.Flush()
 }
 
 // Read deserializes a trace written by Write.
 func Read(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, 4)
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	if string(head) != magic {
-		return nil, fmt.Errorf("trace: bad magic %q", head)
-	}
-	ver, err := binary.ReadUvarint(br)
+	d, err := NewDecoder(r, magic, version)
 	if err != nil {
-		return nil, err
-	}
-	if ver != version {
-		return nil, fmt.Errorf("trace: unsupported version %d", ver)
+		return nil, fmt.Errorf("trace: %w", err)
 	}
 	t := &Trace{}
-	b, err := br.ReadByte()
-	if err != nil {
-		return nil, err
+	t.Benchmark = workload.Kind(d.Byte())
+	t.Interleave.Kind = InterleaveKind(d.Byte())
+	t.Interleave.Burst = int(d.Uvarint())
+	t.Tenants = int(d.Uvarint())
+	t.Seed = d.Varint()
+	t.Scale = math.Float64frombits(d.Fixed64())
+	t.Profile = workload.Profile{
+		Kind:             t.Benchmark,
+		DataPages:        int(d.Uvarint()),
+		Streams:          int(d.Uvarint()),
+		BackgroundChance: uint8(d.Uvarint()),
+		RunLength:        int(d.Uvarint()),
+		InitPages:        int(d.Uvarint()),
+		InitTouches:      int(d.Uvarint()),
+		JumpChance:       uint8(d.Uvarint()),
+		MinRequests:      int(d.Uvarint()),
+		MaxRequests:      int(d.Uvarint()),
+		SmallData:        d.Uvarint() != 0,
 	}
-	t.Benchmark = workload.Kind(b)
-	if b, err = br.ReadByte(); err != nil {
-		return nil, err
+	npkts, nstats := d.Uvarint(), d.Uvarint()
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("trace: reading header: %w", err)
 	}
-	t.Interleave.Kind = InterleaveKind(b)
-	burst, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	t.Interleave.Burst = int(burst)
-	tenants, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	t.Tenants = int(tenants)
-	if t.Seed, err = binary.ReadVarint(br); err != nil {
-		return nil, err
-	}
-	var scaleBits uint64
-	if err := binary.Read(br, binary.LittleEndian, &scaleBits); err != nil {
-		return nil, err
-	}
-	t.Scale = math.Float64frombits(scaleBits)
-	t.Profile.Kind = t.Benchmark
-	var pf [10]uint64
-	for i := range pf {
-		if pf[i], err = binary.ReadUvarint(br); err != nil {
-			return nil, err
-		}
-	}
-	t.Profile.DataPages = int(pf[0])
-	t.Profile.Streams = int(pf[1])
-	t.Profile.BackgroundChance = uint8(pf[2])
-	t.Profile.RunLength = int(pf[3])
-	t.Profile.InitPages = int(pf[4])
-	t.Profile.InitTouches = int(pf[5])
-	t.Profile.JumpChance = uint8(pf[6])
-	t.Profile.MinRequests = int(pf[7])
-	t.Profile.MaxRequests = int(pf[8])
-	t.Profile.SmallData = pf[9] != 0
-	npkts, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	nstats, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	const maxReasonable = 1 << 31
-	if npkts > maxReasonable || nstats > maxReasonable {
-		return nil, fmt.Errorf("trace: implausible counts (%d packets, %d stats)", npkts, nstats)
-	}
-	// Grow the slices as records actually arrive instead of trusting the
-	// declared counts: a corrupt or hostile header can claim 2^31 records
-	// while the body holds none, and a single up-front make() of that size
-	// would allocate gigabytes before the first read error surfaces.
-	const initialCap = 4096
-	t.Stats = make([]TenantStat, 0, min(nstats, initialCap))
-	for i := uint64(0); i < nstats; i++ {
-		sid, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		budget, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		consumed, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		pkts, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		t.Stats = append(t.Stats, TenantStat{SID: mem.SID(sid), Budget: int(budget), Consumed: int(consumed), Packets: int(pkts)})
-	}
-	t.Packets = make([]workload.Packet, 0, min(npkts, initialCap))
-	for i := uint64(0); i < npkts; i++ {
-		sid, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		ring, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		data, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		unmap, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		ringAddr := workload.RingIOVA + ring
-		p := workload.Packet{
-			SID:       mem.SID(sid),
-			Ring:      ringAddr,
-			Data:      data,
-			Mailbox:   ringAddr&^uint64(mem.PageSize-1) + mem.PageSize,
-			UnmapIOVA: unmap,
-		}
-		if unmap != 0 {
-			shift, err := br.ReadByte()
-			if err != nil {
-				return nil, err
-			}
-			p.UnmapShift = shift
-		}
-		t.Packets = append(t.Packets, p)
+	t.Stats = Records(d, nstats, func(d *Decoder) TenantStat {
+		return TenantStat{SID: mem.SID(d.Uvarint()), Budget: int(d.Uvarint()), Consumed: int(d.Uvarint()), Packets: int(d.Uvarint())}
+	})
+	t.Packets = Records(d, npkts, func(d *Decoder) workload.Packet {
+		return d.Packet(mem.SID(d.Uvarint()))
+	})
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
 	}
 	return t, nil
 }

@@ -58,17 +58,7 @@ type TraceSource struct {
 func (t *Trace) Source() *TraceSource { return &TraceSource{tr: t} }
 
 // Meta returns the trace's identity.
-func (s *TraceSource) Meta() Meta {
-	return Meta{
-		Benchmark:  s.tr.Benchmark,
-		Interleave: s.tr.Interleave,
-		Tenants:    s.tr.Tenants,
-		Seed:       s.tr.Seed,
-		Scale:      s.tr.Scale,
-		Profile:    s.tr.Profile,
-		Classes:    s.tr.Classes,
-	}
-}
+func (s *TraceSource) Meta() Meta { return s.tr.Meta }
 
 // Next returns the next packet of the trace.
 func (s *TraceSource) Next() (workload.Packet, bool) {

@@ -1,33 +1,31 @@
 package trace
 
 import (
-	"math/rand"
-
 	"hypertrio/internal/mem"
 	"hypertrio/internal/workload"
 )
 
 // Stream is the online hyper-tenant source: it synthesizes the
 // interleaved packet stream on the fly from per-tenant generators instead
-// of materializing it. Memory is O(tenants) — the generators and one
-// interleave RNG — independent of trace length, which is what makes
-// 10⁶-tenant runs possible (a materialized trace at that scale would hold
-// hundreds of millions of packets).
+// of materializing it. Memory is O(tenants) — the generators, their
+// stats and one arbiter — independent of trace length, which is what
+// makes 10⁶-tenant runs possible (a materialized trace at that scale
+// would hold hundreds of millions of packets).
 //
-// Construct drains a Stream to build its *Trace, so a Stream and the
-// materialized trace for the same Config yield the identical packet
-// sequence by construction; the golden suite pins this bit-for-bit.
+// A uniform stream (NewStream) is the one-class, weight-1 case of a
+// mixed population (NewMixStream); both run the same generation loop.
+// Construct and ConstructMix drain a Stream to build their *Trace, so a
+// Stream and the materialized trace of the same config yield the
+// identical packet sequence by construction; the golden suite pins this
+// bit-for-bit.
 type Stream struct {
-	cfg     Config
-	profile workload.Profile
+	meta Meta
+	mix  MixConfig
 
 	gens  []*workload.Generator
 	stats []TenantStat
-	rng   *rand.Rand
-
-	cur       int
-	burstLeft int
-	done      bool
+	arb   *Arbiter
+	done  bool
 }
 
 // NewStream validates the config and builds the online source. The
@@ -44,73 +42,71 @@ func NewStream(c Config) (*Stream, error) {
 			return nil, err
 		}
 	}
-	s := &Stream{cfg: c, profile: profile}
-	s.init()
-	return s, nil
+	return newStream(MixConfig{
+		Classes:    []ClassSpec{{Profile: profile, Tenants: c.Tenants, Scale: c.Scale}},
+		Interleave: c.Interleave,
+		Seed:       c.Seed,
+		RNG:        c.RNG,
+	}, Meta{
+		Benchmark:  c.Benchmark,
+		Interleave: c.Interleave,
+		Tenants:    c.Tenants,
+		Seed:       c.Seed,
+		Scale:      c.Scale,
+		Profile:    profile,
+	}), nil
 }
 
-// init (re)builds the generator population and interleave state; Reset
-// reuses it to rewind to the identical stream.
-func (s *Stream) init() {
-	c := s.cfg
-	if s.gens == nil {
-		s.gens = make([]*workload.Generator, c.Tenants)
-		s.stats = make([]TenantStat, c.Tenants)
+func newStream(c MixConfig, meta Meta) *Stream {
+	s := &Stream{
+		meta:  meta,
+		mix:   c,
+		gens:  make([]*workload.Generator, meta.Tenants),
+		stats: make([]TenantStat, meta.Tenants),
+		arb:   newArbiter(c.Interleave, c.Seed, c.Classes),
 	}
-	for i := 0; i < c.Tenants; i++ {
-		sid := mem.SID(i + 1)
-		s.gens[i] = workload.NewGeneratorRNG(s.profile, sid, c.Seed, c.Scale, c.RNG)
-		s.stats[i] = TenantStat{SID: sid, Budget: s.gens[i].Total()}
+	s.Reset()
+	return s
+}
+
+// Reset rewinds the stream to its beginning: generators and the
+// arbiter are re-seeded, so the next pass is identical. SIDs are
+// assigned contiguously in class order starting at 1.
+func (s *Stream) Reset() {
+	i := 0
+	for _, cl := range s.mix.Classes {
+		for range cl.Tenants {
+			sid := mem.SID(i + 1)
+			s.gens[i] = workload.NewGeneratorRNG(cl.Profile, sid, s.mix.Seed, cl.Scale, s.mix.RNG)
+			s.stats[i] = TenantStat{SID: sid, Budget: s.gens[i].Total()}
+			i++
+		}
 	}
-	s.rng = rand.New(rand.NewSource(c.Seed ^ 0x7261_6e64))
-	s.cur, s.burstLeft, s.done = 0, 0, false
+	s.arb.reset()
+	s.done = false
 }
 
 // Meta returns the stream's identity.
-func (s *Stream) Meta() Meta {
-	return Meta{
-		Benchmark:  s.cfg.Benchmark,
-		Interleave: s.cfg.Interleave,
-		Tenants:    s.cfg.Tenants,
-		Seed:       s.cfg.Seed,
-		Scale:      s.cfg.Scale,
-		Profile:    s.profile,
-	}
-}
+func (s *Stream) Meta() Meta { return s.meta }
 
-// Next synthesizes the next packet of the interleaved stream. The
-// interleave logic mirrors Construct's loop exactly: round-robin advances
-// the tenant cursor after each full burst, random draws a tenant per
-// burst, and the first exhausted tenant ends the stream (the paper's
-// edge-effect truncation, §IV-B).
+// Next synthesizes the next packet of the interleaved stream: the
+// arbiter picks the tenant, and the first exhausted tenant ends the
+// stream (the paper's edge-effect truncation, §IV-B).
 func (s *Stream) Next() (workload.Packet, bool) {
 	if s.done {
 		return workload.Packet{}, false
 	}
-	if s.burstLeft == 0 {
-		if s.cfg.Interleave.Kind == Random {
-			s.cur = s.rng.Intn(s.cfg.Tenants)
-		}
-		s.burstLeft = s.cfg.Interleave.Burst
-	}
-	pkt, ok := s.gens[s.cur].Next()
+	t := s.arb.Next()
+	pkt, ok := s.gens[t].Next()
 	if !ok {
 		s.done = true
 		return workload.Packet{}, false
 	}
-	st := &s.stats[s.cur]
+	st := &s.stats[t]
 	st.Packets++
 	st.Consumed += workload.RequestsPerPacket
-	s.burstLeft--
-	if s.burstLeft == 0 && s.cfg.Interleave.Kind == RoundRobin {
-		s.cur = (s.cur + 1) % s.cfg.Tenants
-	}
 	return pkt, true
 }
-
-// Reset rewinds the stream to its beginning: generators and the
-// interleave RNG are re-seeded, so the next pass is identical.
-func (s *Stream) Reset() { s.init() }
 
 // Materialized returns nil: the stream never holds the whole sequence.
 func (s *Stream) Materialized() *Trace { return nil }
@@ -120,17 +116,21 @@ func (s *Stream) Materialized() *Trace { return nil }
 // stream is drained). The returned slice is the stream's live state.
 func (s *Stream) TenantStats() []TenantStat { return s.stats }
 
-// MinBudget returns the smallest per-tenant request budget — the bound on
-// stream length imposed by the edge-effect truncation.
-func (s *Stream) MinBudget() int {
-	if len(s.stats) == 0 {
-		return 0
+// drain materializes a stream: the one path from online source to
+// *Trace, shared by Construct and ConstructMix.
+func drain(s *Stream, err error) (*Trace, error) {
+	if err != nil {
+		return nil, err
 	}
-	min := s.stats[0].Budget
-	for _, st := range s.stats[1:] {
-		if st.Budget < min {
-			min = st.Budget
+	// Pre-size: the shortest budget bounds the trace length.
+	tr := &Trace{Meta: s.meta, Packets: make([]workload.Packet, 0, (minBudget(s.stats)/workload.RequestsPerPacket)*s.meta.Tenants)}
+	for {
+		pkt, ok := s.Next()
+		if !ok {
+			break
 		}
+		tr.Packets = append(tr.Packets, pkt)
 	}
-	return min
+	tr.Stats = s.stats
+	return tr, nil
 }

@@ -52,6 +52,14 @@ var (
 // String renders the paper's notation, e.g. "RR4".
 func (iv Interleave) String() string { return fmt.Sprintf("%v%d", iv.Kind, iv.Burst) }
 
+// Validate rejects a burst below one.
+func (iv Interleave) Validate() error {
+	if iv.Burst <= 0 {
+		return fmt.Errorf("trace: interleave burst must be positive")
+	}
+	return nil
+}
+
 // ParseInterleave accepts "RR1", "rr4", "RAND1", ...
 func ParseInterleave(s string) (Interleave, error) {
 	var kind InterleaveKind
@@ -79,7 +87,11 @@ type TenantStat struct {
 	Packets  int
 }
 
-// Trace is a constructed hyper-tenant trace plus its metadata.
+// Trace is a constructed hyper-tenant trace: the identity of its
+// stream (Meta, whose fields read as tr.Benchmark, tr.Tenants, ...) plus
+// the packets and per-tenant accounting. Meta.Classes is not part of the
+// binary serialization format — mixes are regenerated from their
+// scenario, never shipped as trace files.
 //
 // Immutability contract: a Trace is frozen the moment Construct (or
 // binary decoding) returns. Nothing in this module writes to Packets,
@@ -91,22 +103,7 @@ type TenantStat struct {
 // that sweeps it (TestSharedTraceConcurrentRuns proves the contract
 // under the race detector).
 type Trace struct {
-	Benchmark  workload.Kind
-	Interleave Interleave
-	Tenants    int
-	Seed       int64
-	Scale      float64
-	// Profile is the effective per-tenant workload calibration the trace
-	// was generated with; the performance model builds matching address
-	// spaces from it.
-	Profile workload.Profile
-	// Classes, when non-empty, partitions the tenant population into
-	// contiguous per-class SID ranges (mixed-population traces built by
-	// ConstructMix); empty for uniform single-profile traces. Not part of
-	// the binary serialization format — mixes are regenerated from their
-	// scenario, never shipped as trace files.
-	Classes []TenantClass
-
+	Meta
 	Packets []workload.Packet
 	Stats   []TenantStat
 }
@@ -128,12 +125,16 @@ func (t *Trace) MaxTenantBudget() int {
 	return max
 }
 
-func (t *Trace) MinTenantBudget() int {
-	if len(t.Stats) == 0 {
+func (t *Trace) MinTenantBudget() int { return minBudget(t.Stats) }
+
+// minBudget is the smallest per-tenant request budget — the edge-effect
+// bound on stream length.
+func minBudget(stats []TenantStat) int {
+	if len(stats) == 0 {
 		return 0
 	}
-	min := t.Stats[0].Budget
-	for _, s := range t.Stats[1:] {
+	min := stats[0].Budget
+	for _, s := range stats[1:] {
 		if s.Budget < min {
 			min = s.Budget
 		}
@@ -167,8 +168,8 @@ func (c Config) validate() error {
 	if c.Tenants <= 0 {
 		return fmt.Errorf("trace: tenants must be positive, got %d", c.Tenants)
 	}
-	if c.Interleave.Burst <= 0 {
-		return fmt.Errorf("trace: interleave burst must be positive")
+	if err := c.Interleave.Validate(); err != nil {
+		return err
 	}
 	if c.Scale <= 0 || c.Scale > 1 {
 		return fmt.Errorf("trace: scale must be in (0,1], got %v", c.Scale)
@@ -180,36 +181,7 @@ func (c Config) validate() error {
 // Generation stops the moment any tenant's generator is exhausted — the
 // paper's edge-effect rule, which keeps every modeled tenant active for
 // the whole trace.
-func Construct(c Config) (*Trace, error) {
-	// Construct is the materializing consumer of the online Stream: it
-	// drains the source into a packet slice. One generation path serves
-	// both modes, so a Stream and the materialized trace of the same
-	// Config agree bit-for-bit by construction.
-	src, err := NewStream(c)
-	if err != nil {
-		return nil, err
-	}
-	meta := src.Meta()
-	tr := &Trace{
-		Benchmark:  meta.Benchmark,
-		Interleave: meta.Interleave,
-		Tenants:    meta.Tenants,
-		Seed:       meta.Seed,
-		Scale:      meta.Scale,
-		Profile:    meta.Profile,
-	}
-	// Pre-size: the shortest budget bounds the trace length.
-	tr.Packets = make([]workload.Packet, 0, (src.MinBudget()/workload.RequestsPerPacket)*c.Tenants)
-	for {
-		pkt, ok := src.Next()
-		if !ok {
-			break
-		}
-		tr.Packets = append(tr.Packets, pkt)
-	}
-	tr.Stats = src.TenantStats()
-	return tr, nil
-}
+func Construct(c Config) (*Trace, error) { return drain(NewStream(c)) }
 
 // RequestType labels the three translations of one packet.
 type RequestType uint8
