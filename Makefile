@@ -57,13 +57,14 @@ cover-check:
 	  || { echo "coverage $${total}% is below the $(COVER_FLOOR)% floor"; exit 1; }
 
 # Fuzz smoke: five seconds of coverage-guided fuzzing on each target
-# (the hardened binary-trace decoder, the SID predictor, the
-# timing-wheel-vs-reference-heap scheduler equivalence, and the
-# scenario and fault-plan JSON codec round-trips). The committed
+# (the hardened binary-trace and HLOG run-log decoders, the SID
+# predictor, the timing-wheel-vs-reference-heap scheduler equivalence,
+# and the scenario and fault-plan JSON codec round-trips). The committed
 # seed corpora under testdata/fuzz/ also replay in every ordinary
 # `go test` run.
 fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReadBinary -fuzztime 5s
+	$(GO) test ./internal/collector -run '^$$' -fuzz FuzzReadLogs -fuzztime 5s
 	$(GO) test ./internal/device -run '^$$' -fuzz FuzzPredictor -fuzztime 5s
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEngineMatchesHeapRef -fuzztime 5s
 	$(GO) test ./internal/scenario -run '^$$' -fuzz FuzzScenarioCodec -fuzztime 5s

@@ -256,6 +256,27 @@ func writeTestTrace(path string) error {
 	return writeTrace(f, tr)
 }
 
+// writeMutatedTrace writes the 4-tenant test trace after mutate and
+// returns its path: the crafted-replay-file cases.
+func writeMutatedTrace(t *testing.T, mutate func(*trace.Trace)) string {
+	t.Helper()
+	tr, err := buildTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutate(tr)
+	path := filepath.Join(t.TempDir(), "crafted.hsio")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := writeTrace(f, tr); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // writePlan writes a small valid fault plan and returns its path.
 func writePlan(t *testing.T) string {
 	t.Helper()
@@ -391,6 +412,12 @@ func TestCLIExitCodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	small := []string{"-tenants", "4", "-scale", "0.002"}
+	badSID := writeMutatedTrace(t, func(tr *trace.Trace) { tr.Packets[len(tr.Packets)/2].SID = 9 })
+	hugeTenants := writeMutatedTrace(t, func(tr *trace.Trace) { tr.Tenants = 1 << 30 })
+	badBenchmark := writeMutatedTrace(t, func(tr *trace.Trace) {
+		tr.Benchmark = 9
+		tr.Profile = hypertrio.Profile{}
+	})
 	cases := []struct {
 		name string
 		args []string
@@ -414,6 +441,9 @@ func TestCLIExitCodes(t *testing.T) {
 		{"faulted run", append(small, "-faults", plan), 0},
 		{"bad cpuprofile path", append(small, "-cpuprofile", "/nonexistent/dir/cpu.pprof"), 1},
 		{"bad memprofile path", append(small, "-memprofile", "/nonexistent/dir/mem.pprof"), 1},
+		{"replay packet SID beyond tenants", []string{"-replay", badSID}, 1},
+		{"replay 2^30 tenants with 4 stats", []string{"-replay", hugeTenants}, 1},
+		{"replay unknown benchmark", []string{"-replay", badBenchmark}, 1},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -76,6 +76,14 @@ func TestMergeErrors(t *testing.T) {
 	if err := mergeLogs(t.TempDir(), "bogus", "RR1", "", 1, 0.01); err == nil {
 		t.Error("bad benchmark accepted")
 	}
+	// One log declaring 2^31 packets and carrying none.
+	huge := t.TempDir()
+	if err := os.WriteFile(filepath.Join(huge, "run000.hlog"), []byte("HLOG\x01\x00\x01\x01\x01\x00\x80\x80\x80\x80\x08"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := mergeLogs(huge, "iperf3", "RR1", "", 1, 0.01); err == nil {
+		t.Error("log declaring 2^31 absent packets accepted")
+	}
 }
 
 // TestShapeValidation pins the upfront input validation: degenerate

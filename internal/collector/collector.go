@@ -114,6 +114,9 @@ func Merge(logs []TenantLog, benchmark workload.Kind, profile workload.Profile,
 	if len(logs) == 0 {
 		return nil, fmt.Errorf("collector: no logs to merge")
 	}
+	if !benchmark.Known() {
+		return nil, fmt.Errorf("collector: unknown benchmark %v", benchmark)
+	}
 	if err := iv.Validate(); err != nil {
 		return nil, err
 	}

@@ -146,6 +146,12 @@ func TestMergeValidation(t *testing.T) {
 	if _, err := Merge(logs, workload.Iperf3, profile, trace.Interleave{Kind: trace.RoundRobin}, 1, 0.001); err == nil {
 		t.Error("zero burst accepted")
 	}
+	if _, err := Merge(logs, workload.Iperf3, profile, trace.Interleave{Kind: 2, Burst: 1}, 1, 0.001); err == nil {
+		t.Error("unknown interleave kind accepted")
+	}
+	if _, err := Merge(logs, 9, profile, trace.RR1, 1, 0.001); err == nil {
+		t.Error("unknown benchmark accepted")
+	}
 }
 
 func TestLogFileRoundTrip(t *testing.T) {
@@ -196,6 +202,9 @@ func TestLogFileRejectsGarbage(t *testing.T) {
 	}
 	if _, _, err := ReadLogs(bytes.NewReader(buf.Bytes()[:buf.Len()/3])); err == nil {
 		t.Fatal("truncated log accepted")
+	}
+	if _, _, err := ReadLogs(bytes.NewReader(hugeCountLog)); err == nil {
+		t.Fatal("log declaring 2^31 absent packets accepted")
 	}
 	// Writing a log under the wrong run id is rejected.
 	if err := WriteLogs(&bytes.Buffer{}, 7, logs); err == nil {

@@ -15,7 +15,7 @@ var update = flag.Bool("update", false, "rewrite the byte goldens under testdata
 // goldenLogs are the logs behind testdata/iperf3-4t.hlog: one run of
 // four small-data iperf3 tenants, whose short buffer runs put unmap
 // records (and their shift byte) into the file.
-func goldenLogs(t *testing.T) []TenantLog {
+func goldenLogs(t testing.TB) []TenantLog {
 	t.Helper()
 	c, err := New(workload.SmallDataVariant(workload.ProfileFor(workload.Iperf3)), 42, 0.002)
 	if err != nil {

@@ -11,13 +11,13 @@ import "math/rand"
 // keeps no per-tenant state: a draw walks the classes, not the tenants.
 type Arbiter struct {
 	iv    Interleave
-	seed  int64
+	seed  int64 // the interleave RNG's seed
 	spans []span
 	sumW  int
 	rng   *rand.Rand
 
 	cur  int // tenant of the current burst
-	cls  int // class of cur
+	cls  int // class of cur (round-robin only)
 	left int // packets left in the current burst
 }
 
@@ -31,7 +31,8 @@ func NewArbiter(iv Interleave, seed int64, n int) *Arbiter {
 }
 
 func newArbiter(iv Interleave, seed int64, classes []ClassSpec) *Arbiter {
-	a := &Arbiter{iv: iv, seed: seed, rng: rand.New(rand.NewSource(seed ^ 0x7261_6e64))}
+	a := &Arbiter{iv: iv, seed: seed ^ 0x7261_6e64}
+	a.rng = rand.New(rand.NewSource(a.seed))
 	end := 0
 	for _, cl := range classes {
 		w := max(cl.Weight, 1)
@@ -44,7 +45,7 @@ func newArbiter(iv Interleave, seed int64, classes []ClassSpec) *Arbiter {
 
 // reset rewinds to the start of the identical arbitration sequence.
 func (a *Arbiter) reset() {
-	a.rng.Seed(a.seed ^ 0x7261_6e64)
+	a.rng.Seed(a.seed)
 	a.cur, a.cls, a.left = 0, 0, 0
 }
 
@@ -77,10 +78,10 @@ func (a *Arbiter) Next() int {
 // weight(i)/sumW; the span walk finds the run in O(classes).
 func (a *Arbiter) draw() {
 	d, start := a.rng.Intn(a.sumW), 0
-	for i, s := range a.spans {
+	for _, s := range a.spans {
 		w := (s.end - start) * s.weight
 		if d < w {
-			a.cur, a.cls = start+d/s.weight, i
+			a.cur = start + d/s.weight
 			return
 		}
 		d -= w

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -26,6 +27,12 @@ const (
 	magic   = "HSIO"
 	version = 1
 )
+
+// ErrMalformed reports a trace file whose header or records are
+// well-formed varints but describe no trace the constructor can build:
+// an unknown benchmark or interleaving, a zero burst, a stat count that
+// is not the tenant count, or a packet SID outside 1..Tenants.
+var ErrMalformed = errors.New("malformed trace")
 
 // Write serializes the trace to w.
 func Write(w io.Writer, t *Trace) error {
@@ -67,7 +74,9 @@ func Write(w io.Writer, t *Trace) error {
 	return e.Flush()
 }
 
-// Read deserializes a trace written by Write.
+// Read deserializes a trace written by Write. A file that decodes but
+// describes no constructible trace fails with an error wrapping
+// ErrMalformed, so a replay never reaches the model with it.
 func Read(r io.Reader) (*Trace, error) {
 	d, err := NewDecoder(r, magic, version)
 	if err != nil {
@@ -77,7 +86,8 @@ func Read(r io.Reader) (*Trace, error) {
 	t.Benchmark = workload.Kind(d.Byte())
 	t.Interleave.Kind = InterleaveKind(d.Byte())
 	t.Interleave.Burst = int(d.Uvarint())
-	t.Tenants = int(d.Uvarint())
+	tenants := d.Uvarint()
+	t.Tenants = int(tenants)
 	t.Seed = d.Varint()
 	t.Scale = math.Float64frombits(d.Fixed64())
 	t.Profile = workload.Profile{
@@ -97,11 +107,24 @@ func Read(r io.Reader) (*Trace, error) {
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("trace: reading header: %w", err)
 	}
+	if !t.Benchmark.Known() {
+		return nil, fmt.Errorf("trace: %w: unknown benchmark %v", ErrMalformed, t.Benchmark)
+	}
+	if t.Interleave.Validate() != nil {
+		return nil, fmt.Errorf("trace: %w: interleave %v", ErrMalformed, t.Interleave)
+	}
+	if nstats != tenants {
+		return nil, fmt.Errorf("trace: %w: %d tenant stats for %d tenants", ErrMalformed, nstats, tenants)
+	}
 	t.Stats = Records(d, nstats, func(d *Decoder) TenantStat {
 		return TenantStat{SID: mem.SID(d.Uvarint()), Budget: int(d.Uvarint()), Consumed: int(d.Uvarint()), Packets: int(d.Uvarint())}
 	})
 	t.Packets = Records(d, npkts, func(d *Decoder) workload.Packet {
-		return d.Packet(mem.SID(d.Uvarint()))
+		sid := d.Uvarint()
+		if d.err == nil && (sid == 0 || sid > tenants) {
+			d.err = fmt.Errorf("%w: packet SID %d outside 1..%d", ErrMalformed, sid, tenants)
+		}
+		return d.Packet(mem.SID(sid))
 	})
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("trace: %w", err)

@@ -9,8 +9,8 @@ import (
 
 // FuzzReadBinary throws arbitrary bytes at the binary-trace decoder. The
 // decoder must never panic or allocate unboundedly (a hostile header can
-// declare 2^31 records), and anything it accepts must survive a
-// re-encode/re-decode round trip unchanged.
+// declare 2^31 records); anything it accepts must have every packet SID
+// in 1..Tenants and survive a re-encode/re-decode round trip unchanged.
 func FuzzReadBinary(f *testing.F) {
 	tr, err := Construct(Config{
 		Benchmark: workload.Iperf3, Tenants: 2, Interleave: RR1, Seed: 7, Scale: 0.001,
@@ -32,11 +32,19 @@ func FuzzReadBinary(f *testing.F) {
 	// Declared record counts far beyond the bytes that follow.
 	huge := append(append([]byte{}, valid[:20]...), 0xFF, 0xFF, 0xFF, 0xFF, 0x07)
 	f.Add(huge)
+	for _, data := range malformedTraces(f) {
+		f.Add(data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Read(bytes.NewReader(data))
 		if err != nil {
 			return // rejected input: fine, as long as we got here without panicking
+		}
+		for i, p := range got.Packets {
+			if p.SID == 0 || int(p.SID) > got.Tenants {
+				t.Fatalf("accepted packet %d with SID %d outside 1..%d", i, p.SID, got.Tenants)
+			}
 		}
 		var out bytes.Buffer
 		if err := Write(&out, got); err != nil {

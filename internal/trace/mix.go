@@ -73,6 +73,9 @@ func (c MixConfig) validate() error {
 		if cl.Scale <= 0 {
 			return fmt.Errorf("trace: mix class %d (%s): scale must be positive, got %v", i, cl.Name, cl.Scale)
 		}
+		if !cl.Profile.Kind.Known() {
+			return fmt.Errorf("trace: mix class %d (%s): unknown benchmark %v", i, cl.Name, cl.Profile.Kind)
+		}
 		if err := cl.Profile.Validate(); err != nil {
 			return fmt.Errorf("trace: mix class %d (%s): %w", i, cl.Name, err)
 		}

@@ -29,6 +29,8 @@ func TestMixValidation(t *testing.T) {
 		{"zero scale", func(c *MixConfig) { c.Classes[0].Scale = 0 }},
 		{"zero burst", func(c *MixConfig) { c.Interleave.Burst = 0 }},
 		{"bad profile", func(c *MixConfig) { c.Classes[0].Profile.Streams = 0 }},
+		{"unknown interleave kind", func(c *MixConfig) { c.Interleave = Interleave{Kind: 2, Burst: 1} }},
+		{"unknown benchmark", func(c *MixConfig) { c.Classes[1].Profile.Kind = 9 }},
 	}
 	for _, tc := range cases {
 		c := mixTwoClass()

@@ -52,8 +52,11 @@ var (
 // String renders the paper's notation, e.g. "RR4".
 func (iv Interleave) String() string { return fmt.Sprintf("%v%d", iv.Kind, iv.Burst) }
 
-// Validate rejects a burst below one.
+// Validate rejects an unknown arbitration kind or a burst below one.
 func (iv Interleave) Validate() error {
+	if iv.Kind != RoundRobin && iv.Kind != Random {
+		return fmt.Errorf("trace: unknown interleave kind %v", iv.Kind)
+	}
 	if iv.Burst <= 0 {
 		return fmt.Errorf("trace: interleave burst must be positive")
 	}
@@ -167,6 +170,9 @@ type Config struct {
 func (c Config) validate() error {
 	if c.Tenants <= 0 {
 		return fmt.Errorf("trace: tenants must be positive, got %d", c.Tenants)
+	}
+	if !c.Benchmark.Known() {
+		return fmt.Errorf("trace: unknown benchmark %v", c.Benchmark)
 	}
 	if err := c.Interleave.Validate(); err != nil {
 		return err

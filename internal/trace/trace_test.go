@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"hypertrio/internal/workload"
@@ -22,6 +23,8 @@ func TestConstructValidation(t *testing.T) {
 		{Benchmark: workload.Iperf3, Tenants: 4, Interleave: Interleave{RoundRobin, 0}, Scale: 0.1},
 		{Benchmark: workload.Iperf3, Tenants: 4, Interleave: RR1, Scale: 0},
 		{Benchmark: workload.Iperf3, Tenants: 4, Interleave: RR1, Scale: 1.5},
+		{Benchmark: workload.Iperf3, Tenants: 4, Interleave: Interleave{Kind: 2, Burst: 1}, Scale: 0.1},
+		{Benchmark: 9, Tenants: 4, Interleave: RR1, Scale: 0.1},
 	}
 	for i, c := range bad {
 		if _, err := Construct(c); err == nil {
@@ -190,6 +193,42 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 	if _, err := Read(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
 		t.Fatal("truncated trace accepted")
 	}
+	for name, data := range malformedTraces(t) {
+		if _, err := Read(bytes.NewReader(data)); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: Read error %v, want ErrMalformed", name, err)
+		}
+	}
+}
+
+// malformedTraces encodes 4-tenant traces mutated into files that decode
+// as varints but describe no constructible trace.
+func malformedTraces(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	mutations := map[string]func(*Trace){
+		"sid-out-of-range": func(tr *Trace) { tr.Packets[len(tr.Packets)/2].SID = 9 },
+		"sid-zero":         func(tr *Trace) { tr.Packets[0].SID = 0 },
+		"huge-tenants":     func(tr *Trace) { tr.Tenants = 1 << 30 },
+		"unknown-benchmark": func(tr *Trace) {
+			tr.Benchmark = 9
+			tr.Profile = workload.Profile{}
+		},
+		"unknown-interleave": func(tr *Trace) { tr.Interleave.Kind = 2 },
+		"zero-burst":         func(tr *Trace) { tr.Interleave.Burst = 0 },
+	}
+	out := make(map[string][]byte, len(mutations))
+	for name, mutate := range mutations {
+		tr, err := Construct(Config{Benchmark: workload.Iperf3, Tenants: 4, Interleave: RR1, Seed: 1, Scale: 0.002})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		mutate(tr)
+		var buf bytes.Buffer
+		if err := Write(&buf, tr); err != nil {
+			tb.Fatal(err)
+		}
+		out[name] = buf.Bytes()
+	}
+	return out
 }
 
 func TestParseInterleave(t *testing.T) {

@@ -52,6 +52,9 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
+// Known reports whether k is one of the calibrated benchmarks.
+func (k Kind) Known() bool { return k <= Websearch }
+
 // ParseKind converts a benchmark name to its Kind.
 func ParseKind(s string) (Kind, error) {
 	switch s {
