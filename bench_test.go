@@ -226,6 +226,9 @@ func BenchmarkEngineScheduleFirePending(b *testing.B) {
 	}
 }
 
+// BenchmarkNestedWalk times one full two-dimensional walk of a 2 MB
+// mapping in the form the chipset issues it: WalkInto with a reused
+// access buffer, so a warm walk allocates nothing.
 func BenchmarkNestedWalk(b *testing.B) {
 	host := mem.NewSpace("host", 0x1_0000_0000, 0)
 	nt, err := mem.NewNestedTable("t", 0x40000000, host)
@@ -235,12 +238,15 @@ func BenchmarkNestedWalk(b *testing.B) {
 	if _, _, err := nt.MapIOVA(0xbbe00000, mem.HugePageShift); err != nil {
 		b.Fatal(err)
 	}
+	var buf []mem.NestedAccess
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := nt.Walk(0xbbe00000 + uint64(i)%mem.HugePageSize); err != nil {
+		res, err := nt.WalkInto(0xbbe00000+uint64(i)%mem.HugePageSize, buf[:0])
+		if err != nil {
 			b.Fatal(err)
 		}
+		buf = res.Accesses
 	}
 }
 
@@ -262,7 +268,10 @@ func BenchmarkDevTLB(b *testing.B) {
 	}
 }
 
-func BenchmarkIOMMUTranslate(b *testing.B) {
+// benchIOMMU builds 16 websearch tenants behind a chipset with the
+// experiments' PWC geometry, no IOTLB and the given walk-memo size.
+func benchIOMMU(b *testing.B, memoEntries int) (*iommu.IOMMU, []*workload.AddressSpace) {
+	b.Helper()
 	host := mem.NewSpace("host", 0x1_0000_0000, 0)
 	ct := mem.NewContextTable()
 	tenants := mem.NewTenantTables(16)
@@ -279,13 +288,41 @@ func BenchmarkIOMMUTranslate(b *testing.B) {
 		ContextCache: iommu.DefaultContextCache(),
 		L2PWC:        tlb.Config{Name: "l2", Sets: 32, Ways: 16, Policy: tlb.LFU},
 		L3PWC:        tlb.Config{Name: "l3", Sets: 64, Ways: 16, Policy: tlb.LFU},
+		MemoEntries:  memoEntries,
 	}, ct, tenants)
+	return u, spaces
+}
+
+// BenchmarkIOMMUTranslate translates 2 MB data pages. After the first
+// walk of each tenant's data granule they are L3-PWC resumes, which the
+// walk memo never records, so each one walks the tables.
+func BenchmarkIOMMUTranslate(b *testing.B) {
+	u, spaces := benchIOMMU(b, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		as := spaces[i%len(spaces)]
 		iova := as.DataPages[i%len(as.DataPages)]
 		if _, err := u.Translate(as.SID, iova, mem.HugePageShift, true); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkIOMMUTranslate4K translates 4 KB ring and init pages, the
+// L2-PWC resume path that 2 MB pages never take. The walk memo is off,
+// so every translation walks from the table address the L2 PWC holds.
+func BenchmarkIOMMUTranslate4K(b *testing.B) {
+	u, spaces := benchIOMMU(b, -1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		as := spaces[i%len(spaces)]
+		iova := as.Ring
+		if j := i % (len(as.InitPages) + 1); j > 0 {
+			iova = as.InitPages[j-1]
+		}
+		if _, err := u.Translate(as.SID, iova, mem.PageShift, true); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -411,6 +411,12 @@ func TestCLIExitCodes(t *testing.T) {
 	if err := os.WriteFile(farSIDPlan, []byte(`{"schema":"hypertrio-faultplan/1","events":[{"at_ns":1000,"kind":"detach","sid":4000000000}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A 2 MB remap of the init region, which 4 KB pages already occupy,
+	// would detach a guest table that the page-walk caches may hold.
+	clobberPlan := filepath.Join(t.TempDir(), "clobber.json")
+	if err := os.WriteFile(clobberPlan, []byte(`{"schema":"hypertrio-faultplan/1","events":[{"at_ns":1000,"kind":"remap","sid":1,"iova":"0xf0000000","shift":21}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	small := []string{"-tenants", "4", "-scale", "0.002"}
 	badSID := writeMutatedTrace(t, func(tr *trace.Trace) { tr.Packets[len(tr.Packets)/2].SID = 9 })
 	hugeTenants := writeMutatedTrace(t, func(tr *trace.Trace) { tr.Tenants = 1 << 30 })
@@ -439,6 +445,7 @@ func TestCLIExitCodes(t *testing.T) {
 		{"bad devtlb geometry describe", []string{"-devtlb-entries", "24", "-describe"}, 1},
 		{"describe", []string{"-describe"}, 0},
 		{"faulted run", append(small, "-faults", plan), 0},
+		{"2 MB remap over 4 KB tables", append(small, "-faults", clobberPlan), 1},
 		{"bad cpuprofile path", append(small, "-cpuprofile", "/nonexistent/dir/cpu.pprof"), 1},
 		{"bad memprofile path", append(small, "-memprofile", "/nonexistent/dir/mem.pprof"), 1},
 		{"replay packet SID beyond tenants", []string{"-replay", badSID}, 1},

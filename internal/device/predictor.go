@@ -13,7 +13,10 @@ import (
 // random interleaving its predictions are noise, which is exactly the
 // degradation the paper reports for RAND1.
 type SIDPredictor struct {
-	successor map[mem.SID]mem.SID
+	// successor is indexed by SID and grown on demand; entries counts
+	// its learned slots.
+	successor []successorSlot
+	entries   int
 	last      mem.SID
 	haveLast  bool
 
@@ -29,6 +32,13 @@ type SIDPredictor struct {
 	unknowns    obs.Counter
 }
 
+// successorSlot is one slot of the successor table: the SID learned to follow
+// the slot's SID, valid only when learned is set.
+type successorSlot struct {
+	next    mem.SID
+	learned bool
+}
+
 // NewSIDPredictor creates a predictor with the given history-length
 // register value (the paper finds 48 requests optimal, §V-D).
 func NewSIDPredictor(historyLen int) *SIDPredictor {
@@ -36,7 +46,6 @@ func NewSIDPredictor(historyLen int) *SIDPredictor {
 		historyLen = 48
 	}
 	return &SIDPredictor{
-		successor:  make(map[mem.SID]mem.SID),
 		burstEWMA:  1,
 		historyLen: historyLen,
 	}
@@ -63,7 +72,13 @@ func (p *SIDPredictor) Observe(sid mem.SID) {
 		p.runLen++
 		return
 	}
-	p.successor[p.last] = sid
+	for int(p.last) >= len(p.successor) {
+		p.successor = append(p.successor, successorSlot{})
+	}
+	if !p.successor[p.last].learned {
+		p.entries++
+	}
+	p.successor[p.last] = successorSlot{next: sid, learned: true}
 	const alpha = 0.125
 	p.burstEWMA = (1-alpha)*p.burstEWMA + alpha*float64(p.runLen)
 	p.last = sid
@@ -95,13 +110,12 @@ func (p *SIDPredictor) Hops() int {
 func (p *SIDPredictor) Predict(current mem.SID) (mem.SID, bool) {
 	p.predictions.Inc()
 	sid := current
-	for i := 0; i < p.Hops(); i++ {
-		next, ok := p.successor[sid]
-		if !ok {
+	for hops := p.Hops(); hops > 0; hops-- {
+		if int(sid) >= len(p.successor) || !p.successor[sid].learned {
 			p.unknowns.Inc()
 			return 0, false
 		}
-		sid = next
+		sid = p.successor[sid].next
 	}
 	return sid, true
 }
@@ -111,10 +125,10 @@ func (p *SIDPredictor) Predict(current mem.SID) (mem.SID, bool) {
 // the predictor). The last-seen state is cleared too if it names the
 // tenant, so the next observation starts a fresh burst.
 func (p *SIDPredictor) Forget(sid mem.SID) {
-	delete(p.successor, sid)
-	for from, to := range p.successor {
-		if to == sid {
-			delete(p.successor, from)
+	for from, s := range p.successor {
+		if s.learned && (mem.SID(from) == sid || s.next == sid) {
+			p.successor[from] = successorSlot{}
+			p.entries--
 		}
 	}
 	if p.haveLast && p.last == sid {
@@ -136,7 +150,7 @@ func (p *SIDPredictor) Stats() PredictorStats {
 	return PredictorStats{
 		Predictions: p.predictions.Value(),
 		Unknowns:    p.unknowns.Value(),
-		Entries:     len(p.successor),
+		Entries:     p.entries,
 		BurstEWMA:   p.burstEWMA,
 	}
 }
@@ -145,7 +159,7 @@ func (p *SIDPredictor) Stats() PredictorStats {
 func (p *SIDPredictor) Register(r *obs.Registry, prefix string) {
 	r.Counter(prefix+".predictions", &p.predictions)
 	r.Counter(prefix+".unknowns", &p.unknowns)
-	r.Gauge(prefix+".entries", func() float64 { return float64(len(p.successor)) })
+	r.Gauge(prefix+".entries", func() float64 { return float64(p.entries) })
 	r.Gauge(prefix+".burst_ewma", func() float64 { return p.burstEWMA })
 	r.Gauge(prefix+".history_len", func() float64 { return float64(p.historyLen) })
 }

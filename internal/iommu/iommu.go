@@ -167,21 +167,25 @@ func (u *IOMMU) Translate(sid mem.SID, iova uint64, pageShift uint8, recordHisto
 	}
 
 	// Page-walk caches: resume the two-dimensional walk as deep as
-	// possible. The L2 granule only caches a resume point for 4 KB
-	// mappings (for 2 MB pages the L2-granule object is the final
-	// translation itself, which lives in the IOTLB/DevTLB). The PWC
-	// lookups run before the memoization check because they mutate
-	// replacement state — a memoized translation must touch the cache
-	// model exactly as the real walk would.
+	// possible, from the guest table address the hit entry holds. The L2
+	// granule only caches a resume point for 4 KB mappings (for 2 MB
+	// pages the L2-granule object is the final translation itself, which
+	// lives in the IOTLB/DevTLB), and the L3 cache is consulted only on
+	// an L2 miss. The PWC lookups run before the memoization check
+	// because they mutate replacement state — a memoized translation
+	// must touch the cache model exactly as the real walk would.
 	u.walks.Inc()
 	startLevel := 0 // 0 = full walk
-	switch {
-	case pageShift == mem.PageShift && u.l2pwcHit(sid, iova):
-		res.PWCLevel = 2
-		startLevel = 1
-	case u.l3pwcHit(sid, iova):
-		res.PWCLevel = 3
-		startLevel = 2
+	var resume mem.Addr
+	if pageShift == mem.PageShift {
+		if e, ok := u.l2pwc.Lookup(granuleKey(sid, iova, mem.HugePageShift)); ok {
+			res.PWCLevel, startLevel, resume = 2, 1, mem.Addr(e.Value)
+		}
+	}
+	if startLevel == 0 {
+		if e, ok := u.l3pwc.Lookup(granuleKey(sid, iova, mem.GiantPageShift)); ok {
+			res.PWCLevel, startLevel, resume = 3, 2, mem.Addr(e.Value)
+		}
 	}
 
 	// Memoized replay: an epoch-valid entry proves the tenant's tables
@@ -202,28 +206,17 @@ func (u *IOMMU) Translate(sid mem.SID, iova uint64, pageShift uint8, recordHisto
 			res.MemAccesses += replay
 			res.HPA = ent.hpa4k | iova&(mem.PageSize-1)
 			u.memAccesses.Add(uint64(res.MemAccesses))
-			u.install(sid, iova, pageShift, iotlbKey, res.HPA, ent.tbl1, ent.tbl2, ent.tbl1OK, ent.tbl2OK)
+			u.install(sid, iova, pageShift, iotlbKey, res.HPA, ent.resumePoints)
 			return res, nil
 		}
 	}
 
 	var walk mem.NestedResult
 	var err error
-	switch startLevel {
-	case 1:
-		tblHPA, terr := nt.TableHPA(iova, 1)
-		if terr != nil {
-			return res, terr
-		}
-		walk, err = nt.WalkFromInto(iova, 1, tblHPA, u.walkBuf[:0])
-	case 2:
-		tblHPA, terr := nt.TableHPA(iova, 2)
-		if terr != nil {
-			return res, terr
-		}
-		walk, err = nt.WalkFromInto(iova, 2, tblHPA, u.walkBuf[:0])
-	default:
+	if startLevel == 0 {
 		walk, err = nt.WalkInto(iova, u.walkBuf[:0])
+	} else {
+		walk, err = nt.WalkFromInto(iova, startLevel, resume, u.walkBuf[:0])
 	}
 	u.walkBuf = walk.Accesses[:0]
 	if err != nil {
@@ -233,62 +226,46 @@ func (u *IOMMU) Translate(sid mem.SID, iova uint64, pageShift uint8, recordHisto
 	res.HPA = walk.HPA
 	u.memAccesses.Add(uint64(res.MemAccesses))
 
-	// Install what the walk learned. A full walk memoizes its outcome
-	// and derives the L1/L2 resume addresses from its own access vector,
-	// which also spares the two silent re-walks the install path would
-	// otherwise perform; a partial (PWC-resumed) walk saw only a suffix,
-	// so it installs the old way and leaves the memo alone.
-	if startLevel == 0 && u.memo != nil {
-		if ent := u.memo.fill(sid, iova, nt, walk.Accesses, walk.HPA); ent != nil {
-			u.install(sid, iova, pageShift, iotlbKey, walk.HPA, ent.tbl1, ent.tbl2, ent.tbl1OK, ent.tbl2OK)
-			return res, nil
+	// Install what the walk learned, read off its own access vector. A
+	// full walk also memoizes its outcome. An L2-resumed walk never read
+	// the guest L2 table, so its address comes from the L3 cache's entry
+	// for the granule, or — only when that is absent — a silent walk.
+	rp := resumePointsOf(iova, walk.Accesses)
+	switch startLevel {
+	case 0:
+		u.memo.fill(sid, iova, nt, rp, len(walk.Accesses), walk.HPA)
+	case 1:
+		if e, ok := u.l3pwc.Peek(granuleKey(sid, iova, mem.GiantPageShift)); ok {
+			rp.tbl2, rp.tbl2OK = mem.Addr(e.Value), true
+		} else if tbl, terr := nt.TableHPA(iova, 2); terr == nil {
+			rp.tbl2, rp.tbl2OK = tbl, true
 		}
 	}
-	pageMask := uint64(1)<<pageShift - 1
-	if u.iotlb != nil {
-		u.iotlb.Insert(tlb.Entry{Key: iotlbKey, Value: walk.HPA &^ pageMask, PageShift: pageShift})
-	}
-	if tblHPA, terr := nt.TableHPA(iova, 2); terr == nil {
-		u.l3pwc.Insert(tlb.Entry{Key: granuleKey(sid, iova, mem.GiantPageShift), Value: uint64(tblHPA)})
-	}
-	if pageShift == mem.PageShift {
-		if tblHPA, terr := nt.TableHPA(iova, 1); terr == nil {
-			u.l2pwc.Insert(tlb.Entry{Key: granuleKey(sid, iova, mem.HugePageShift), Value: uint64(tblHPA)})
-		}
-	}
+	u.install(sid, iova, pageShift, iotlbKey, walk.HPA, rp)
 	return res, nil
 }
 
-// install performs the post-walk cache installs from already-derived
-// resume addresses, sparing the silent table re-walks of the classic
-// install path. The insert set and values match it exactly: tbl2OK/tbl1OK
-// hold precisely when TableHPA(iova, 2)/TableHPA(iova, 1) would succeed.
-func (u *IOMMU) install(sid mem.SID, iova uint64, pageShift uint8, iotlbKey tlb.Key, hpa uint64, tbl1, tbl2 mem.Addr, tbl1OK, tbl2OK bool) {
+// install performs the post-walk cache installs: the IOTLB entry, the
+// L3 PWC entry when the walk's resume points include the guest L2 table,
+// and — for 4 KB mappings — the L2 PWC entry when they include the guest
+// L1 table.
+func (u *IOMMU) install(sid mem.SID, iova uint64, pageShift uint8, iotlbKey tlb.Key, hpa uint64, rp resumePoints) {
 	if u.iotlb != nil {
 		pageMask := uint64(1)<<pageShift - 1
 		u.iotlb.Insert(tlb.Entry{Key: iotlbKey, Value: hpa &^ pageMask, PageShift: pageShift})
 	}
-	if tbl2OK {
-		u.l3pwc.Insert(tlb.Entry{Key: granuleKey(sid, iova, mem.GiantPageShift), Value: uint64(tbl2)})
+	if rp.tbl2OK {
+		u.l3pwc.Insert(tlb.Entry{Key: granuleKey(sid, iova, mem.GiantPageShift), Value: uint64(rp.tbl2)})
 	}
-	if pageShift == mem.PageShift && tbl1OK {
-		u.l2pwc.Insert(tlb.Entry{Key: granuleKey(sid, iova, mem.HugePageShift), Value: uint64(tbl1)})
+	if pageShift == mem.PageShift && rp.tbl1OK {
+		u.l2pwc.Insert(tlb.Entry{Key: granuleKey(sid, iova, mem.HugePageShift), Value: uint64(rp.tbl1)})
 	}
-}
-
-func (u *IOMMU) l2pwcHit(sid mem.SID, iova uint64) bool {
-	_, ok := u.l2pwc.Lookup(granuleKey(sid, iova, mem.HugePageShift))
-	return ok
-}
-
-func (u *IOMMU) l3pwcHit(sid mem.SID, iova uint64) bool {
-	_, ok := u.l3pwc.Lookup(granuleKey(sid, iova, mem.GiantPageShift))
-	return ok
 }
 
 // Invalidate drops cached state for one unmapped page (driver unmap →
-// IOTLB invalidation command). Page-walk-cache entries for the covering
-// granules are dropped too, conservatively.
+// IOTLB invalidation command). For a 4 KB page the L2 page-walk-cache
+// entry of its 2 MB granule is dropped too, conservatively; the L3 entry
+// of the 1 GB granule stays.
 func (u *IOMMU) Invalidate(sid mem.SID, iova uint64, pageShift uint8) {
 	if u.iotlb != nil {
 		u.iotlb.Invalidate(PageKey(sid, iova, pageShift))

@@ -353,3 +353,61 @@ func TestFlushAllKeepsHistory(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmTranslateZeroAllocs pins every walk shape of a warm Translate
+// to zero allocations: a full walk, an L2-PWC resume (4 KB pages), an
+// L3-PWC resume (2 MB data page) and a memoized replay.
+func TestWarmTranslateZeroAllocs(t *testing.T) {
+	ct, tenants, spaces := buildTenants(t, 1, workload.Mediastream)
+	uncachedCfg := testConfig(0)
+	uncachedCfg.MemoEntries = -1
+	memo := New(testConfig(0), ct, tenants)
+	uncached := New(uncachedCfg, ct, tenants)
+	as := spaces[0]
+
+	for _, c := range []struct {
+		name     string
+		u        *IOMMU
+		iova     uint64
+		shift    uint8
+		flush    bool // empty the chipset caches first: a full walk
+		pwcLevel int
+		memoHit  bool
+	}{
+		{"full walk", uncached, as.Ring, mem.PageShift, true, 0, false},
+		{"L2-PWC resume, ring page", uncached, as.Ring, mem.PageShift, false, 2, false},
+		{"L2-PWC resume, init page", uncached, as.InitPages[1], mem.PageShift, false, 2, false},
+		{"L3-PWC resume, 2 MB data page", uncached, as.DataPages[1], mem.HugePageShift, false, 3, false},
+		{"memo hit", memo, as.Ring, mem.PageShift, false, 2, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			translate := func() Result {
+				if c.flush {
+					c.u.FlushAll()
+				}
+				res, err := c.u.Translate(as.SID, c.iova, c.shift, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			// Warm up: the context cache, the PWCs, the memo and the
+			// walk scratch buffers.
+			if _, err := c.u.Translate(as.SID, as.DataPages[0], mem.HugePageShift, true); err != nil {
+				t.Fatal(err)
+			}
+			translate()
+			translate()
+			hits := c.u.MemoStats().Hits
+			if res := translate(); res.PWCLevel != c.pwcLevel {
+				t.Fatalf("PWCLevel = %d, want %d (%+v)", res.PWCLevel, c.pwcLevel, res)
+			}
+			if gotHit := c.u.MemoStats().Hits > hits; gotHit != c.memoHit {
+				t.Fatalf("memo hit = %v, want %v", gotHit, c.memoHit)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { translate() }); allocs != 0 {
+				t.Fatalf("warm translation allocates %.1f times per call, want 0", allocs)
+			}
+		})
+	}
+}

@@ -5,35 +5,68 @@ import (
 )
 
 // DefaultMemoEntries is the walk-memoization capacity used when
-// Config.MemoEntries is zero: 16 K direct-mapped entries, ~1.5 MB of
-// fixed storage per chipset.
+// Config.MemoEntries is zero: 16 K direct-mapped 64-byte entries, 1 MiB
+// of fixed storage per chipset.
 const DefaultMemoEntries = 1 << 14
+
+// resumePoints is what one walk's access vector says about the two
+// page-walk-cache resume points: the host addresses of the guest L1 and
+// L2 tables (the values the L2 and L3 PWC entries hold) and how many
+// accesses a walk resumed at each performs. tbl1OK/tbl2OK hold exactly
+// when the walk read an entry of that table, i.e. when
+// NestedTable.TableHPA(iova, 1)/(iova, 2) would succeed.
+type resumePoints struct {
+	tbl1, tbl2     mem.Addr
+	suf1, suf2     uint16 // accesses when resuming at guest L1 / guest L2
+	tbl1OK, tbl2OK bool
+}
+
+// resumePointsOf derives the resume points from a successful walk of
+// iova: the GuestEntry read at guest level L happens at (level-L table
+// base) + index(iova, L)*8, and a page-walk-cache resume from level L
+// replays exactly the vector's suffix from that read — so one walk
+// yields both install addresses and both partial-walk counts without
+// any extra table traffic. A resumed walk's vector is such a suffix, so
+// it yields the points at and below its resume level.
+func resumePointsOf(iova uint64, accesses []mem.NestedAccess) resumePoints {
+	var rp resumePoints
+	for i := range accesses {
+		a := &accesses[i]
+		if a.Kind != mem.GuestEntry {
+			continue
+		}
+		suf := uint16(len(accesses) - i)
+		switch a.GuestLevel {
+		case 2:
+			idx2 := (iova >> (mem.PageShift + 9)) & (mem.EntriesPerTable - 1)
+			rp.tbl2, rp.suf2, rp.tbl2OK = a.HostAddr-mem.Addr(idx2*8), suf, true
+		case 1:
+			idx1 := (iova >> mem.PageShift) & (mem.EntriesPerTable - 1)
+			rp.tbl1, rp.suf1, rp.tbl1OK = a.HostAddr-mem.Addr(idx1*8), suf, true
+		}
+	}
+	return rp
+}
 
 // memoEntry is one cached nested-walk outcome for a (SID, gIOVA 4 KB
 // page) pair. The entry stores everything a replay needs — the 4 KB-
-// granular host translation, the access counts of the full walk and of
-// the two page-walk-cache resume points, and the host addresses of the
-// guest L1/L2 tables that the install path would otherwise re-derive
-// with silent walks. Validity is epoch-checked, never scanned: a stored
-// snapshot of the tenant's table epoch, the per-SID invalidation epoch
-// and the global flush epoch must all still match.
+// granular host translation, the access count of the full walk, and the
+// walk's resume points. Validity is epoch-checked, never scanned: a
+// stored snapshot of the tenant's table epoch, the per-SID invalidation
+// epoch and the global flush epoch must all still match. Fields are
+// ordered so the entry fills exactly one 64-byte cache line.
 type memoEntry struct {
-	sid  mem.SID
-	page uint64 // gIOVA >> mem.PageShift
+	page       uint64 // gIOVA >> mem.PageShift
+	tableEpoch uint64
+	hpa4k      uint64 // host translation of the key's 4 KB page (low 12 bits clear)
+	resumePoints
 
-	tableEpoch  uint64
+	sid         mem.SID
 	sidEpoch    uint32
 	globalEpoch uint32
 
-	hpa4k      uint64 // host translation of the key's 4 KB page (low 12 bits clear)
-	tbl1, tbl2 mem.Addr
-	tbl1OK     bool
-	tbl2OK     bool
-	valid      bool
-
 	total uint16 // accesses of the full two-dimensional walk
-	suf1  uint16 // accesses when resuming at guest L1 (L2-PWC hit)
-	suf2  uint16 // accesses when resuming at guest L2 (L3-PWC hit)
+	valid bool
 }
 
 // walkMemo is the epoch-validated walk-memoization table: direct-mapped
@@ -134,48 +167,24 @@ func (m *walkMemo) lookup(sid mem.SID, page uint64, nt *mem.NestedTable) *memoEn
 	return ent
 }
 
-// fill memoizes one successful full walk. The resume-point table
-// addresses and suffix access counts are derived from the walk's own
-// access vector: the GuestEntry read at guest level L happens at
-// (level-L table base) + index(iova, L)*8, and a page-walk-cache resume
-// from level L replays exactly the vector's suffix from that read — so
-// one walk yields the full-walk count, both partial-walk counts and both
-// install addresses without any extra table traffic.
-func (m *walkMemo) fill(sid mem.SID, iova uint64, nt *mem.NestedTable, accesses []mem.NestedAccess, hpa uint64) *memoEntry {
-	if m == nil || len(accesses) == 0 || len(accesses) > 0xFFFF {
-		return nil
+// fill memoizes one successful full walk of total accesses, whose
+// resume points rp were read off its access vector.
+func (m *walkMemo) fill(sid mem.SID, iova uint64, nt *mem.NestedTable, rp resumePoints, total int, hpa uint64) {
+	if m == nil || total == 0 || total > 0xFFFF {
+		return
 	}
-	ent := &m.entries[memoHash(sid, iova>>mem.PageShift)&m.mask]
 	m.fills++
-	*ent = memoEntry{
-		sid:         sid,
-		page:        iova >> mem.PageShift,
-		tableEpoch:  nt.Epoch(),
-		sidEpoch:    m.sidEpoch(sid),
-		globalEpoch: m.globalEp,
-		hpa4k:       hpa &^ (mem.PageSize - 1),
-		total:       uint16(len(accesses)),
-		valid:       true,
+	m.entries[memoHash(sid, iova>>mem.PageShift)&m.mask] = memoEntry{
+		page:         iova >> mem.PageShift,
+		tableEpoch:   nt.Epoch(),
+		hpa4k:        hpa &^ (mem.PageSize - 1),
+		resumePoints: rp,
+		sid:          sid,
+		sidEpoch:     m.sidEpoch(sid),
+		globalEpoch:  m.globalEp,
+		total:        uint16(total),
+		valid:        true,
 	}
-	for i := range accesses {
-		a := &accesses[i]
-		if a.Kind != mem.GuestEntry {
-			continue
-		}
-		switch a.GuestLevel {
-		case 2:
-			idx2 := (iova >> (mem.PageShift + 9)) & (mem.EntriesPerTable - 1)
-			ent.tbl2 = a.HostAddr - mem.Addr(idx2*8)
-			ent.tbl2OK = true
-			ent.suf2 = uint16(len(accesses) - i)
-		case 1:
-			idx1 := (iova >> mem.PageShift) & (mem.EntriesPerTable - 1)
-			ent.tbl1 = a.HostAddr - mem.Addr(idx1*8)
-			ent.tbl1OK = true
-			ent.suf1 = uint16(len(accesses) - i)
-		}
-	}
-	return ent
 }
 
 // MemoStats reports the walk-memoization counters. They are intentionally

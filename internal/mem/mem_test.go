@@ -567,6 +567,54 @@ func TestNestedUnmapRemap(t *testing.T) {
 	}
 }
 
+// TestGuestTablesStayReachable pins the property the chipset's page-walk
+// caches rely on: once a guest table exists, no nested-table mutation
+// detaches it. A huge map or remap over it and a huge unmap of it are
+// refused, and the table's host address is unchanged afterwards.
+func TestGuestTablesStayReachable(t *testing.T) {
+	host := NewSpace("host", 0x1_0000_0000, 0)
+	nt, err := NewNestedTable("t", 0x40000000, host)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const base = 0xbbe00000 // 2 MB aligned
+	gpa, _, err := nt.MapIOVA(base, HugePageShift)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Carve the 2 MB page into 4 KB pages: a guest L1 table takes the
+	// leaf's place.
+	if _, err := nt.UnmapIOVA(base, HugePageShift); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := nt.MapIOVA(base+0x3000, PageShift); err != nil {
+		t.Fatal(err)
+	}
+	tbl1, err := nt.TableHPA(base+0x3000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch := nt.Epoch()
+	if _, _, err := nt.MapIOVA(base, HugePageShift); err == nil {
+		t.Fatal("MapIOVA placed a 2 MB leaf over a guest L1 table")
+	}
+	if err := nt.RemapIOVA(base, gpa, HugePageShift); err == nil {
+		t.Fatal("RemapIOVA placed a 2 MB leaf over a guest L1 table")
+	}
+	if nt.Epoch() != epoch {
+		t.Fatalf("refused maps moved the epoch: %d -> %d", epoch, nt.Epoch())
+	}
+	if _, err := nt.UnmapIOVA(base, HugePageShift); err == nil {
+		t.Fatal("a 2 MB unmap dropped a guest L1 table")
+	}
+	if got, err := nt.TableHPA(base+0x3000, 1); err != nil || got != tbl1 {
+		t.Fatalf("guest L1 table moved: %#x -> %#x (%v)", uint64(tbl1), uint64(got), err)
+	}
+	if _, err := nt.Walk(base + 0x3040); err != nil {
+		t.Fatalf("4 KB page lost after refused mutations: %v", err)
+	}
+}
+
 // TestMutationEpoch pins the counters the IOMMU's walk-memoization
 // layer keys its validity checks on: every mutation path through either
 // walk dimension strictly increases Epoch, and ReplayReads charges host

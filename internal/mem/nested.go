@@ -129,8 +129,12 @@ func (nt *NestedTable) adoptGuestTables() error {
 // MapIOVA allocates a fresh guest-physical page of size 1<<pageShift,
 // maps iova to it in the guest table, allocates backing host memory and
 // maps the guest page in the host table. It returns the guest-physical
-// and host-physical bases of the new page.
+// and host-physical bases of the new page. A huge page over a finer
+// guest table is refused, so guest tables are never detached.
 func (nt *NestedTable) MapIOVA(iova uint64, pageShift uint) (gpa, hpa Addr, err error) {
+	if err = nt.guest.refuseTableOverwrite(iova, pageShift); err != nil {
+		return 0, 0, err
+	}
 	gpa = nt.guestSpace.AllocFrame(pageShift)
 	if err = nt.guest.Map(iova, uint64(gpa), pageShift); err != nil {
 		return 0, 0, err
@@ -227,8 +231,9 @@ func (nt *NestedTable) WalkInto(iova uint64, acc []NestedAccess) (NestedResult, 
 
 // TableHPA returns the host-physical address of the guest table page that
 // a partial walk resumes from at the given guest level, by performing a
-// silent (uncounted) walk. The IOMMU model uses it when installing
-// page-walk-cache entries.
+// silent (uncounted) walk. The IOMMU calls it only after an L2-PWC-resumed
+// walk whose 1 GB granule the L3 PWC does not hold; every other install
+// address comes from the walk's own accesses.
 func (nt *NestedTable) TableHPA(iova uint64, level int) (Addr, error) {
 	// Silent walk: replay the descent without recording accesses.
 	curGPA := uint64(nt.guest.Root())
@@ -289,7 +294,11 @@ func (nt *NestedTable) UnmapIOVA(iova uint64, pageShift uint) (bool, error) {
 }
 
 // RemapIOVA reinstalls a translation for iova onto an existing
-// guest-physical page (the driver recycling a buffer page).
+// guest-physical page (the driver recycling a buffer page). Like
+// MapIOVA, it refuses a huge page over a finer guest table.
 func (nt *NestedTable) RemapIOVA(iova uint64, gpa Addr, pageShift uint) error {
+	if err := nt.guest.refuseTableOverwrite(iova, pageShift); err != nil {
+		return err
+	}
 	return nt.guest.Map(iova, uint64(gpa), uint(pageShift))
 }

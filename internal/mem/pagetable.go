@@ -111,6 +111,28 @@ func (pt *PageTable) Map(va, pa uint64, pageShift uint) error {
 	return pt.space.WriteEntry(cur+Addr(index(va, leaf)*8), leafEntry)
 }
 
+// refuseTableOverwrite returns an error when the entry a page of size
+// 1<<pageShift at va would occupy points at a finer table, so mapping the
+// page would detach that table. Map allows the overwrite; the nested
+// table refuses it, because the chipset's page-walk caches resume walks
+// at table addresses they cached. Read failures are left for Map to
+// report.
+func (pt *PageTable) refuseTableOverwrite(va uint64, pageShift uint) error {
+	leaf, err := leafLevel(pageShift)
+	if err != nil || leaf == 1 {
+		return nil
+	}
+	cur := pt.root
+	for level := pt.levels; level >= leaf; level-- {
+		e, err := pt.space.ReadEntry(cur + Addr(index(va, level)*8))
+		if err != nil || e&ptePresent == 0 || e&ptePageSize != 0 {
+			return nil
+		}
+		cur = Addr(e & pteAddrMask)
+	}
+	return fmt.Errorf("mem: va %#x already holds a level-%d table", va, leaf-1)
+}
+
 // Access records one physical read performed during a walk.
 type Access struct {
 	Addr  Addr // entry address that was read
@@ -177,7 +199,8 @@ func (pt *PageTable) Walk(va uint64) (WalkResult, error) {
 // Unmap clears the leaf entry for va at the given page size, returning
 // whether a mapping was present. Intermediate table pages are left in
 // place (as real kernels usually do); a subsequent Map of the same
-// region reuses them.
+// region reuses them. A huge-page unmap where a finer table stands is
+// an error, so Unmap never detaches a table page.
 func (pt *PageTable) Unmap(va uint64, pageShift uint) (bool, error) {
 	leaf, err := leafLevel(pageShift)
 	if err != nil {
@@ -209,6 +232,9 @@ func (pt *PageTable) Unmap(va uint64, pageShift uint) (bool, error) {
 	}
 	if e&ptePresent == 0 {
 		return false, nil
+	}
+	if e&ptePageSize == 0 && leaf > 1 {
+		return false, fmt.Errorf("mem: unmap %#x at shift %d would drop a level-%d table", va, pageShift, leaf-1)
 	}
 	return true, pt.space.WriteEntry(entryAddr, 0)
 }
