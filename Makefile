@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test golden mem-guard race race-obs race-fault race-scenario scenario-lint cover cover-check fuzz-smoke vet lint bench-quick bench-obs bench-smoke bench-json bench-mem bench-compare smoke loc ci clean
+.PHONY: all build test golden mem-guard race race-obs race-fault race-scenario scenario-lint cover cover-check fuzz-smoke vet lint bench-quick bench-obs bench-smoke bench-compare smoke loc ci clean
 
 all: build
 
@@ -89,9 +89,10 @@ golden:
 
 # Streaming-memory gate: the 10^5-tenant streaming HyperTRIO cell must
 # finish within its committed live-heap budget — the pin that keeps
-# streaming-run memory O(tenants) instead of O(packets).
+# streaming-run memory O(tenants) instead of O(packets). -v prints the
+# measured live bytes per tenant.
 mem-guard:
-	$(GO) test -run TestMegaTenantHeapBudget -count=1 ./internal/experiments
+	$(GO) test -v -run TestMegaTenantHeapBudget -count=1 ./internal/experiments
 
 # Scenario race pass: the scenario DSL package under -race, plus the
 # scenario signal/conservation tests and the differential determinism
@@ -120,30 +121,24 @@ bench-obs:
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
-# Machine-readable performance snapshot (ns/op, allocs/op, pkts/s and
-# the quick-suite wall time) written to BENCH_PR9.json. Pass
-# BENCH_BASELINE=<file> to embed deltas against a previous snapshot.
-bench-json:
-	$(GO) run ./cmd/benchjson $(if $(BENCH_BASELINE),-baseline $(BENCH_BASELINE))
-
-# Regression gate: re-measure the hot-path benchmarks at a short
-# benchtime and diff them against the committed snapshot. The threshold
-# is deliberately generous — a 100ms benchtime trades precision for
-# speed, so this gate catches structural rot (an optimization wired out,
-# an alloc-free path regressing to allocation), not single-digit drift.
-BENCH_SNAPSHOT ?= BENCH_PR9.json
-BENCH_THRESHOLD ?= 0.5
+# Performance gate: hyperbench (bench/run.sh) runs every workload of
+# BENCHMARK.json three times for 5 s at seed 42, checking each replay's
+# Result against the committed digest, into a fresh results set under
+# .bench_build/, then compares that set with the committed baseline
+# BENCH_BASELINE.json. The bounds are BENCHMARK.json's end-to-end ones
+# plus the failed-ratio rule, and -compare exits non-zero on a
+# regression. Host drift is handled by hyperbench's calibration loop,
+# which scales every host time to a reference host. After a deliberate
+# performance or model change, copy the set over BENCH_BASELINE.json.
 bench-compare:
-	$(GO) run ./cmd/benchjson -skip-suite -benchtime 100ms -o bench-compare.json
-	$(GO) run ./cmd/benchjson -compare -threshold $(BENCH_THRESHOLD) $(BENCH_SNAPSHOT) bench-compare.json
-
-# Memory-footprint snapshot (schema hypertrio-bench/2): streaming vs
-# materialized bytes/tenant and peak heap for the 10^5-tenant cell,
-# written to BENCH_MEM.json. Pass BENCH_BASELINE=<file> to embed ratios
-# against a previous snapshot (v1 baselines load; their memory delta is
-# simply omitted).
-bench-mem:
-	$(GO) run ./cmd/benchjson -skip-bench -skip-suite -mem -o BENCH_MEM.json $(if $(BENCH_BASELINE),-baseline $(BENCH_BASELINE))
+	@mkdir -p .bench_build && rm -f .bench_build/bench-compare.json
+	@for run in 1 2 3; do \
+	  for w in ht-1k base-1k ht-16-hits ht-storm ht-mega-stream; do \
+	    bash bench/run.sh --workload $$w --seed 42 --seconds 5 --trace 0 \
+	      -out .bench_build/bench-compare.json || exit 1; \
+	  done; \
+	done
+	bash bench/run.sh -compare BENCH_BASELINE.json .bench_build/bench-compare.json
 
 # CI smoke run: the reduced-scale experiment suite end to end.
 smoke:
@@ -157,4 +152,4 @@ loc:
 ci: build lint test golden mem-guard race race-obs race-fault race-scenario scenario-lint cover-check fuzz-smoke bench-smoke bench-compare smoke
 
 clean:
-	rm -rf results-smoke cover.out bench-compare.json
+	rm -rf results-smoke cover.out

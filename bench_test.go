@@ -140,42 +140,6 @@ func BenchmarkSuiteQuickObs(b *testing.B) {
 	})
 }
 
-// BenchmarkEndToEnd measures one full simulation (trace replay including
-// page-table construction) for both designs at a hyper-tenant count,
-// reporting achieved bandwidth as a custom metric.
-func BenchmarkEndToEnd(b *testing.B) {
-	for _, design := range []string{"base", "hypertrio"} {
-		design := design
-		b.Run(design, func(b *testing.B) {
-			tr, err := hypertrio.ConstructTrace(hypertrio.TraceConfig{
-				Benchmark:  hypertrio.Websearch,
-				Tenants:    128,
-				Interleave: hypertrio.RR1,
-				Seed:       42,
-				Scale:      0.002,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfg := hypertrio.BaseConfig()
-			if design == "hypertrio" {
-				cfg = hypertrio.HyperTRIOConfig()
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var last hypertrio.Result
-			for i := 0; i < b.N; i++ {
-				last, err = hypertrio.Run(cfg, tr)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(last.AchievedGbps, "modelGb/s")
-			b.ReportMetric(float64(last.Packets)*float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
-		})
-	}
-}
-
 // --- micro-benchmarks -------------------------------------------------
 
 // nopSink is an event sink that does nothing: the engine benchmarks

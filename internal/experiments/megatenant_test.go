@@ -40,7 +40,9 @@ func TestExtMegaTenantSignal(t *testing.T) {
 const megaTenantHeapBudget = 128 << 20
 
 // TestMegaTenantHeapBudget runs the 10⁵-tenant streaming cell and holds
-// the post-run live heap under the committed budget.
+// the post-run live heap under the committed budget. It logs the live
+// bytes per tenant the run added over the heap it started from, the
+// measured streaming cost per tenant.
 func TestMegaTenantHeapBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10^5-tenant run takes ~3s; skipped in -short mode")
@@ -70,8 +72,12 @@ func TestMegaTenantHeapBudget(t *testing.T) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	live := ms.HeapAlloc
-	t.Logf("10^5-tenant streaming run: %d packets, live heap %.1f MB (budget %.0f MB)",
-		res.Packets, float64(live)/(1<<20), float64(megaTenantHeapBudget)/(1<<20))
+	var perTenant float64
+	if live > before.HeapAlloc {
+		perTenant = float64(live-before.HeapAlloc) / float64(tc.Tenants)
+	}
+	t.Logf("10^5-tenant streaming run: %d packets, live heap %.1f MB (budget %.0f MB), %.0f live B/tenant",
+		res.Packets, float64(live)/(1<<20), float64(megaTenantHeapBudget)/(1<<20), perTenant)
 	if live > megaTenantHeapBudget {
 		t.Errorf("live heap %.1f MB exceeds the committed %.0f MB budget: streaming memory is no longer O(tenants)",
 			float64(live)/(1<<20), float64(megaTenantHeapBudget)/(1<<20))

@@ -129,6 +129,61 @@ func TestPWCAcceleration(t *testing.T) {
 	}
 }
 
+// TestPWCResumeReadsEntry pins that a page-walk-cache hit resumes from
+// the table address its entry holds rather than re-deriving it from the
+// tables: the hit path is only cheap because it does not walk. Each case
+// plants another granule's table address in the entry a translation
+// hits; the walk must then go through the planted table and miss the
+// answer of the real one.
+func TestPWCResumeReadsEntry(t *testing.T) {
+	ct, tenants, spaces := buildTenants(t, 1, workload.Mediastream)
+	as := spaces[0]
+	if len(as.InitPages) == 0 || len(as.DataPages) < 2 {
+		t.Fatal("mediastream layout lost its init or data pages")
+	}
+	for _, c := range []struct {
+		name                string
+		pwcLevel            int
+		warm, donor, target uint64 // warm fills the entry target hits; donor lives in another granule
+		shift               uint
+	}{
+		{"L3", 3, as.DataPages[0], as.Ring, as.DataPages[1], mem.GiantPageShift},
+		{"L2", 2, as.Ring, as.InitPages[0], as.Mailbox, mem.HugePageShift},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			u := New(testConfig(0), ct, tenants)
+			pwc := u.l3pwc
+			if c.pwcLevel == 2 {
+				pwc = u.l2pwc
+			}
+			for _, iova := range []uint64{c.warm, c.donor} {
+				if _, err := u.Translate(as.SID, iova, workload.PageShiftOf(iova), true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			donor, ok := pwc.Peek(granuleKey(as.SID, c.donor, c.shift))
+			if !ok {
+				t.Fatal("donor granule has no PWC entry")
+			}
+			if _, ok := pwc.Peek(granuleKey(as.SID, c.target, c.shift)); !ok {
+				t.Fatal("target granule has no PWC entry")
+			}
+			pwc.Insert(tlb.Entry{Key: granuleKey(as.SID, c.target, c.shift), Value: donor.Value})
+			want, err := as.Nested.Walk(c.target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := u.Translate(as.SID, c.target, workload.PageShiftOf(c.target), true)
+			if res.PWCLevel != c.pwcLevel {
+				t.Fatalf("PWCLevel = %d, want %d", res.PWCLevel, c.pwcLevel)
+			}
+			if err == nil && res.HPA == want.HPA {
+				t.Fatalf("translation through a planted table address found the real HPA %#x: the PWC hit did not resume from its entry", want.HPA)
+			}
+		})
+	}
+}
+
 func TestIOTLBHitCostsNothing(t *testing.T) {
 	ct, tenants, spaces := buildTenants(t, 1, workload.Iperf3)
 	u := New(testConfig(8), ct, tenants)
