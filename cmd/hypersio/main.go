@@ -29,7 +29,9 @@
 //
 // Observability: -trace FILE streams model events (arrivals, drops,
 // DevTLB hits/misses, page walks, prefetches) as NDJSON; -trace-engine
-// additionally records every event-kernel schedule/fire/cancel;
+// additionally records every event-kernel schedule/fire/cancel, and
+// simulates every dropped link slot as its own event (same result,
+// slower);
 // -metrics FILE writes the final metrics registry snapshot plus the
 // time series sampled every -sample-us of simulated time (JSON, or CSV
 // of the series alone when FILE ends in .csv). Neither changes

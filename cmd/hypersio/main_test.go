@@ -435,6 +435,7 @@ func TestCLIExitCodes(t *testing.T) {
 		{"removed shards flag", []string{"-shards", "2"}, 2},
 		{"help", []string{"-h"}, 0},
 		{"unknown design", []string{"-design", "fancy"}, 1},
+		{"zero inter-arrival gap", []string{"-design", "base", "-tenants", "2", "-scale", "0.001", "-link", "1e9"}, 1},
 		{"conflicting trace-engine", []string{"-trace-engine"}, 1},
 		{"conflicting describe+faults", []string{"-describe", "-faults", plan}, 1},
 		{"missing faults file", append(small, "-faults", "/nonexistent/plan.json"), 1},

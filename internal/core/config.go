@@ -44,11 +44,16 @@ func DefaultParams() Params {
 // Interarrival returns the packet inter-arrival gap implied by the
 // offered load.
 func (p Params) Interarrival() sim.Duration {
-	rate := p.ArrivalGbps
-	if rate == 0 {
-		rate = p.LinkGbps
+	return sim.FromNanos(float64(p.PacketBytes*8) / p.offeredGbps())
+}
+
+// offeredGbps is the offered load: ArrivalGbps, or the link rate when
+// it is unset.
+func (p Params) offeredGbps() float64 {
+	if p.ArrivalGbps == 0 {
+		return p.LinkGbps
 	}
-	return sim.FromNanos(float64(p.PacketBytes*8) / rate)
+	return p.ArrivalGbps
 }
 
 func (p Params) validate() error {
@@ -61,6 +66,11 @@ func (p Params) validate() error {
 		return fmt.Errorf("core: link rate must be positive")
 	case p.ArrivalGbps < 0 || p.ArrivalGbps > p.LinkGbps:
 		return fmt.Errorf("core: arrival rate must be in (0, link rate]")
+	case p.Interarrival() < 1:
+		// A zero gap would offer every link slot at the same picosecond:
+		// a dropped packet would retry at one instant forever.
+		return fmt.Errorf("core: a %d B packet at %g Gb/s arrives every %d ps; the inter-arrival gap must be at least 1 ps",
+			p.PacketBytes, p.offeredGbps(), p.Interarrival())
 	}
 	return nil
 }

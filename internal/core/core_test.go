@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"hypertrio/internal/obs"
@@ -106,6 +107,13 @@ func TestConfigValidation(t *testing.T) {
 	bad.Params.ArrivalGbps = 300
 	if err := bad.Validate(); err == nil {
 		t.Error("arrival above link accepted")
+	}
+	// Above ~2.5e7 Gb/s a 1542 B packet's gap rounds to 0 ps, and a
+	// dropped packet would retry at the same instant forever.
+	bad = good
+	bad.Params.LinkGbps = 1e9
+	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "at least 1 ps") {
+		t.Errorf("zero inter-arrival gap: Validate = %v", err)
 	}
 }
 

@@ -1,0 +1,162 @@
+package core_test
+
+import (
+	"bytes"
+	"reflect"
+	"strings"
+	"testing"
+
+	"hypertrio/internal/core"
+	"hypertrio/internal/fault"
+	"hypertrio/internal/obs"
+	"hypertrio/internal/scenario"
+	"hypertrio/internal/sim"
+	"hypertrio/internal/trace"
+	"hypertrio/internal/workload"
+)
+
+// TestDropRetryFastForwardExact is the differential proof of the
+// drop-retry fast-forward. Each case runs twice over the same trace:
+// with a Tracer only, which skips a blocked link's dead slots in one
+// step, and with a Tracer plus EngineEvents, whose engine probe keeps
+// one arrival event per link slot. Without the probe's sched/fire/cancel
+// lines the second trace must be byte-identical to the first, and the
+// two Results deep-equal — every case with and without the invariant
+// checker.
+func TestDropRetryFastForwardExact(t *testing.T) {
+	websearch, err := trace.Construct(trace.Config{
+		Benchmark: workload.Websearch, Tenants: 16, Interleave: trace.RR1, Seed: 42, Scale: 0.002,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ptb := func(cfg core.Config, n int) core.Config { cfg.PTBEntries = n; return cfg }
+	serial := core.BaseConfig()
+	serial.SerialRequests = true
+	slowArrivals := core.BaseConfig()
+	slowArrivals.Params.ArrivalGbps = 60
+	sampled := core.BaseConfig()
+	churn := core.BaseConfig()
+	churn.Fault = fault.ChurnPlan(7, 16, 40*sim.Microsecond, 15*sim.Microsecond, 2*sim.Millisecond)
+	// On a 50 ns link slot with every latency a multiple of it, each
+	// completion lands on a slot's picosecond: the same-time ordering
+	// the fast-forward must keep is then decided on every packet.
+	grid := func(cfg core.Config) core.Config {
+		cfg.Params.PacketBytes = 1250
+		cfg.Params.TLBHit = 50 * sim.Nanosecond
+		return cfg
+	}
+	walkerFaults := core.BaseConfig()
+	walkerFaults.Fault = fault.WalkerFaultPlan(7, 25*sim.Microsecond, 2*sim.Millisecond, 3, fault.RetryPolicy{})
+
+	type tc struct {
+		name        string
+		cfg         core.Config
+		tr          *trace.Trace
+		sampleEvery sim.Duration
+	}
+	cases := []tc{
+		{name: "base", cfg: core.BaseConfig(), tr: websearch},
+		{name: "hypertrio-ptb1", cfg: ptb(core.HyperTRIOConfig(), 1), tr: websearch},
+		{name: "hypertrio-ptb2", cfg: ptb(core.HyperTRIOConfig(), 2), tr: websearch},
+		{name: "serial-requests", cfg: serial, tr: websearch},
+		{name: "arrival-below-link", cfg: slowArrivals, tr: websearch},
+		{name: "base-slot-grid", cfg: grid(core.BaseConfig()), tr: websearch},
+		{name: "hypertrio-ptb2-slot-grid", cfg: grid(ptb(core.HyperTRIOConfig(), 2)), tr: websearch},
+		{name: "sampled", cfg: sampled, tr: websearch, sampleEvery: 7 * sim.Microsecond},
+		{name: "base-churn", cfg: churn, tr: websearch},
+		{name: "base-walker-faults", cfg: walkerFaults, tr: websearch},
+	}
+	for _, sc := range []struct {
+		name string
+		cfg  core.Config
+	}{
+		{"storm", core.BaseConfig()},
+		{"incast", ptb(core.HyperTRIOConfig(), 1)},
+	} {
+		s, err := scenario.ByName(sc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		comp, err := s.WithScale(0.1).Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := comp.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, tc{name: "scenario-" + sc.name, cfg: comp.Apply(sc.cfg), tr: tr})
+	}
+
+	for _, c := range cases {
+		for _, invariants := range []bool{false, true} {
+			name := c.name
+			if invariants {
+				name += "/invariants"
+			}
+			t.Run(name, func(t *testing.T) {
+				cfg := c.cfg
+				cfg.Invariants = invariants
+				fast, fastTrace := tracedRun(t, cfg, c.tr, c.sampleEvery, false)
+				slow, slowTrace := tracedRun(t, cfg, c.tr, c.sampleEvery, true)
+				if fast.Drops == 0 {
+					t.Fatal("no drops: the case does not exercise the drop-retry loop")
+				}
+				if !reflect.DeepEqual(fast, slow) {
+					t.Fatalf("Results differ:\nfast-forward: %+v\nper-slot:     %+v", fast, slow)
+				}
+				if got, want := fastTrace, withoutEngineLines(slowTrace); !bytes.Equal(got, want) {
+					t.Fatalf("model traces differ (%d vs %d bytes) at line %d",
+						len(got), len(want), firstDiffLine(got, want))
+				}
+			})
+		}
+	}
+}
+
+// tracedRun runs cfg over tr with a Tracer, adding the engine probe when
+// engineEvents is set, and returns the Result and the NDJSON trace.
+func tracedRun(t *testing.T, cfg core.Config, tr *trace.Trace, sampleEvery sim.Duration, engineEvents bool) (core.Result, []byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	cfg.Obs = &obs.Options{Tracer: obs.NewTracer(&buf), EngineEvents: engineEvents, SampleEvery: sampleEvery}
+	s, err := core.NewSystem(cfg, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cfg.Obs.Tracer.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return r, buf.Bytes()
+}
+
+// withoutEngineLines drops the engine probe's sched/fire/cancel lines
+// from an NDJSON trace, leaving the model's own events.
+func withoutEngineLines(nd []byte) []byte {
+	var out bytes.Buffer
+	for _, line := range strings.SplitAfter(string(nd), "\n") {
+		if strings.Contains(line, `"ev":"sched"`) || strings.Contains(line, `"ev":"fire"`) ||
+			strings.Contains(line, `"ev":"cancel"`) {
+			continue
+		}
+		out.WriteString(line)
+	}
+	return out.Bytes()
+}
+
+// firstDiffLine returns the 1-based number of the first line where a and
+// b differ.
+func firstDiffLine(a, b []byte) int {
+	la, lb := strings.Split(string(a), "\n"), strings.Split(string(b), "\n")
+	for i := range la {
+		if i >= len(lb) || la[i] != lb[i] {
+			return i + 1
+		}
+	}
+	return len(la) + 1
+}

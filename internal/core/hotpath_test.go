@@ -164,3 +164,30 @@ func TestWarmStreamPathZeroAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestBaseEventBudget pins the drop-retry fast-forward: Base's single
+// PTB entry turns away about 35 link slots per accepted packet, and
+// those dead slots must not cost one engine event each. Per slot, Base
+// fires about 45 events per packet on 1024 websearch tenants;
+// fast-forwarded, the arrival, walk and completion events stay and the
+// dropped slots cost none.
+func TestBaseEventBudget(t *testing.T) {
+	tr := makeTrace(t, workload.Websearch, 64, trace.RR1, 0.002)
+	s, err := NewSystem(BaseConfig(), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots := float64(r.Packets+r.Drops) / float64(r.Packets)
+	events := float64(s.engine.Fired()) / float64(r.Packets)
+	t.Logf("%d packets: %.2f link slots and %.2f engine events per packet", r.Packets, slots, events)
+	if slots < 30 {
+		t.Fatalf("%.2f link slots per packet: the trace no longer blocks the link", slots)
+	}
+	if events > 20 {
+		t.Fatalf("%.2f engine events per packet, want at most 20: dropped slots are firing one event each", events)
+	}
+}

@@ -89,3 +89,7 @@ func (p *PTB) Register(r *obs.Registry, prefix string) {
 	r.Gauge(prefix+".peak", func() float64 { return float64(p.peak) })
 	r.Gauge(prefix+".capacity", func() float64 { return float64(p.capacity) })
 }
+
+// RejectN counts n failed allocation attempts in one step: link slots
+// the caller knows would find the buffer as full as it is now.
+func (p *PTB) RejectN(n uint64) { p.rejected.Add(n) }

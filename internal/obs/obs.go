@@ -35,7 +35,9 @@ type Options struct {
 	Tracer *Tracer
 	// EngineEvents additionally probes the event kernel itself,
 	// emitting sched/fire/cancel events for every engine event. Very
-	// verbose; requires Tracer.
+	// verbose; requires Tracer. So that the probe sees every link slot,
+	// core then fires one event per dropped slot instead of skipping a
+	// blocked link's dead slots: the same Result, more slowly.
 	EngineEvents bool
 	// SampleEvery enables the periodic time-series sampler at this
 	// interval in simulated time; 0 disables sampling. The resulting

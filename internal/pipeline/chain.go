@@ -284,3 +284,14 @@ func (c *Chain) Describe() string {
 	}
 	return b.String()
 }
+
+// RejectN accounts n admission attempts known to fail — link slots the
+// drop-retry loop skips while nothing can free a slot — in one step,
+// through the invariant checker when it is composed.
+func (c *Chain) RejectN(n uint64) {
+	if c.inv != nil {
+		c.inv.RejectN(n)
+		return
+	}
+	c.ptb.RejectN(n)
+}

@@ -284,6 +284,40 @@ func TestInvariantStageCatchesViolations(t *testing.T) {
 	})
 }
 
+// TestInvariantStageRejectN checks the bulk rejection the drop-retry
+// fast-forward uses: against a full buffer it counts like n failed
+// Admits in the checker and in the PTB, and while a slot is free it is a
+// violation, just as one failed Admit would be.
+func TestInvariantStageRejectN(t *testing.T) {
+	cfg := testConfig(2, false, false)
+	cfg.Invariants = true
+	c := New(testEnv(), cfg)
+	iv := c.Invariants()
+	c.Admit()
+	c.Admit()
+	c.RejectN(5)
+	if got := c.PTBStats().Rejected; got != 5 {
+		t.Fatalf("PTB rejected = %d, want 5", got)
+	}
+	c.ReleaseSlot()
+	c.ReleaseSlot()
+	want := InvariantReport{Attempts: 7, Admitted: 2, Rejected: 5, Released: 2, Peak: 2}
+	if rep := iv.Report(); rep != want {
+		t.Fatalf("report %+v, want %+v", rep, want)
+	}
+	if err := iv.CheckFinal(); err != nil {
+		t.Fatalf("bulk reject against a full buffer reported a violation: %v", err)
+	}
+
+	c = New(testEnv(), cfg)
+	c.Admit()
+	c.RejectN(3)
+	c.ReleaseSlot()
+	if err := c.Invariants().CheckFinal(); err == nil || !strings.Contains(err.Error(), "rejected with 1 of 2 slots occupied") {
+		t.Fatalf("CheckFinal = %v, want a rejected-while-free violation", err)
+	}
+}
+
 // TestInvariantStageWithoutAdmitter pins the unbounded fallback: composed
 // into a chain with no PTB it admits everything and still balances.
 func TestInvariantStageWithoutAdmitter(t *testing.T) {

@@ -130,3 +130,14 @@ func (st *InvariantStage) CheckFinal() error {
 	}
 	return nil
 }
+
+// RejectN decorates a bulk rejection of n attempts: like n failed
+// Admits, it is a violation while any slot is free.
+func (st *InvariantStage) RejectN(n uint64) {
+	st.attempts.Add(n)
+	st.rejected.Add(n)
+	if st.capacity > 0 && st.outstanding < st.capacity {
+		st.violate("%d admissions rejected with %d of %d slots occupied", n, st.outstanding, st.capacity)
+	}
+	st.inner.RejectN(n)
+}

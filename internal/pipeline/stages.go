@@ -434,3 +434,11 @@ func (st *HistoryReaderStage) Describe() string {
 	return fmt.Sprintf("history reader: degree-%d prefetch of the predicted tenant's recent IOVAs",
 		st.pu.Config().Degree)
 }
+
+// RejectN counts n admission attempts that fail without changing any
+// state (a no-op on a nil stage, which never rejects).
+func (st *AdmissionStage) RejectN(n uint64) {
+	if st != nil {
+		st.ptb.RejectN(n)
+	}
+}

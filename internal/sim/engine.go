@@ -670,3 +670,15 @@ func (e *Engine) heapSiftDown(h []uint32, i int) {
 		i = min
 	}
 }
+
+// NextAt returns the time of the earliest pending event without firing
+// it; ok is false when nothing is pending. It is the memoised peek Step
+// and RunUntil use: cancelled records met on the way are recycled, the
+// wheel cursor does not move, and a later schedule below the peeked time
+// still fires first. A handler uses it to learn how far the clock may
+// run before anything else can happen (see internal/core's drop-retry
+// fast-forward).
+func (e *Engine) NextAt() (at Time, ok bool) {
+	st, ok := e.findMin()
+	return st.at, ok
+}

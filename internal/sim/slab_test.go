@@ -168,7 +168,7 @@ type drainSink struct{ n int }
 func (s *drainSink) HandleEvent(*Engine, Time, uint64) { s.n++ }
 
 // TestScheduleStepZeroAllocs pins the allocation contract: after
-// warm-up, ScheduleEvent and Step allocate nothing. Future changes
+// warm-up, ScheduleEvent, NextAt and Step allocate nothing. Future changes
 // cannot silently reintroduce per-event garbage.
 func TestScheduleStepZeroAllocs(t *testing.T) {
 	e := NewEngine()
@@ -186,6 +186,17 @@ func TestScheduleStepZeroAllocs(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Fatalf("ScheduleEvent+Step allocates %v/op in steady state, want 0", avg)
+	}
+	// Peeking with NextAt between schedule and fire, the way a handler
+	// does, is allocation-free too.
+	if avg := testing.AllocsPerRun(1000, func() {
+		e.ScheduleEvent(3*Nanosecond, sink, 9)
+		if _, ok := e.NextAt(); !ok {
+			t.Fatal("NextAt found nothing pending")
+		}
+		e.Step()
+	}); avg != 0 {
+		t.Fatalf("ScheduleEvent+NextAt+Step allocates %v/op in steady state, want 0", avg)
 	}
 	// A deeper queue (many pending events) must not change the story.
 	if avg := testing.AllocsPerRun(100, func() {
