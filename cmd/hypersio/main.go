@@ -190,7 +190,7 @@ func (o options) validate() error {
 		if o.tenants > 100_000 && !o.stream {
 			return fmt.Errorf("-tenants %d requires -stream (materializing a trace that long is O(requests) memory)", o.tenants)
 		}
-		if o.scale <= 0 || o.scale > 1 {
+		if !(o.scale > 0 && o.scale <= 1) {
 			return fmt.Errorf("-scale must be in (0,1], got %g", o.scale)
 		}
 	}

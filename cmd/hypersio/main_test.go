@@ -436,6 +436,7 @@ func TestCLIExitCodes(t *testing.T) {
 		{"help", []string{"-h"}, 0},
 		{"unknown design", []string{"-design", "fancy"}, 1},
 		{"zero inter-arrival gap", []string{"-design", "base", "-tenants", "2", "-scale", "0.001", "-link", "1e9"}, 1},
+		{"NaN scale", []string{"-tenants", "4", "-scale", "NaN"}, 1},
 		{"conflicting trace-engine", []string{"-trace-engine"}, 1},
 		{"conflicting describe+faults", []string{"-describe", "-faults", plan}, 1},
 		{"missing faults file", append(small, "-faults", "/nonexistent/plan.json"), 1},

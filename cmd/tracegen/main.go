@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -26,20 +27,28 @@ import (
 	"hypertrio/internal/workload"
 )
 
-func main() {
+// cliMain is main minus the process exit, so tests can drive the full
+// argv-to-exit-code path: 0 success, 1 runtime failure, 2 flag misuse.
+func cliMain(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		benchmark  = flag.String("benchmark", "iperf3", "workload: iperf3, mediastream, websearch")
-		tenants    = flag.Int("tenants", 64, "number of concurrent tenants")
-		interleave = flag.String("interleave", "RR1", "inter-tenant interleaving")
-		seed       = flag.Int64("seed", 42, "construction seed")
-		scale      = flag.Float64("scale", 0.01, "trace scale in (0,1]")
-		out        = flag.String("o", "", "output file for the binary trace (default: stdout summary only)")
-		inspect    = flag.String("inspect", "", "read and summarize an existing trace file")
-		dump       = flag.Int("dump", 0, "with -inspect: print the first N packets")
-		collect    = flag.String("collect", "", "emulate log-collection runs and write per-run HLOG files into this directory")
-		merge      = flag.String("merge", "", "merge per-run HLOG files from this directory into one trace")
+		benchmark  = fs.String("benchmark", "iperf3", "workload: iperf3, mediastream, websearch")
+		tenants    = fs.Int("tenants", 64, "number of concurrent tenants")
+		interleave = fs.String("interleave", "RR1", "inter-tenant interleaving")
+		seed       = fs.Int64("seed", 42, "construction seed")
+		scale      = fs.Float64("scale", 0.01, "trace scale in (0,1]")
+		out        = fs.String("o", "", "output file for the binary trace (default: stdout summary only)")
+		inspect    = fs.String("inspect", "", "read and summarize an existing trace file")
+		dump       = fs.Int("dump", 0, "with -inspect: print the first N packets")
+		collect    = fs.String("collect", "", "emulate log-collection runs and write per-run HLOG files into this directory")
+		merge      = fs.String("merge", "", "merge per-run HLOG files from this directory into one trace")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0 // -h prints usage and is not an error (matches flag.ExitOnError)
+	} else if err != nil {
+		return 2
+	}
 
 	var err error
 	switch {
@@ -53,9 +62,14 @@ func main() {
 		err = generate(*benchmark, *interleave, *out, *tenants, *seed, *scale)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tracegen:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "tracegen:", err)
+		return 1
 	}
+	return 0
+}
+
+func main() {
+	os.Exit(cliMain(os.Args[1:], os.Stderr))
 }
 
 // validateShape rejects bad generation inputs before any work happens,
@@ -65,7 +79,7 @@ func validateShape(tenants int, scale float64) error {
 	if tenants <= 0 {
 		return fmt.Errorf("-tenants must be positive, got %d", tenants)
 	}
-	if scale <= 0 || scale > 1 {
+	if !(scale > 0 && scale <= 1) {
 		return fmt.Errorf("-scale must be in (0,1], got %g", scale)
 	}
 	return nil
@@ -90,6 +104,11 @@ func generate(benchmark, interleave, out string, tenants int, seed int64, scale 
 		return err
 	}
 	summarize(tr)
+	return writeTrace(out, tr)
+}
+
+// writeTrace writes tr to out, when out is set, and reports its size.
+func writeTrace(out string, tr *trace.Trace) error {
 	if out == "" {
 		return nil
 	}
@@ -189,7 +208,7 @@ func collectLogs(dir, benchmark string, tenants int, seed int64, scale float64) 
 }
 
 func mergeLogs(dir, benchmark, interleave, out string, seed int64, scale float64) error {
-	if scale <= 0 || scale > 1 {
+	if !(scale > 0 && scale <= 1) {
 		return fmt.Errorf("-scale must be in (0,1], got %g", scale)
 	}
 	kind, err := hypertrio.ParseBenchmark(benchmark)
@@ -227,19 +246,7 @@ func mergeLogs(dir, benchmark, interleave, out string, seed int64, scale float64
 		return err
 	}
 	summarize(tr)
-	if out == "" {
-		return nil
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := trace.Write(f, tr); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	return f.Close()
+	return writeTrace(out, tr)
 }
 
 func summarize(tr *trace.Trace) {

@@ -127,3 +127,40 @@ func TestInspectNegativeDump(t *testing.T) {
 		t.Fatalf("negative dump not rejected upfront: %v", err)
 	}
 }
+
+// TestCLIExitCodes drives argv to exit code: 0 success, 1 runtime
+// failure, 2 flag misuse. A rejected shape must write no trace.
+func TestCLIExitCodes(t *testing.T) {
+	dir := t.TempDir()
+	cases := []struct {
+		name string
+		args []string
+		want int
+	}{
+		{"unknown flag", []string{"-definitely-not-a-flag"}, 2},
+		{"malformed value", []string{"-tenants", "many"}, 2},
+		{"help", []string{"-h"}, 0},
+		{"generate", []string{"-tenants", "4", "-scale", "0.002", "-o", filepath.Join(dir, "ok.hsio")}, 0},
+		{"zero tenants", []string{"-tenants", "0", "-o", filepath.Join(dir, "zero.hsio")}, 1},
+		{"NaN scale", []string{"-tenants", "4", "-scale", "NaN", "-o", filepath.Join(dir, "nan.hsio")}, 1},
+		{"NaN scale collect", []string{"-collect", filepath.Join(dir, "logs"), "-tenants", "4", "-scale", "NaN"}, 1},
+		{"NaN scale merge", []string{"-merge", dir, "-tenants", "4", "-scale", "NaN"}, 1},
+		{"missing trace", []string{"-inspect", filepath.Join(dir, "absent.hsio")}, 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var stderr strings.Builder
+			if got := cliMain(c.args, &stderr); got != c.want {
+				t.Fatalf("cliMain(%v) = %d, want %d (stderr: %s)", c.args, got, c.want, stderr.String())
+			}
+			if c.want != 0 && stderr.Len() == 0 {
+				t.Error("failure produced nothing on stderr")
+			}
+		})
+	}
+	for _, name := range []string{"zero.hsio", "nan.hsio", "logs"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("%s written despite invalid inputs (%v)", name, err)
+		}
+	}
+}

@@ -51,7 +51,7 @@ func New(p workload.Profile, seed int64, scale float64) (*Collector, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if scale <= 0 || scale > 1 {
+	if !(scale > 0 && scale <= 1) {
 		return nil, fmt.Errorf("collector: scale must be in (0,1], got %v", scale)
 	}
 	return &Collector{profile: p, seed: seed, scale: scale}, nil

@@ -2,6 +2,7 @@ package collector
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"hypertrio/internal/mem"
@@ -215,6 +216,9 @@ func TestLogFileRejectsGarbage(t *testing.T) {
 func TestNewValidation(t *testing.T) {
 	if _, err := New(workload.ProfileFor(workload.Iperf3), 1, 0); err == nil {
 		t.Error("zero scale accepted")
+	}
+	if _, err := New(workload.ProfileFor(workload.Iperf3), 1, math.NaN()); err == nil {
+		t.Error("NaN scale accepted")
 	}
 	bad := workload.ProfileFor(workload.Iperf3)
 	bad.DataPages = 0

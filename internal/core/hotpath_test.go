@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 
+	"hypertrio/internal/iommu"
+	"hypertrio/internal/pipeline"
 	"hypertrio/internal/tlb"
 	"hypertrio/internal/trace"
 	"hypertrio/internal/workload"
@@ -189,5 +191,32 @@ func TestBaseEventBudget(t *testing.T) {
 	}
 	if events > 20 {
 		t.Fatalf("%.2f engine events per packet, want at most 20: dropped slots are firing one event each", events)
+	}
+}
+
+// TestSharedTableMemoHitRatio pins the walk memo's reuse across tenants:
+// a fault-free run registers one template table per ring slot for all
+// 1024 tenants, and the memo is keyed by the walked table, so one
+// tenant's walk serves every tenant on that table. Keyed per SID, the
+// same run served 49% of lookups.
+func TestSharedTableMemoHitRatio(t *testing.T) {
+	tr := makeTrace(t, workload.Websearch, 1024, trace.RR1, 0.002)
+	s, err := NewSystem(HyperTRIOConfig(), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var ms iommu.MemoStats
+	for _, st := range s.Chain().Stages() {
+		if cs, ok := st.(*pipeline.ChipsetStage); ok {
+			ms = cs.IOMMU().MemoStats()
+		}
+	}
+	ratio := float64(ms.Hits) / float64(ms.Hits+ms.Misses)
+	t.Logf("memo: %d hits, %d misses, %d fills: hit ratio %.4f", ms.Hits, ms.Misses, ms.Fills, ratio)
+	if !ms.Enabled || !(ratio >= 0.95) {
+		t.Fatalf("memo hit ratio %.4f (%+v), want at least 0.95", ratio, ms)
 	}
 }

@@ -33,12 +33,14 @@ type Config struct {
 	// L3PWC caches partial walks at 1 GB granularity: (SID, iova>>30) ->
 	// host address of the guest L2 table.
 	L3PWC tlb.Config
-	// MemoEntries sizes the epoch-validated walk-memoization table that
-	// short-circuits repeated identical nested walks (a simulator
-	// optimization, not modeled hardware — replays charge exactly the
-	// accesses the real walk would have performed, so results are
-	// byte-identical either way). 0 selects DefaultMemoEntries; negative
-	// disables memoization; other values round up to a power of two.
+	// MemoEntries sizes the walk-memoization table that short-circuits
+	// repeated identical nested walks, keyed by the walked table and the
+	// gIOVA page, so tenants sharing a table share its entries (a
+	// simulator optimization, not modeled hardware — replays charge
+	// exactly the accesses the real walk would have performed, so results
+	// are byte-identical either way). 0 selects DefaultMemoEntries;
+	// negative disables memoization; other values round up to a power of
+	// two.
 	MemoEntries int
 }
 
@@ -188,61 +190,57 @@ func (u *IOMMU) Translate(sid mem.SID, iova uint64, pageShift uint8, recordHisto
 		}
 	}
 
-	// Memoized replay: an epoch-valid entry proves the tenant's tables
-	// are unchanged since the entry's walk, so the outcome — translation,
+	// Memoized replay: a live entry proves the walked table is unchanged
+	// since the walks that filled it, so the outcome — translation,
 	// access count for the chosen resume depth, install addresses — is
-	// replayed without touching the simulated tables.
-	if ent := u.memo.lookup(sid, iova>>mem.PageShift, nt); ent != nil {
-		replay := int(ent.total)
-		ok := true
-		switch startLevel {
-		case 1:
-			replay, ok = int(ent.suf1), ent.tbl1OK
-		case 2:
-			replay, ok = int(ent.suf2), ent.tbl2OK
-		}
-		if ok {
-			nt.ReplayReads(replay)
-			res.MemAccesses += replay
-			res.HPA = ent.hpa4k | iova&(mem.PageSize-1)
-			u.memAccesses.Add(uint64(res.MemAccesses))
-			u.install(sid, iova, pageShift, iotlbKey, res.HPA, ent.resumePoints)
-			return res, nil
-		}
-	}
-
-	var walk mem.NestedResult
-	var err error
-	if startLevel == 0 {
-		walk, err = nt.WalkInto(iova, u.walkBuf[:0])
+	// replayed without touching the simulated tables. A real walk
+	// memoizes what it learned, read off its own access vector.
+	var rp resumePoints
+	ent, replay := u.memo.lookup(nt, iova>>mem.PageShift, startLevel)
+	if ent != nil {
+		nt.ReplayReads(replay)
+		res.MemAccesses += replay
+		res.HPA = ent.hpa4k | iova&(mem.PageSize-1)
+		rp = ent.resumePoints
 	} else {
-		walk, err = nt.WalkFromInto(iova, startLevel, resume, u.walkBuf[:0])
-	}
-	u.walkBuf = walk.Accesses[:0]
-	if err != nil {
-		return res, fmt.Errorf("iommu: walking %#x for SID %d: %w", iova, sid, err)
-	}
-	res.MemAccesses += len(walk.Accesses)
-	res.HPA = walk.HPA
-	u.memAccesses.Add(uint64(res.MemAccesses))
-
-	// Install what the walk learned, read off its own access vector. A
-	// full walk also memoizes its outcome. An L2-resumed walk never read
-	// the guest L2 table, so its address comes from the L3 cache's entry
-	// for the granule, or — only when that is absent — a silent walk.
-	rp := resumePointsOf(iova, walk.Accesses)
-	switch startLevel {
-	case 0:
-		u.memo.fill(sid, iova, nt, rp, len(walk.Accesses), walk.HPA)
-	case 1:
-		if e, ok := u.l3pwc.Peek(granuleKey(sid, iova, mem.GiantPageShift)); ok {
-			rp.tbl2, rp.tbl2OK = mem.Addr(e.Value), true
-		} else if tbl, terr := nt.TableHPA(iova, 2); terr == nil {
-			rp.tbl2, rp.tbl2OK = tbl, true
+		var walk mem.NestedResult
+		var err error
+		if startLevel == 0 {
+			walk, err = nt.WalkInto(iova, u.walkBuf[:0])
+		} else {
+			walk, err = nt.WalkFromInto(iova, startLevel, resume, u.walkBuf[:0])
 		}
+		u.walkBuf = walk.Accesses[:0]
+		if err != nil {
+			return res, fmt.Errorf("iommu: walking %#x for SID %d: %w", iova, sid, err)
+		}
+		res.MemAccesses += len(walk.Accesses)
+		res.HPA = walk.HPA
+		rp = resumePointsOf(iova, walk.Accesses)
+		ent = u.memo.fill(nt, iova, startLevel, rp, len(walk.Accesses), walk.HPA)
 	}
-	u.install(sid, iova, pageShift, iotlbKey, walk.HPA, rp)
+	u.memAccesses.Add(uint64(res.MemAccesses))
+	if startLevel == 1 {
+		u.finishL2Resume(sid, iova, nt, ent, &rp)
+	}
+	u.install(sid, iova, pageShift, iotlbKey, res.HPA, rp)
 	return res, nil
+}
+
+// finishL2Resume supplies the guest L2 table address that an L2-resumed
+// translation never read, so its install refreshes the L3 PWC entry
+// exactly as a full walk would. The address comes from the memo entry
+// (nil when memoization is off) if a full or L3-resumed walk stored it,
+// else from the L3 PWC's entry for the granule, and only when both lack
+// it from a silent walk of the tables.
+func (u *IOMMU) finishL2Resume(sid mem.SID, iova uint64, nt *mem.NestedTable, ent *memoEntry, rp *resumePoints) {
+	if ent != nil && ent.tbl2OK {
+		rp.tbl2, rp.tbl2OK = ent.tbl2, true
+	} else if e, ok := u.l3pwc.Peek(granuleKey(sid, iova, mem.GiantPageShift)); ok {
+		rp.tbl2, rp.tbl2OK = mem.Addr(e.Value), true
+	} else if tbl, err := nt.TableHPA(iova, 2); err == nil {
+		rp.tbl2, rp.tbl2OK = tbl, true
+	}
 }
 
 // install performs the post-walk cache installs: the IOTLB entry, the
@@ -273,7 +271,6 @@ func (u *IOMMU) Invalidate(sid mem.SID, iova uint64, pageShift uint8) {
 	if pageShift == mem.PageShift {
 		u.l2pwc.Invalidate(granuleKey(sid, iova, mem.HugePageShift))
 	}
-	u.memo.bumpSID(sid)
 	u.history.Drop(sid, iova, pageShift)
 }
 
@@ -288,7 +285,6 @@ func (u *IOMMU) InvalidateSID(sid mem.SID) int {
 	}
 	n += u.l2pwc.InvalidateSID(uint32(sid))
 	n += u.l3pwc.InvalidateSID(uint32(sid))
-	u.memo.bumpSID(sid)
 	u.history.DropSID(sid)
 	return n
 }
@@ -303,7 +299,6 @@ func (u *IOMMU) FlushAll() int {
 	}
 	n += u.l2pwc.Flush()
 	n += u.l3pwc.Flush()
-	u.memo.bumpGlobal()
 	return n
 }
 

@@ -411,36 +411,52 @@ func TestFlushAllKeepsHistory(t *testing.T) {
 
 // TestWarmTranslateZeroAllocs pins every walk shape of a warm Translate
 // to zero allocations: a full walk, an L2-PWC resume (4 KB pages), an
-// L3-PWC resume (2 MB data page) and a memoized replay.
+// L3-PWC resume (2 MB data page), a memoized replay, an L2-resumed walk
+// that fills the memo, and an L2-resume memo hit that takes its L3 PWC
+// install address from the L3 PWC.
 func TestWarmTranslateZeroAllocs(t *testing.T) {
 	ct, tenants, spaces := buildTenants(t, 1, workload.Mediastream)
 	uncachedCfg := testConfig(0)
 	uncachedCfg.MemoEntries = -1
+	oneEntryCfg := testConfig(0)
+	oneEntryCfg.MemoEntries = 1
 	memo := New(testConfig(0), ct, tenants)
 	uncached := New(uncachedCfg, ct, tenants)
 	as := spaces[0]
+	init1, init2 := as.InitPages[1], as.InitPages[2] // one 2 MB granule
 
 	for _, c := range []struct {
 		name     string
 		u        *IOMMU
 		iova     uint64
 		shift    uint8
-		flush    bool // empty the chipset caches first: a full walk
+		flush    bool   // empty the chipset caches first: a full walk
+		warm     uint64 // first translation of the warm-up; 0 = 2 MB data page 0
+		alt      uint64 // when set, calls alternate between iova and alt
 		pwcLevel int
 		memoHit  bool
 	}{
-		{"full walk", uncached, as.Ring, mem.PageShift, true, 0, false},
-		{"L2-PWC resume, ring page", uncached, as.Ring, mem.PageShift, false, 2, false},
-		{"L2-PWC resume, init page", uncached, as.InitPages[1], mem.PageShift, false, 2, false},
-		{"L3-PWC resume, 2 MB data page", uncached, as.DataPages[1], mem.HugePageShift, false, 3, false},
-		{"memo hit", memo, as.Ring, mem.PageShift, false, 2, true},
+		{"full walk", uncached, as.Ring, mem.PageShift, true, 0, 0, 0, false},
+		{"L2-PWC resume, ring page", uncached, as.Ring, mem.PageShift, false, 0, 0, 2, false},
+		{"L2-PWC resume, init page", uncached, as.InitPages[1], mem.PageShift, false, 0, 0, 2, false},
+		{"L3-PWC resume, 2 MB data page", uncached, as.DataPages[1], mem.HugePageShift, false, 0, 0, 3, false},
+		{"memo hit", memo, as.Ring, mem.PageShift, false, 0, 0, 2, true},
+		// A one-entry memo: each page's walk evicts the other's entry.
+		{"L2-resumed memo fill", New(oneEntryCfg, ct, tenants), init1, mem.PageShift, false, init2, init2, 2, false},
+		{"L2-resume memo hit, L3 address from the L3 PWC", New(testConfig(0), ct, tenants), init1, mem.PageShift, false, init2, 0, 2, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
+			calls := 0
 			translate := func() Result {
 				if c.flush {
 					c.u.FlushAll()
 				}
-				res, err := c.u.Translate(as.SID, c.iova, c.shift, true)
+				iova := c.iova
+				if c.alt != 0 && calls%2 == 1 {
+					iova = c.alt
+				}
+				calls++
+				res, err := c.u.Translate(as.SID, iova, c.shift, true)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -448,17 +464,36 @@ func TestWarmTranslateZeroAllocs(t *testing.T) {
 			}
 			// Warm up: the context cache, the PWCs, the memo and the
 			// walk scratch buffers.
-			if _, err := c.u.Translate(as.SID, as.DataPages[0], mem.HugePageShift, true); err != nil {
+			warm := c.warm
+			if warm == 0 {
+				warm = as.DataPages[0]
+			}
+			if _, err := c.u.Translate(as.SID, warm, workload.PageShiftOf(warm), true); err != nil {
 				t.Fatal(err)
 			}
 			translate()
 			translate()
-			hits := c.u.MemoStats().Hits
+			before := c.u.MemoStats()
 			if res := translate(); res.PWCLevel != c.pwcLevel {
 				t.Fatalf("PWCLevel = %d, want %d (%+v)", res.PWCLevel, c.pwcLevel, res)
 			}
-			if gotHit := c.u.MemoStats().Hits > hits; gotHit != c.memoHit {
+			after := c.u.MemoStats()
+			if gotHit := after.Hits > before.Hits; gotHit != c.memoHit {
 				t.Fatalf("memo hit = %v, want %v", gotHit, c.memoHit)
+			}
+			if c.alt != 0 && after.Fills == before.Fills {
+				t.Fatalf("memo not filled: %+v -> %+v", before, after)
+			}
+			if c.warm != 0 && c.memoHit {
+				// The entry holds only what the L2-resumed walk learned,
+				// so the L3 PWC install address must come from the L3 PWC.
+				ent, live := c.u.memo.slot(as.Nested, c.iova>>mem.PageShift)
+				if !live || ent.total != 0 || ent.tbl2OK || !ent.tbl1OK {
+					t.Fatalf("memo entry %+v (live %v), want only the guest L1 resume point", *ent, live)
+				}
+				if _, ok := c.u.l3pwc.Peek(granuleKey(as.SID, c.iova, mem.GiantPageShift)); !ok {
+					t.Fatal("no L3 PWC entry for the granule")
+				}
 			}
 			if allocs := testing.AllocsPerRun(100, func() { translate() }); allocs != 0 {
 				t.Fatalf("warm translation allocates %.1f times per call, want 0", allocs)

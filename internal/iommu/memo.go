@@ -1,8 +1,6 @@
 package iommu
 
-import (
-	"hypertrio/internal/mem"
-)
+import "hypertrio/internal/mem"
 
 // DefaultMemoEntries is the walk-memoization capacity used when
 // Config.MemoEntries is zero: 16 K direct-mapped 64-byte entries, 1 MiB
@@ -48,24 +46,24 @@ func resumePointsOf(iova uint64, accesses []mem.NestedAccess) resumePoints {
 	return rp
 }
 
-// memoEntry is one cached nested-walk outcome for a (SID, gIOVA 4 KB
-// page) pair. The entry stores everything a replay needs — the 4 KB-
-// granular host translation, the access count of the full walk, and the
-// walk's resume points. Validity is epoch-checked, never scanned: a
-// stored snapshot of the tenant's table epoch, the per-SID invalidation
-// epoch and the global flush epoch must all still match. Fields are
-// ordered so the entry fills exactly one 64-byte cache line.
+// memoEntry is one cached nested-walk outcome for a (walked table, gIOVA
+// 4 KB page) pair. The table is named by its host root, the host-physical
+// L4 address a context entry points at, so every SID registered on one
+// shared template table reads and fills the same entry. The entry
+// accumulates what walks of the page learned: the 4 KB-granular host
+// translation, the access count of a full walk (total, 0 until a full
+// walk is seen) and the resume points (each known when its OK flag is
+// set). Validity is the table epoch alone: a walk's outcome is a pure
+// function of table contents, and every table mutation advances it.
+// Fields are ordered so the entry fills exactly one 64-byte cache line.
 type memoEntry struct {
-	page       uint64 // gIOVA >> mem.PageShift
+	page       uint64   // gIOVA >> mem.PageShift
+	root       mem.Addr // NestedTable.HostRoot of the walked table
 	tableEpoch uint64
 	hpa4k      uint64 // host translation of the key's 4 KB page (low 12 bits clear)
 	resumePoints
 
-	sid         mem.SID
-	sidEpoch    uint32
-	globalEpoch uint32
-
-	total uint16 // accesses of the full two-dimensional walk
+	total uint16 // accesses of the full two-dimensional walk; 0 = unknown
 	valid bool
 }
 
@@ -76,17 +74,13 @@ type memoEntry struct {
 // recomputes on its next miss), which keeps behaviour deterministic and
 // memory exactly bounded.
 //
-// Invalidation is O(1) regardless of how many entries a command covers:
-// page and tenant invalidations bump the tenant's epoch counter, global
-// flushes bump the global epoch, and table mutations advance the
-// tenant's NestedTable epoch — stale entries then fail their epoch
-// compare on next touch instead of being searched for eagerly.
+// Nothing is ever invalidated eagerly. A table mutation advances the
+// table's epoch, so its stale entries fail their compare on next touch.
+// Invalidation commands drop modelled hardware state (IOTLB, PWCs,
+// context cache) but never change a table, so they leave the memo alone.
 type walkMemo struct {
 	entries []memoEntry
 	mask    uint64
-
-	sidEp    []uint32 // per-SID invalidation epochs, dense, grown on demand
-	globalEp uint32
 
 	hits, misses, fills uint64
 }
@@ -108,9 +102,10 @@ func newWalkMemo(entries int) *walkMemo {
 	return &walkMemo{entries: make([]memoEntry, n), mask: uint64(n - 1)}
 }
 
-// memoHash mixes (sid, page) into a table index (splitmix64 finalizer).
-func memoHash(sid mem.SID, page uint64) uint64 {
-	x := page*0x9E3779B97F4A7C15 ^ uint64(sid)*0xBF58476D1CE4E5B9
+// memoHash mixes (table host root, page) into a table index (splitmix64
+// finalizer).
+func memoHash(root mem.Addr, page uint64) uint64 {
+	x := page*0x9E3779B97F4A7C15 ^ uint64(root)*0xBF58476D1CE4E5B9
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9
 	x ^= x >> 27
@@ -119,72 +114,69 @@ func memoHash(sid mem.SID, page uint64) uint64 {
 	return x
 }
 
-func (m *walkMemo) sidEpoch(sid mem.SID) uint32 {
-	if int(sid) < len(m.sidEp) {
-		return m.sidEp[sid]
-	}
-	return 0
+// slot returns the entry (nt, page) maps to and whether it holds a live
+// outcome for exactly that key at the table's current epoch.
+func (m *walkMemo) slot(nt *mem.NestedTable, page uint64) (*memoEntry, bool) {
+	root := nt.HostRoot()
+	ent := &m.entries[memoHash(root, page)&m.mask]
+	return ent, ent.valid && ent.root == root && ent.page == page && ent.tableEpoch == nt.Epoch()
 }
 
-// bumpSID advances one tenant's invalidation epoch, logically dropping
-// every memoized walk for that SID in O(1).
-func (m *walkMemo) bumpSID(sid mem.SID) {
+// lookup returns the live entry for (nt, page) and the access count of a
+// walk starting at startLevel (0 full, 1 at guest L1, 2 at guest L2), or
+// nil when the entry is missing, stale, or does not know that count.
+func (m *walkMemo) lookup(nt *mem.NestedTable, page uint64, startLevel int) (*memoEntry, int) {
 	if m == nil {
-		return
+		return nil, 0
 	}
-	for int(sid) >= len(m.sidEp) {
-		m.sidEp = append(m.sidEp, 0)
+	if ent, live := m.slot(nt, page); live {
+		n, ok := int(ent.total), ent.total != 0
+		switch startLevel {
+		case 1:
+			n, ok = int(ent.suf1), ent.tbl1OK
+		case 2:
+			n, ok = int(ent.suf2), ent.tbl2OK
+		}
+		if ok {
+			m.hits++
+			return ent, n
+		}
 	}
-	m.sidEp[sid]++
+	m.misses++
+	return nil, 0
 }
 
-// bumpGlobal logically drops every memoized walk (global flush).
-func (m *walkMemo) bumpGlobal() {
-	if m == nil {
-		return
-	}
-	m.globalEp++
-}
-
-// lookup returns the live entry for (sid, page), revalidating its epochs
-// against the tenant's current table state, or nil on a miss. A stale
-// entry is marked invalid so the slot refills.
-func (m *walkMemo) lookup(sid mem.SID, page uint64, nt *mem.NestedTable) *memoEntry {
-	if m == nil {
+// fill memoizes what one successful walk of iova learned: a walk starting
+// at startLevel that performed n accesses, translated to hpa, and read
+// the resume points rp off its access vector. It merges into the live
+// entry for the key, or replaces whatever the slot held, and returns it.
+// A full walk stores total and both resume points, an L3-resumed walk
+// both resume points, an L2-resumed walk the guest L1 one.
+func (m *walkMemo) fill(nt *mem.NestedTable, iova uint64, startLevel int, rp resumePoints, n int, hpa uint64) *memoEntry {
+	if m == nil || n > 0xFFFF {
 		return nil
 	}
-	ent := &m.entries[memoHash(sid, page)&m.mask]
-	if !ent.valid || ent.sid != sid || ent.page != page {
-		m.misses++
-		return nil
-	}
-	if ent.tableEpoch != nt.Epoch() || ent.sidEpoch != m.sidEpoch(sid) || ent.globalEpoch != m.globalEp {
-		ent.valid = false
-		m.misses++
-		return nil
-	}
-	m.hits++
-	return ent
-}
-
-// fill memoizes one successful full walk of total accesses, whose
-// resume points rp were read off its access vector.
-func (m *walkMemo) fill(sid mem.SID, iova uint64, nt *mem.NestedTable, rp resumePoints, total int, hpa uint64) {
-	if m == nil || total == 0 || total > 0xFFFF {
-		return
+	page := iova >> mem.PageShift
+	ent, live := m.slot(nt, page)
+	if !live {
+		*ent = memoEntry{
+			page:       page,
+			root:       nt.HostRoot(),
+			tableEpoch: nt.Epoch(),
+			hpa4k:      hpa &^ (mem.PageSize - 1),
+			valid:      true,
+		}
 	}
 	m.fills++
-	m.entries[memoHash(sid, iova>>mem.PageShift)&m.mask] = memoEntry{
-		page:         iova >> mem.PageShift,
-		tableEpoch:   nt.Epoch(),
-		hpa4k:        hpa &^ (mem.PageSize - 1),
-		resumePoints: rp,
-		sid:          sid,
-		sidEpoch:     m.sidEpoch(sid),
-		globalEpoch:  m.globalEp,
-		total:        uint16(total),
-		valid:        true,
+	switch startLevel {
+	case 0:
+		ent.total, ent.resumePoints = uint16(n), rp
+	case 1:
+		ent.tbl1, ent.suf1, ent.tbl1OK = rp.tbl1, rp.suf1, rp.tbl1OK
+	case 2:
+		ent.resumePoints = rp
 	}
+	return ent
 }
 
 // MemoStats reports the walk-memoization counters. They are intentionally

@@ -20,18 +20,25 @@ import (
 // field for field: memoization is an engine optimization, not a modeled
 // structure, so it may never change a single observable number.
 //
+// sidsPerTable SIDs are registered on each tenant table, the way
+// core.NewSystemSource shares one template table among the tenants of a
+// ring slot; translations and invalidations pick any SID of the table,
+// and mutations hit every SID on it.
+//
 // Both worlds resume page-walk-cache hits from the cached table address,
 // so the differential alone cannot catch a wrong one. After every
 // successful translation each world's L2/L3 PWC entries for the page's
 // granules are therefore checked against a silent walk of the tables.
-func driveMemoDifferential(t *testing.T, cfg Config, seed int64) {
+func driveMemoDifferential(t *testing.T, cfg Config, seed int64, sidsPerTable int) {
 	t.Helper()
 	const nTenants = 3
 
 	ctM, tenantsM, spacesM := buildTenants(t, nTenants, workload.Mediastream)
+	sids := shareTables(ctM, tenantsM, spacesM, sidsPerTable)
 	uM := New(cfg, ctM, tenantsM)
 
 	ctU, tenantsU, spacesU := buildTenants(t, nTenants, workload.Mediastream)
+	shareTables(ctU, tenantsU, spacesU, sidsPerTable)
 	cfgU := cfg
 	cfgU.MemoEntries = -1
 	uU := New(cfgU, ctU, tenantsU)
@@ -97,8 +104,16 @@ func driveMemoDifferential(t *testing.T, cfg Config, seed int64) {
 		}
 	}
 
+	// sidOf picks the SID a command for table k arrives on.
+	sidOf := func(k int) mem.SID {
+		if len(sids[k]) == 1 {
+			return sids[k][0]
+		}
+		return sids[k][rng.Intn(len(sids[k]))]
+	}
+
 	translate := func(k int, iova uint64, shift uint8, op int) {
-		sid := spacesM[k].SID
+		sid := sidOf(k)
 		rM, errM := uM.Translate(sid, iova, shift, true)
 		rU, errU := uU.Translate(sid, iova, shift, true)
 		if (errM == nil) != (errU == nil) {
@@ -136,14 +151,15 @@ func driveMemoDifferential(t *testing.T, cfg Config, seed int64) {
 		}
 	}
 	invalidate := func(k int, iova uint64, shift uint8) {
-		uM.Invalidate(spacesM[k].SID, iova, shift)
-		uU.Invalidate(spacesU[k].SID, iova, shift)
+		sid := sidOf(k)
+		uM.Invalidate(sid, iova, shift)
+		uU.Invalidate(sid, iova, shift)
 	}
 
 	const ops = 4000
 	for op := 0; op < ops; op++ {
 		k := rng.Intn(nTenants)
-		asM, asU := spacesM[k], spacesU[k]
+		asM := spacesM[k]
 		switch r := rng.Intn(20); {
 		case r < 14: // translate
 			iova, shift := pick(k)
@@ -183,8 +199,9 @@ func driveMemoDifferential(t *testing.T, cfg Config, seed int64) {
 			both(k, mapIOVA(iova, mem.PageShift))
 			translate(k, iova, mem.PageShift, op)
 		case r < 19: // tenant teardown
-			nM := uM.InvalidateSID(asM.SID)
-			nU := uU.InvalidateSID(asU.SID)
+			sid := sidOf(k)
+			nM := uM.InvalidateSID(sid)
+			nU := uU.InvalidateSID(sid)
 			if nM != nU {
 				t.Fatalf("op %d: InvalidateSID dropped %d vs %d entries", op, nM, nU)
 			}
@@ -213,8 +230,8 @@ func driveMemoDifferential(t *testing.T, cfg Config, seed int64) {
 	if cfg.IOTLB.Sets == 0 && ms.Hits == 0 {
 		// Without an IOTLB every repeat translation reaches the memo, so a
 		// hit-free run means the epochs never validated anything. (With an
-		// IOTLB in front, repeat walks of one page mostly follow an
-		// invalidation — which bumps the epoch — so hits are legitimately
+		// IOTLB in front, the memo sees only that cache's misses, which
+		// mostly follow a remap or an unmap, so hits are legitimately
 		// scarce there.)
 		t.Fatalf("IOTLB-less memoized run never hit the memo: %+v", ms)
 	}
@@ -227,14 +244,14 @@ func driveMemoDifferential(t *testing.T, cfg Config, seed int64) {
 // translation reaches the walk path and the memo is consulted (and must
 // revalidate) on each one.
 func TestMemoMatchesUncachedUnderMutation(t *testing.T) {
-	driveMemoDifferential(t, testConfig(0), 1)
+	driveMemoDifferential(t, testConfig(0), 1, 1)
 }
 
 // TestMemoMatchesUncachedWithIOTLB: with an IOTLB in front the memo only
 // sees that cache's misses, and invalidations must keep all three layers
 // (IOTLB, PWCs, memo) mutually coherent.
 func TestMemoMatchesUncachedWithIOTLB(t *testing.T) {
-	driveMemoDifferential(t, testConfig(8), 2)
+	driveMemoDifferential(t, testConfig(8), 2, 1)
 }
 
 // TestMemoMatchesUncachedTinyL3PWC: a one-entry L3 PWC is evicted all the
@@ -243,82 +260,182 @@ func TestMemoMatchesUncachedWithIOTLB(t *testing.T) {
 func TestMemoMatchesUncachedTinyL3PWC(t *testing.T) {
 	cfg := testConfig(0)
 	cfg.L3PWC = tlb.Config{Name: "l3pwc", Sets: 1, Ways: 1, Policy: tlb.LRU}
-	driveMemoDifferential(t, cfg, 3)
+	driveMemoDifferential(t, cfg, 3, 1)
 }
 
-// TestMemoEpochInvalidation pins the three invalidation channels one by
-// one: a table mutation (epoch), a per-SID invalidation and a global
-// flush must each kill a memoized walk, while an unrelated tenant's
-// mutation must not.
-func TestMemoEpochInvalidation(t *testing.T) {
-	ct, tenants, spaces := buildTenants(t, 2, workload.Mediastream)
-	u := New(testConfig(0), ct, tenants) // no IOTLB: every translate consults the memo
-	a, b := spaces[0], spaces[1]
+// TestMemoMatchesUncachedSharedTables: four SIDs per table, so walks of
+// one SID serve memo lookups of the others, and remaps and unmaps of a
+// shared table must stop every SID on it from replaying stale outcomes.
+func TestMemoMatchesUncachedSharedTables(t *testing.T) {
+	driveMemoDifferential(t, testConfig(0), 4, 4)
+}
 
-	warm := func(as *workload.AddressSpace) MemoStats {
+// shareTables registers perTable-1 further SIDs on each tenant's table
+// (SID k+1+j*len(spaces) on table k, as core.NewSystemSource assigns
+// tenants to ring-slot templates) and returns each table's SIDs.
+func shareTables(ct *mem.ContextTable, tenants *mem.TenantTables, spaces []*workload.AddressSpace, perTable int) [][]mem.SID {
+	sids := make([][]mem.SID, len(spaces))
+	for k, as := range spaces {
+		sids[k] = []mem.SID{as.SID}
+		for j := 1; j < perTable; j++ {
+			sid := mem.SID(k + 1 + j*len(spaces))
+			tenants.Set(sid, as.Nested)
+			ct.Set(sid, mem.ContextEntry{DID: uint32(sid), GuestRoot: as.Nested.GuestRoot(), HostRoot: as.Nested.HostRoot()})
+			sids[k] = append(sids[k], sid)
+		}
+	}
+	return sids
+}
+
+// TestMemoTableKeyContract pins what the memo is keyed and validated by:
+// the walked table (its host root) and that table's epoch, nothing else.
+// Table A is shared by SIDs 1 and 2; table B, SID 3's, has the same
+// guest layout (and guest root gPA) but its own host tables. Every
+// translation runs against a memo-off twin and must return the same
+// Result.
+func TestMemoTableKeyContract(t *testing.T) {
+	build := func(memoEntries int) (*IOMMU, *workload.AddressSpace, *workload.AddressSpace) {
 		t.Helper()
-		if _, err := u.Translate(as.SID, as.Ring, mem.PageShift, true); err != nil {
+		host := mem.NewSpace("host", 0x1_0000_0000, 0)
+		ct := mem.NewContextTable()
+		tenants := mem.NewTenantTables(3)
+		p := workload.ProfileFor(workload.Mediastream)
+		a, err := workload.BuildAddressSpace(p, 1, host, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return u.MemoStats()
+		b, err := workload.BuildAddressSpace(p, 1, host, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for sid, nt := range []*mem.NestedTable{1: a.Nested, 2: a.Nested, 3: b.Nested} {
+			if nt != nil {
+				tenants.Set(mem.SID(sid), nt)
+				ct.Set(mem.SID(sid), mem.ContextEntry{DID: uint32(sid), GuestRoot: nt.GuestRoot(), HostRoot: nt.HostRoot()})
+			}
+		}
+		cfg := testConfig(0) // no IOTLB: every translation consults the memo
+		cfg.MemoEntries = memoEntries
+		return New(cfg, ct, tenants), a, b
 	}
-	// refill restores a fresh, valid memo entry for as.Ring: the flush
-	// empties the PWCs (a PWC-resumed rewalk never refills the memo — only
-	// a full walk does), so the next translate is a full walk that fills.
-	refill := func(as *workload.AddressSpace) {
+	u, a, b := build(0)
+	twin, ta, tb := build(-1)
+	if a.Nested.GuestRoot() != b.Nested.GuestRoot() || a.Nested.HostRoot() == b.Nested.HostRoot() {
+		t.Fatalf("tables A and B: guest roots %#x/%#x, host roots %#x/%#x; want equal guest, distinct host",
+			a.Nested.GuestRoot(), b.Nested.GuestRoot(), a.Nested.HostRoot(), b.Nested.HostRoot())
+	}
+
+	// translate runs one translation in both worlds and reports whether
+	// the memo hit.
+	translate := func(sid mem.SID, iova uint64, shift uint8) (Result, bool) {
 		t.Helper()
-		u.FlushAll()
 		before := u.MemoStats()
-		after := warm(as)
-		if after.Fills != before.Fills+1 {
-			t.Fatalf("full walk after flush did not refill: %+v -> %+v", before, after)
+		got, err := u.Translate(sid, iova, shift, true)
+		want, werr := twin.Translate(sid, iova, shift, true)
+		if err != nil || werr != nil || got != want {
+			t.Fatalf("SID %d iova %#x: memoized %+v (%v), memo off %+v (%v)", sid, iova, got, err, want, werr)
 		}
+		after := u.MemoStats()
+		if after.Hits+after.Misses != before.Hits+before.Misses+1 {
+			t.Fatalf("SID %d iova %#x: %+v -> %+v, want one lookup", sid, iova, before, after)
+		}
+		return got, after.Hits > before.Hits
 	}
-	expect := func(as *workload.AddressSpace, what string, hit bool) {
+	expect := func(what string, sid mem.SID, iova uint64, shift uint8, hit bool) Result {
 		t.Helper()
-		before := u.MemoStats()
-		after := warm(as)
-		if hit && after.Hits != before.Hits+1 {
-			t.Fatalf("%s: expected a memo hit: %+v -> %+v", what, before, after)
+		res, got := translate(sid, iova, shift)
+		if got != hit {
+			t.Fatalf("%s: SID %d iova %#x: memo hit = %v, want %v", what, sid, iova, got, hit)
 		}
-		if !hit && after.Misses != before.Misses+1 {
-			t.Fatalf("%s: expected a memo miss: %+v -> %+v", what, before, after)
+		return res
+	}
+	// mutate applies one table mutation in both worlds.
+	mutate := func(f func(nt *mem.NestedTable) error, tables ...*mem.NestedTable) {
+		t.Helper()
+		for _, nt := range tables {
+			if err := f(nt); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 
-	warm(a) // first full walk fills
-	expect(a, "steady state", true)
-	expect(a, "steady state", true)
+	// Sharing: SID 1's full walk serves SID 2, whose context and PWCs
+	// are cold, so its lookup is a full walk's too.
+	expect("first walk", 1, a.Ring, mem.PageShift, false)
+	expect("SID 2 on SID 1's table", 2, a.Ring, mem.PageShift, true)
 
-	// Channel 1: a table mutation anywhere in tenant A's tables (a map of
-	// an otherwise-unused gIOVA region) advances A's table epoch.
-	if _, _, err := a.Nested.MapIOVA(0x1000_0000, mem.PageShift); err != nil {
-		t.Fatal(err)
-	}
-	expect(a, "table mutation", false)
-
-	// An unrelated tenant's mutation must NOT invalidate A's entry.
-	refill(a)
-	if _, _, err := b.Nested.MapIOVA(0x1000_0000, mem.PageShift); err != nil {
-		t.Fatal(err)
-	}
-	expect(a, "unrelated tenant's mutation", true)
-
-	// Channel 2: per-SID invalidation.
-	u.InvalidateSID(a.SID)
-	expect(a, "InvalidateSID", false)
-
-	// ...which must not have touched tenant B either.
-	refill(b)
-	u.InvalidateSID(a.SID)
-	expect(b, "other tenant's InvalidateSID", true)
-
-	// Channel 3: a global flush kills every tenant's entries.
-	refill(a)
-	refill(b)
+	// Invalidation commands drop hardware state, not table state: the
+	// entry stays live, whatever depth the next walk starts at.
+	u.Invalidate(1, a.Ring, mem.PageShift)
+	twin.Invalidate(1, a.Ring, mem.PageShift)
+	expect("after Invalidate", 1, a.Ring, mem.PageShift, true)
+	u.InvalidateSID(1)
+	twin.InvalidateSID(1)
+	expect("after InvalidateSID", 1, a.Ring, mem.PageShift, true)
 	u.FlushAll()
-	expect(a, "FlushAll (tenant A)", false)
-	expect(b, "FlushAll (tenant B)", false)
+	twin.FlushAll()
+	expect("after FlushAll", 2, a.Ring, mem.PageShift, true)
+
+	// Same guest layout, different table: B's walk of the same gIOVA
+	// must not replay A's entry.
+	resB := expect("table B, same gIOVA", 3, b.Ring, mem.PageShift, false)
+	resA := expect("table A again", 1, a.Ring, mem.PageShift, true)
+	if resA.HPA == resB.HPA {
+		t.Fatalf("tables A and B translate %#x to the same HPA %#x", a.Ring, resA.HPA)
+	}
+
+	// A mutation of shared table A misses for every SID on it and leaves
+	// B's entries live; one of B then leaves A's live.
+	init0 := a.InitPages[0]
+	gpa := mem.Addr(0)
+	if w, err := a.Nested.Walk(init0); err != nil {
+		t.Fatal(err)
+	} else {
+		gpa = mem.Addr(w.GPA)
+	}
+	for _, m := range []struct {
+		name string
+		f    func(nt *mem.NestedTable) error
+	}{
+		{"MapIOVA", func(nt *mem.NestedTable) error { _, _, err := nt.MapIOVA(0x1000_0000, mem.PageShift); return err }},
+		{"RemapIOVA", func(nt *mem.NestedTable) error { return nt.RemapIOVA(init0, gpa, mem.PageShift) }},
+		{"UnmapIOVA", func(nt *mem.NestedTable) error { _, err := nt.UnmapIOVA(init0, mem.PageShift); return err }},
+	} {
+		// Full walks, then PWC resumes, each SID on its own page.
+		u.FlushAll()
+		twin.FlushAll()
+		for _, w := range []struct {
+			sid  mem.SID
+			iova uint64
+		}{{1, a.Ring}, {2, a.Mailbox}, {3, b.Ring}} {
+			translate(w.sid, w.iova, mem.PageShift)
+		}
+		mutate(m.f, a.Nested, ta.Nested)
+		expect(m.name+" of A, SID 1", 1, a.Ring, mem.PageShift, false)
+		expect(m.name+" of A, SID 2", 2, a.Mailbox, mem.PageShift, false)
+		expect(m.name+" of A, table B", 3, b.Ring, mem.PageShift, true)
+		mutate(m.f, b.Nested, tb.Nested)
+		expect(m.name+" of B, table B", 3, b.Ring, mem.PageShift, false)
+		expect(m.name+" of B, table A", 1, a.Ring, mem.PageShift, true)
+	}
+
+	// An L2-resumed walk fills only what it learned. Init pages 1 and 2
+	// share a 2 MB granule: SID 2's full walk of page 2 leaves it the L2
+	// PWC entry its first walk of page 1 resumes from.
+	init1 := a.InitPages[1]
+	u.FlushAll()
+	twin.FlushAll()
+	translate(2, a.InitPages[2], mem.PageShift)
+	if res := expect("L2-resumed fill", 2, init1, mem.PageShift, false); res.PWCLevel != 2 {
+		t.Fatalf("init page 1 for SID 2: PWCLevel %d, want 2", res.PWCLevel)
+	}
+	expect("L2-resume lookup after L2-resumed fill", 2, init1, mem.PageShift, true)
+	if res := expect("full-walk lookup after L2-resumed fill", 1, init1, mem.PageShift, false); res.PWCLevel != 0 {
+		t.Fatalf("init page 1 for SID 1: PWCLevel %d, want 0", res.PWCLevel)
+	}
+	u.FlushAll()
+	twin.FlushAll()
+	expect("full-walk lookup after full walk", 1, init1, mem.PageShift, true)
 }
 
 // TestMemoEntryFitsCacheLine pins the memo entry to one 64-byte cache

@@ -35,6 +35,10 @@ type ClassSpec struct {
 	Scale   float64
 }
 
+// maxClassScale bounds a class's budget scale: the largest a valid
+// scenario compiles to (scenario scale 1 x class scale 64 x weight 64).
+const maxClassScale = 64 * 64
+
 // MixConfig drives NewMixStream / ConstructMix: a seeded, deterministic
 // composition of tenant classes under one interleave discipline. SIDs
 // are assigned contiguously in class order starting at 1.
@@ -70,8 +74,8 @@ func (c MixConfig) validate() error {
 		if cl.Weight < 0 {
 			return fmt.Errorf("trace: mix class %d (%s): weight must be >= 0, got %d", i, cl.Name, cl.Weight)
 		}
-		if cl.Scale <= 0 {
-			return fmt.Errorf("trace: mix class %d (%s): scale must be positive, got %v", i, cl.Name, cl.Scale)
+		if !(cl.Scale > 0 && cl.Scale <= maxClassScale) {
+			return fmt.Errorf("trace: mix class %d (%s): scale must be in (0,%d], got %v", i, cl.Name, maxClassScale, cl.Scale)
 		}
 		if !cl.Profile.Kind.Known() {
 			return fmt.Errorf("trace: mix class %d (%s): unknown benchmark %v", i, cl.Name, cl.Profile.Kind)

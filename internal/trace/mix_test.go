@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"testing"
 
 	"hypertrio/internal/mem"
@@ -27,6 +28,8 @@ func TestMixValidation(t *testing.T) {
 		{"zero tenants", func(c *MixConfig) { c.Classes[0].Tenants = 0 }},
 		{"negative weight", func(c *MixConfig) { c.Classes[1].Weight = -1 }},
 		{"zero scale", func(c *MixConfig) { c.Classes[0].Scale = 0 }},
+		{"NaN scale", func(c *MixConfig) { c.Classes[0].Scale = math.NaN() }},
+		{"scale above the bound", func(c *MixConfig) { c.Classes[1].Scale = maxClassScale * 2 }},
 		{"zero burst", func(c *MixConfig) { c.Interleave.Burst = 0 }},
 		{"bad profile", func(c *MixConfig) { c.Classes[0].Profile.Streams = 0 }},
 		{"unknown interleave kind", func(c *MixConfig) { c.Interleave = Interleave{Kind: 2, Burst: 1} }},

@@ -177,7 +177,7 @@ func (c Config) validate() error {
 	if err := c.Interleave.Validate(); err != nil {
 		return err
 	}
-	if c.Scale <= 0 || c.Scale > 1 {
+	if !(c.Scale > 0 && c.Scale <= 1) {
 		return fmt.Errorf("trace: scale must be in (0,1], got %v", c.Scale)
 	}
 	return nil

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 
 	"hypertrio/internal/workload"
@@ -23,6 +24,7 @@ func TestConstructValidation(t *testing.T) {
 		{Benchmark: workload.Iperf3, Tenants: 4, Interleave: Interleave{RoundRobin, 0}, Scale: 0.1},
 		{Benchmark: workload.Iperf3, Tenants: 4, Interleave: RR1, Scale: 0},
 		{Benchmark: workload.Iperf3, Tenants: 4, Interleave: RR1, Scale: 1.5},
+		{Benchmark: workload.Iperf3, Tenants: 4, Interleave: RR1, Scale: math.NaN()},
 		{Benchmark: workload.Iperf3, Tenants: 4, Interleave: Interleave{Kind: 2, Burst: 1}, Scale: 0.1},
 		{Benchmark: 9, Tenants: 4, Interleave: RR1, Scale: 0.1},
 	}

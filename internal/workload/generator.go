@@ -97,7 +97,7 @@ func NewGeneratorRNG(p Profile, sid mem.SID, seed int64, scale float64, r RNG) *
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	if scale <= 0 {
+	if !(scale > 0) {
 		panic("workload: scale must be positive")
 	}
 	g := &Generator{
