@@ -162,18 +162,18 @@ func BenchmarkEngineScheduleFire(b *testing.B) {
 
 // BenchmarkEngineScheduleFirePending measures the schedule+fire cycle
 // against queue depth: the engine is pre-loaded with N far-future events
-// (parked in high wheel levels and the overflow heap) while the measured
-// loop schedules and fires near events. A comparison-based heap pays
-// O(log N) per operation here; the timing wheel's cost must stay flat
-// from 10^2 to 10^6 pending events.
+// (parked in high wheel levels, all inside the 2^48 ps horizon, so the
+// overflow heap stays empty) while the measured loop schedules and fires
+// near events. A comparison-based heap pays O(log N) per operation here;
+// the timing wheel's cost must stay flat from 10^2 to 10^6 pending
+// events.
 func BenchmarkEngineScheduleFirePending(b *testing.B) {
 	for _, pending := range []int{100, 10_000, 1_000_000} {
 		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
 			e := sim.NewEngine()
 			for i := 0; i < pending; i++ {
 				// Spread the backlog across ~4 s of far future: many
-				// distinct slots across several wheel levels plus, at the
-				// 10^6 point, the beyond-horizon overflow heap.
+				// distinct slots across several wheel levels.
 				e.ScheduleEvent(sim.Second+sim.Duration(i)*3*sim.Microsecond, nopSink{}, 0)
 			}
 			b.ReportAllocs()

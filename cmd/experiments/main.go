@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -149,8 +150,9 @@ func selectExperiments(only string) ([]experiments.Experiment, error) {
 }
 
 func run(o cliOptions, out io.Writer) error {
-	if o.sampleUs < 0 {
-		return fmt.Errorf("-sample-us must be >= 0, got %d", o.sampleUs)
+	// A larger interval would wrap the picosecond Duration.
+	if maxUs := math.MaxInt64 / int64(sim.Microsecond); o.sampleUs < 0 || int64(o.sampleUs) > maxUs {
+		return fmt.Errorf("-sample-us must be in [0, %d], got %d", maxUs, o.sampleUs)
 	}
 	opts := experiments.Options{
 		Seed: o.seed, Quick: o.quick, Workers: o.parallel,

@@ -128,6 +128,7 @@ func TestCLIExitCodes(t *testing.T) {
 		{"help", []string{"-h"}, 0},
 		{"unknown experiment", []string{"-only", "fig99", "-quick"}, 1},
 		{"negative sample interval", []string{"-only", "table2", "-sample-us", "-1"}, 1},
+		{"sample interval past the clock range", []string{"-only", "table2", "-sample-us", "9223372036855"}, 1},
 		{"removed shards flag", []string{"-shards", "2"}, 2},
 		{"bad cpuprofile path", []string{"-only", "table2", "-quick", "-cpuprofile", "/nonexistent/dir/cpu.pprof"}, 1},
 		{"bad memprofile path", []string{"-only", "table2", "-quick", "-memprofile", "/nonexistent/dir/mem.pprof"}, 1},

@@ -29,7 +29,7 @@
 //
 // Observability: -trace FILE streams model events (arrivals, drops,
 // DevTLB hits/misses, page walks, prefetches) as NDJSON; -trace-engine
-// additionally records every event-kernel schedule/fire/cancel, and
+// additionally records every event-kernel sched/fire event, and
 // simulates every dropped link slot as its own event (same result,
 // slower);
 // -metrics FILE writes the final metrics registry snapshot plus the
@@ -42,6 +42,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -117,7 +118,7 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 	fs.BoolVar(&o.verbose, "v", false, "print per-structure statistics")
 
 	fs.StringVar(&o.traceFile, "trace", "", "write an NDJSON event trace of the run to FILE")
-	fs.BoolVar(&o.engineEvents, "trace-engine", false, "with -trace: also record event-kernel sched/fire/cancel events")
+	fs.BoolVar(&o.engineEvents, "trace-engine", false, "with -trace: also record event-kernel sched/fire events")
 	fs.StringVar(&o.metricsFile, "metrics", "", "write the metrics snapshot and time series to FILE (.json or .csv)")
 	fs.IntVar(&o.sampleUs, "sample-us", 10, "time-series sample interval in simulated µs (0 disables the series)")
 	fs.StringVar(&o.faultsFile, "faults", "", "load a JSON fault plan ("+fault.PlanSchema+") and apply it during the run")
@@ -217,8 +218,9 @@ func (o options) validate() error {
 	if o.chipsetIOTLB < 0 || o.chipsetIOTLB%8 != 0 {
 		return fmt.Errorf("-chipset-iotlb must be a non-negative multiple of 8, got %d", o.chipsetIOTLB)
 	}
-	if o.sampleUs < 0 {
-		return fmt.Errorf("-sample-us must be >= 0, got %d", o.sampleUs)
+	// A larger interval would wrap the picosecond Duration.
+	if maxUs := math.MaxInt64 / int64(sim.Microsecond); o.sampleUs < 0 || int64(o.sampleUs) > maxUs {
+		return fmt.Errorf("-sample-us must be in [0, %d], got %d", maxUs, o.sampleUs)
 	}
 	if o.engineEvents && o.traceFile == "" {
 		return fmt.Errorf("-trace-engine requires -trace FILE")

@@ -453,6 +453,8 @@ func TestCLIExitCodes(t *testing.T) {
 		{"replay packet SID beyond tenants", []string{"-replay", badSID}, 1},
 		{"replay 2^30 tenants with 4 stats", []string{"-replay", hugeTenants}, 1},
 		{"replay unknown benchmark", []string{"-replay", badBenchmark}, 1},
+		{"sample interval past the clock range", append(small, "-sample-us", "9223372036855"), 1},
+		{"sample interval wrapping negative", append(small, "-sample-us", "10000000000000"), 1},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

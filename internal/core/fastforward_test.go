@@ -19,7 +19,7 @@ import (
 // drop-retry fast-forward. Each case runs twice over the same trace:
 // with a Tracer only, which skips a blocked link's dead slots in one
 // step, and with a Tracer plus EngineEvents, whose engine probe keeps
-// one arrival event per link slot. Without the probe's sched/fire/cancel
+// one arrival event per link slot. Without the probe's sched/fire
 // lines the second trace must be byte-identical to the first, and the
 // two Results deep-equal — every case with and without the invariant
 // checker.
@@ -135,13 +135,12 @@ func tracedRun(t *testing.T, cfg core.Config, tr *trace.Trace, sampleEvery sim.D
 	return r, buf.Bytes()
 }
 
-// withoutEngineLines drops the engine probe's sched/fire/cancel lines
+// withoutEngineLines drops the engine probe's sched/fire lines
 // from an NDJSON trace, leaving the model's own events.
 func withoutEngineLines(nd []byte) []byte {
 	var out bytes.Buffer
 	for _, line := range strings.SplitAfter(string(nd), "\n") {
-		if strings.Contains(line, `"ev":"sched"`) || strings.Contains(line, `"ev":"fire"`) ||
-			strings.Contains(line, `"ev":"cancel"`) {
+		if strings.Contains(line, `"ev":"sched"`) || strings.Contains(line, `"ev":"fire"`) {
 			continue
 		}
 		out.WriteString(line)

@@ -1,9 +1,6 @@
 package mem
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // SID is a Source ID: the PCIe Bus/Device/Function identity of a tenant's
 // virtual function. The hypervisor assigns SIDs when a VF is attached, so
@@ -29,11 +26,6 @@ type ContextTable struct {
 	entries []ContextEntry // indexed by SID
 	present []bool
 	count   int
-
-	// sids caches the ascending-SID view SIDs() hands out; it is rebuilt
-	// lazily (sorted flag) only when entries were installed out of order.
-	sids   []SID
-	sorted bool
 }
 
 // ContextReadAccesses is the number of physical memory accesses one
@@ -43,7 +35,7 @@ const ContextReadAccesses = 2
 
 // NewContextTable returns an empty context table.
 func NewContextTable() *ContextTable {
-	return &ContextTable{sorted: true}
+	return &ContextTable{}
 }
 
 // Reserve pre-sizes the table for SIDs up to maxSID, so dense
@@ -58,11 +50,6 @@ func (ct *ContextTable) Reserve(maxSID SID) {
 		copy(present, ct.present)
 		ct.present = present
 	}
-	if cap(ct.sids) < n-1 {
-		sids := make([]SID, len(ct.sids), n-1)
-		copy(sids, ct.sids)
-		ct.sids = sids
-	}
 }
 
 // Set installs or replaces the entry for sid.
@@ -75,10 +62,6 @@ func (ct *ContextTable) Set(sid SID, e ContextEntry) {
 	if !ct.present[sid] {
 		ct.present[sid] = true
 		ct.count++
-		if n := len(ct.sids); n > 0 && ct.sids[n-1] > sid {
-			ct.sorted = false
-		}
-		ct.sids = append(ct.sids, sid)
 	}
 }
 
@@ -92,19 +75,3 @@ func (ct *ContextTable) Lookup(sid SID) (ContextEntry, error) {
 
 // Len reports the number of installed entries.
 func (ct *ContextTable) Len() int { return ct.count }
-
-// SIDs returns all installed SIDs in ascending order. The order is
-// pinned so that any consumer walking every tenant (sweeps, serializers,
-// future invalidate-all commands) is deterministic by construction.
-//
-// The returned slice is the table's cached view: callers must treat it
-// as read-only, and a later Set invalidates it. Registration is normally
-// already ascending, so repeated calls cost nothing beyond the first
-// out-of-order sort — no per-call copy or sort of a million-entry slice.
-func (ct *ContextTable) SIDs() []SID {
-	if !ct.sorted {
-		sort.Slice(ct.sids, func(i, j int) bool { return ct.sids[i] < ct.sids[j] })
-		ct.sorted = true
-	}
-	return ct.sids
-}

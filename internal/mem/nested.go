@@ -91,9 +91,6 @@ func NewNestedTableLevels(name string, guestBase Addr, hostSpace *Space, levels 
 // Guest returns the guest (first-level) page table.
 func (nt *NestedTable) Guest() *PageTable { return nt.guest }
 
-// Host returns the host (second-level) page table.
-func (nt *NestedTable) Host() *PageTable { return nt.host }
-
 // GuestRoot returns the guest-physical address of the guest L4 table.
 func (nt *NestedTable) GuestRoot() Addr { return nt.guest.Root() }
 
@@ -104,9 +101,8 @@ func (nt *NestedTable) HostRoot() Addr { return nt.host.Root() }
 // host frame yet. Guest tables are created lazily by guest.Map, so this
 // runs after every MapIOVA.
 func (nt *NestedTable) adoptGuestTables() error {
-	// Iterate the registration-order slice directly: the guest bump
-	// allocator hands out ascending addresses, so the order matches the
-	// sorted TableAddrs() view without building a copy per MapIOVA.
+	// Registration order is deterministic, so the host frames handed out
+	// here are too.
 	for _, gpa := range nt.guestSpace.tableAddrs {
 		if _, ok := nt.guestFrames[gpa]; ok {
 			continue

@@ -10,10 +10,7 @@
 // translations round-trip against the allocator.
 package mem
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Architectural constants for x86-64-style 4-level paging.
 const (
@@ -105,10 +102,8 @@ type Space struct {
 	ext []extRef
 
 	// tableAddrs records every registered table page in registration
-	// order; the bump allocator hands out ascending addresses, so the
-	// slice is normally already sorted (addrsSorted tracks the exception).
-	tableAddrs  []Addr
-	addrsSorted bool
+	// order.
+	tableAddrs []Addr
 
 	// access statistics
 	reads  uint64
@@ -122,7 +117,7 @@ func NewSpace(name string, base, limit Addr) *Space {
 	if base%PageSize != 0 {
 		panic(fmt.Sprintf("mem: space %q base %#x not page aligned", name, base))
 	}
-	return &Space{name: name, next: base, limit: limit, base: base, addrsSorted: true}
+	return &Space{name: name, next: base, limit: limit, base: base}
 }
 
 // Name returns the label the space was created with.
@@ -193,9 +188,6 @@ func (s *Space) register(base Addr, v uint32) {
 		panic(fmt.Sprintf("mem: table %#x registered twice in space %q", uint64(base), s.name))
 	}
 	s.dir[l1][pn&(dirPageLen-1)] = v
-	if n := len(s.tableAddrs); n > 0 && base < s.tableAddrs[n-1] {
-		s.addrsSorted = false
-	}
 	s.tableAddrs = append(s.tableAddrs, base)
 }
 
@@ -235,20 +227,9 @@ func (s *Space) tableWords(base Addr) []uint64 {
 	return e.src.slotWords(e.slot)
 }
 
-// Allocated reports the next free address, i.e. the high-water mark.
-func (s *Space) Allocated() Addr { return s.next }
-
 // TableCount reports how many page-table pages live in the space
 // (aliased pages included).
 func (s *Space) TableCount() int { return len(s.tableAddrs) }
-
-// ArenaBytes reports the bytes of arena backing storage this space owns
-// (aliased tables are charged to their owning space). Directory and
-// bookkeeping overhead is excluded; it is bounded by one dirPage per
-// 1 MB of table-bearing address range.
-func (s *Space) ArenaBytes() uint64 {
-	return uint64(len(s.arena)) * chunkWords * 8
-}
 
 // ReadEntry reads the 8-byte entry at addr, which must fall inside a
 // registered table page.
@@ -278,15 +259,4 @@ func (s *Space) WriteEntry(addr Addr, v uint64) error {
 	s.writes++
 	w[(addr-base)/8] = v
 	return nil
-}
-
-// TableAddrs returns the sorted base addresses of all table pages;
-// used by tests and the trace serializer.
-func (s *Space) TableAddrs() []Addr {
-	out := make([]Addr, len(s.tableAddrs))
-	copy(out, s.tableAddrs)
-	if !s.addrsSorted {
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	}
-	return out
 }

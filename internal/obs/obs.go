@@ -34,7 +34,7 @@ type Options struct {
 	// keeps all state per-System).
 	Tracer *Tracer
 	// EngineEvents additionally probes the event kernel itself,
-	// emitting sched/fire/cancel events for every engine event. Very
+	// emitting sched/fire events for every engine event. Very
 	// verbose; requires Tracer. So that the probe sees every link slot,
 	// core then fires one event per dropped slot instead of skipping a
 	// blocked link's dead slots: the same Result, more slowly.

@@ -4,7 +4,7 @@ import "hypertrio/internal/sim"
 
 // EngineProbe adapts a Tracer to the event kernel's sim.Probe hook,
 // emitting one NDJSON line per engine event: sched when an event enters
-// the queue, fire when it executes, cancel when it is removed. Seq is
+// the queue, fire when it executes. Seq is
 // the kernel's deterministic tie-break sequence number, so a trace can
 // reconstruct exact firing order.
 type EngineProbe struct{ T *Tracer }
@@ -19,9 +19,4 @@ func (p EngineProbe) OnSchedule(at sim.Time, seq uint64, label string) {
 // OnFire records an event beginning execution.
 func (p EngineProbe) OnFire(at sim.Time, seq uint64, label string) {
 	p.T.Emit(Event{T: int64(at), Ev: "fire", Seq: seq, Label: label})
-}
-
-// OnCancel records a pending event being cancelled.
-func (p EngineProbe) OnCancel(at sim.Time, seq uint64, label string) {
-	p.T.Emit(Event{T: int64(at), Ev: "cancel", Seq: seq, Label: label})
 }

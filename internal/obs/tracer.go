@@ -28,7 +28,7 @@ const TraceSchema = "hypertrio-trace/1"
 //	fault_retry                             — a faulted walk backing off
 //	rewalk, stale_hit                       — re-walk / stale-window tracking
 //
-// and, with Options.EngineEvents, the kernel emits sched, fire, cancel.
+// and, with Options.EngineEvents, the kernel emits sched and fire.
 // Optional fields are omitted when zero. IOVA is hex-encoded because
 // guest addresses exceed JSON's exact-integer range.
 type Event struct {

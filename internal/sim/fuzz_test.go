@@ -7,28 +7,29 @@ import (
 // FuzzEngineMatchesHeapRef drives the timing-wheel engine and the old
 // container/heap reference (refEngine, slab_test.go) through the same
 // byte-decoded operation stream and requires identical observable
-// behaviour: the same fire times in the same order, the same Cancel
-// results, and the same pending count and clock at every step. The
-// decoder is built to stress the wheel's seams — near events exercise
-// level-0 slots and the ready heap, far-future events start in the
-// overflow heap and migrate across every level on their way down, and
-// indexed cancels hit records wherever they currently live.
+// behaviour: the same fire times in the same order, the same NextAt
+// peeks, and the same pending count and clock at every step. The decoder
+// is built to stress the wheel's seams — near events exercise level-0
+// slots and the ready heap, far-future events start in the overflow heap
+// and migrate across every level on their way down, and peeks find the
+// minimum wherever it currently lives.
 //
 // Op stream: each op byte selects by op%4, data bytes follow.
 //
 //	0: schedule near    (1 data byte d: delay = d ns, level 0..2)
 //	1: schedule far     (2 data bytes: delay = hi<<40 | lo<<32 ps,
 //	                     up to ~2^48 — straddles the overflow horizon)
-//	2: cancel           (1 data byte k: cancel the k-th outstanding id)
+//	2: peek             (1 data byte, ignored, so committed inputs keep
+//	                     their layout: NextAt against the reference head)
 //	3: step both engines
 func FuzzEngineMatchesHeapRef(f *testing.F) {
 	// Committed seeds (also under testdata/fuzz/FuzzEngineMatchesHeapRef):
-	// far-future scheduling with interleaved fires, and mass cancellation
-	// of a scheduled batch before draining.
+	// near events, far-future scheduling with interleaved fires, and
+	// peeks between schedules and fires.
 	f.Add([]byte("0A0B0C333333"))                          // near events, drain
 	f.Add([]byte("1\xff\xff1\x80\x001\x00\x01333333"))     // beyond, at and below the horizon
-	f.Add([]byte("0A0B0C0D0E2\x002\x012\x022\x032\x0433")) // schedule 5, cancel all, step
-	f.Add([]byte("1\xff\xff0A2\x0032\x0133"))              // cancel far, fire near, stale cancel
+	f.Add([]byte("0A0B0C0D0E2\x002\x012\x022\x032\x0433")) // schedule 5, peek 5 times, step
+	f.Add([]byte("1\xff\xff0A2\x0032\x0133"))              // far and near, peek, fire, peek
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		e := NewEngine()
@@ -39,8 +40,6 @@ func FuzzEngineMatchesHeapRef(f *testing.F) {
 			seq uint64
 		}
 		var got, want []firing
-		var ids []EventID
-		var refs []*refEvent
 
 		sink := firingRecorder{record: func(at Time, _ uint64) {
 			got = append(got, firing{at: at})
@@ -77,8 +76,8 @@ func FuzzEngineMatchesHeapRef(f *testing.F) {
 					break
 				}
 				delay := Duration(d) * Nanosecond
-				ids = append(ids, e.ScheduleEvent(delay, sink, 0))
-				refs = append(refs, ref.schedule(delay))
+				e.ScheduleEvent(delay, sink, 0)
+				ref.schedule(delay)
 			case 1:
 				hi, ok := next()
 				if !ok {
@@ -86,21 +85,16 @@ func FuzzEngineMatchesHeapRef(f *testing.F) {
 				}
 				lo, _ := next()
 				delay := Duration(hi)<<40 | Duration(lo)<<32
-				ids = append(ids, e.ScheduleEvent(delay, sink, 0))
-				refs = append(refs, ref.schedule(delay))
+				e.ScheduleEvent(delay, sink, 0)
+				ref.schedule(delay)
 			case 2:
-				k, ok := next()
-				if !ok {
+				if _, ok := next(); !ok {
 					break
 				}
-				if len(ids) == 0 {
-					continue
-				}
-				j := int(k) % len(ids)
-				gc := e.Cancel(ids[j])
-				rc := ref.cancel(refs[j])
-				if gc != rc {
-					t.Fatalf("Cancel disagreement at op %d: wheel=%v ref=%v", i, gc, rc)
+				gat, gok := e.NextAt()
+				rat, rok := ref.peek()
+				if gat != rat || gok != rok {
+					t.Fatalf("NextAt disagreement at op %d: wheel=%v,%v ref=%v,%v", i, gat, gok, rat, rok)
 				}
 			case 3:
 				stepBoth()
@@ -112,10 +106,8 @@ func FuzzEngineMatchesHeapRef(f *testing.F) {
 				t.Fatalf("clock %v, reference %v", e.Now(), ref.now)
 			}
 		}
-		// Drain both and compare the complete firing sequence. The final
-		// empty-queue step makes both report exhaustion AND sweeps any
-		// still-queued cancelled records (cancellation is lazy: a record
-		// nobody peeks at again stays in its slot until a scan frees it).
+		// Drain both and compare the complete firing sequence; the final
+		// empty-queue step makes both report exhaustion.
 		for len(ref.queue) > 0 || e.Pending() > 0 {
 			stepBoth()
 		}

@@ -5,28 +5,24 @@ import (
 	"testing"
 )
 
-// TestNextAtSkipsAndRecyclesCancelled: a peek reports the earliest live
-// event, returning the records of cancelled events it passes to the free
-// list instead of reporting them.
-func TestNextAtSkipsAndRecyclesCancelled(t *testing.T) {
+// TestNextAtTracksTheMinimum: a peek reports the earliest pending event
+// wherever it sits — ready heap, a wheel level, or the overflow heap —
+// after every Step, and reports nothing once the queue drains.
+func TestNextAtTracksTheMinimum(t *testing.T) {
 	e := NewEngine()
 	sink := &drainSink{}
-	a := e.ScheduleEvent(10*Nanosecond, sink, 0)
-	b := e.ScheduleEvent(20*Nanosecond, sink, 0)
-	e.ScheduleEvent(30*Nanosecond, sink, 0)
-	e.Cancel(a)
-	e.Cancel(b)
-	if len(e.free) != 0 {
-		t.Fatalf("cancel recycled eagerly: %d free records", len(e.free))
+	delays := []Duration{0, 0x3f, 0x40, 0x1000, 0x40001, Duration(1) << 50}
+	for i := len(delays) - 1; i >= 0; i-- {
+		e.ScheduleEvent(delays[i], sink, 0)
 	}
-	at, ok := e.NextAt()
-	if !ok || at != Time(30*Nanosecond) {
-		t.Fatalf("NextAt = %v, %v; want 30ns, true", at, ok)
+	for _, d := range delays {
+		if at, ok := e.NextAt(); !ok || at != Time(d) {
+			t.Fatalf("NextAt = %v, %v; want %v, true", at, ok, Time(d))
+		}
+		if !e.Step() || e.Now() != Time(d) {
+			t.Fatalf("Step fired at %v, want %v", e.Now(), Time(d))
+		}
 	}
-	if len(e.free) != 2 {
-		t.Fatalf("NextAt left %d cancelled records unrecycled, want 2 on the free list", 2-len(e.free))
-	}
-	e.Run()
 	if _, ok := e.NextAt(); ok {
 		t.Fatal("NextAt on a drained engine reports an event")
 	}
@@ -78,17 +74,15 @@ func TestNextAtThenEarlierSchedule(t *testing.T) {
 
 // scriptSink drives a self-extending random workload: every fired event
 // schedules up to three children (same picosecond, near, or far enough
-// to cross wheel levels) and sometimes cancels a pending event. The
-// script draws only from rng, so two engines with equal seeds run the
+// to cross wheel levels). The script draws only from rng, so two engines with equal seeds run the
 // same workload; peek, when set, adds NextAt calls from its own source,
 // before handlers return and between steps.
 type scriptSink struct {
-	rng     *rand.Rand
-	peek    *rand.Rand
-	budget  int
-	nextID  uint64
-	pending []EventID
-	fired   []firing
+	rng    *rand.Rand
+	peek   *rand.Rand
+	budget int
+	nextID uint64
+	fired  []firing
 }
 
 type firing struct {
@@ -110,7 +104,7 @@ func (s *scriptSink) schedule(e *Engine) {
 	}
 	s.nextID++
 	s.budget--
-	s.pending = append(s.pending, e.ScheduleEvent(d, s, s.nextID))
+	e.ScheduleEvent(d, s, s.nextID)
 }
 
 func (s *scriptSink) maybePeek(e *Engine) {
@@ -125,17 +119,11 @@ func (s *scriptSink) HandleEvent(e *Engine, now Time, id uint64) {
 		s.maybePeek(e)
 		s.schedule(e)
 	}
-	if len(s.pending) > 0 && s.rng.Intn(4) == 0 {
-		k := s.rng.Intn(len(s.pending))
-		e.Cancel(s.pending[k])
-		s.pending[k] = s.pending[len(s.pending)-1]
-		s.pending = s.pending[:len(s.pending)-1]
-	}
 	s.maybePeek(e)
 }
 
 // TestPropertyNextAtLeavesFireOrder: interleaving NextAt with Step —
-// between steps and inside handlers, around schedules and cancels —
+// between steps and inside handlers, around schedules —
 // leaves the fire sequence unchanged, and a peek made just before a
 // Step always names the time of the event that Step fires.
 func TestPropertyNextAtLeavesFireOrder(t *testing.T) {

@@ -6,86 +6,6 @@ import (
 	"testing"
 )
 
-// --- generation-checked cancellation ----------------------------------
-
-// TestCancelStaleIDAfterRecycle pins the EventID generation contract: an
-// ID whose event already fired must stay a no-op even after the slab
-// slot is recycled by a new event — cancelling the stale ID must not
-// cancel the slot's new occupant.
-func TestCancelStaleIDAfterRecycle(t *testing.T) {
-	e := NewEngine()
-	stale := schedule(e, 1*Nanosecond, func(*Engine, Time) {})
-	e.Run() // fires; the slot goes to the free list
-
-	// The next schedule reuses the freed slot (single-slot slab).
-	fired := false
-	fresh := schedule(e, 1*Nanosecond, func(*Engine, Time) { fired = true })
-	if fresh.slot != stale.slot {
-		t.Fatalf("slot not recycled: stale=%d fresh=%d", stale.slot, fresh.slot)
-	}
-	if fresh.gen == stale.gen {
-		t.Fatal("recycled slot kept the same generation")
-	}
-	if e.Cancel(stale) {
-		t.Fatal("stale EventID cancelled the slot's new occupant")
-	}
-	e.Run()
-	if !fired {
-		t.Fatal("fresh event did not fire — stale Cancel touched it")
-	}
-	// And the fresh ID is itself stale now.
-	if e.Cancel(fresh) {
-		t.Fatal("Cancel after fire returned true")
-	}
-}
-
-// TestCancelZeroAndOutOfRangeIDs: the zero EventID and IDs beyond the
-// slab are safe no-ops.
-func TestCancelZeroAndOutOfRangeIDs(t *testing.T) {
-	e := NewEngine()
-	if e.Cancel(EventID{}) {
-		t.Fatal("zero EventID cancelled something")
-	}
-	if e.Cancel(EventID{slot: 99, gen: 0}) {
-		t.Fatal("out-of-range EventID cancelled something")
-	}
-	id := schedule(e, 1*Nanosecond, func(*Engine, Time) {})
-	if !e.Cancel(id) {
-		t.Fatal("live event did not cancel")
-	}
-	if e.Cancel(id) {
-		t.Fatal("double cancel returned true")
-	}
-}
-
-// TestRunUntilSkipsCancelledHead guards the lazy-deletion interaction
-// with RunUntil's head peek: a cancelled record sitting at the heap root
-// inside the window must not cause a live event beyond the deadline to
-// fire.
-func TestRunUntilSkipsCancelledHead(t *testing.T) {
-	e := NewEngine()
-	id := schedule(e, 5*Nanosecond, func(*Engine, Time) { t.Fatal("cancelled event fired") })
-	fired := false
-	schedule(e, 20*Nanosecond, func(*Engine, Time) { fired = true })
-	e.Cancel(id)
-	if n := e.RunUntil(Time(10 * Nanosecond)); n != 0 {
-		t.Fatalf("RunUntil fired %d events, want 0", n)
-	}
-	if fired {
-		t.Fatal("event beyond the deadline fired")
-	}
-	if e.Now() != Time(10*Nanosecond) {
-		t.Fatalf("clock = %v, want 10ns", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
-	}
-	e.Run()
-	if !fired {
-		t.Fatal("live event never fired")
-	}
-}
-
 // --- event sinks and payloads -----------------------------------------
 
 type recordingSink struct {
@@ -116,21 +36,6 @@ func TestScheduleEventPayloadAndOrder(t *testing.T) {
 	}
 	if len(order) != 1 || order[0] != "func" {
 		t.Fatalf("funcSink event lost: %v", order)
-	}
-}
-
-// TestScheduleEventCancel: a cancelled event never reaches its sink.
-func TestScheduleEventCancel(t *testing.T) {
-	e := NewEngine()
-	sink := &recordingSink{}
-	id := e.ScheduleEvent(10*Nanosecond, sink, 1)
-	e.ScheduleEvent(20*Nanosecond, sink, 2)
-	if !e.Cancel(id) {
-		t.Fatal("typed event did not cancel")
-	}
-	e.Run()
-	if len(sink.fired) != 1 || sink.fired[0] != 2 {
-		t.Fatalf("fired = %v, want [2]", sink.fired)
 	}
 }
 
@@ -213,15 +118,13 @@ func TestScheduleStepZeroAllocs(t *testing.T) {
 
 // --- old-heap reference comparison ------------------------------------
 
-// refEngine is the pre-slab engine, preserved here verbatim in miniature
-// as the firing-order referee: a pointer-per-event binary heap driven by
-// container/heap with eager cancellation. The slab engine must fire the
-// exact same (time, seq) sequence for any mixed schedule/cancel/fire
-// workload.
+// refEngine is the pre-slab engine, preserved here in miniature as the
+// firing-order referee: a pointer-per-event binary heap driven by
+// container/heap. The slab engine must fire the exact same (time, seq)
+// sequence for any mixed schedule/peek/fire workload.
 type refEvent struct {
-	at    Time
-	seq   uint64
-	index int
+	at  Time
+	seq uint64
 }
 
 type refQueue []*refEvent
@@ -233,22 +136,13 @@ func (q refQueue) Less(i, j int) bool {
 	}
 	return q[i].seq < q[j].seq
 }
-func (q refQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *refQueue) Push(x any) {
-	ev := x.(*refEvent)
-	ev.index = len(*q)
-	*q = append(*q, ev)
-}
+func (q refQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *refQueue) Push(x any)   { *q = append(*q, x.(*refEvent)) }
 func (q *refQueue) Pop() any {
 	old := *q
 	n := len(old)
 	ev := old[n-1]
 	old[n-1] = nil
-	ev.index = -1
 	*q = old[:n-1]
 	return ev
 }
@@ -259,19 +153,17 @@ type refEngine struct {
 	nextSeq uint64
 }
 
-func (r *refEngine) schedule(delay Duration) *refEvent {
-	ev := &refEvent{at: r.now.Add(delay), seq: r.nextSeq}
+func (r *refEngine) schedule(delay Duration) {
+	heap.Push(&r.queue, &refEvent{at: r.now.Add(delay), seq: r.nextSeq})
 	r.nextSeq++
-	heap.Push(&r.queue, ev)
-	return ev
 }
 
-func (r *refEngine) cancel(ev *refEvent) bool {
-	if ev.index < 0 {
-		return false
+// peek reports the head's time, as Engine.NextAt does.
+func (r *refEngine) peek() (Time, bool) {
+	if len(r.queue) == 0 {
+		return 0, false
 	}
-	heap.Remove(&r.queue, ev.index)
-	return true
+	return r.queue[0].at, true
 }
 
 func (r *refEngine) step() (Time, uint64, bool) {
@@ -284,7 +176,7 @@ func (r *refEngine) step() (Time, uint64, bool) {
 }
 
 // TestSlabEngineMatchesReference drives both engines through 10k mixed
-// schedule/cancel/fire operations from a seeded RNG and requires the
+// schedule/peek/fire operations from a seeded RNG and requires the
 // identical firing sequence — the determinism proof that the 4-ary slab
 // heap is observationally the old container/heap engine.
 func TestSlabEngineMatchesReference(t *testing.T) {
@@ -298,9 +190,6 @@ func TestSlabEngineMatchesReference(t *testing.T) {
 	}
 	var got, want []firing
 
-	var liveIDs []EventID
-	var liveRefs []*refEvent
-
 	record := func(at Time, seq uint64) { got = append(got, firing{at, seq}) }
 	sink := firingRecorder{record: record}
 
@@ -309,18 +198,13 @@ func TestSlabEngineMatchesReference(t *testing.T) {
 		switch op := rng.Intn(10); {
 		case op < 5: // schedule
 			d := Duration(rng.Intn(500)) * Nanosecond
-			id := e.ScheduleEvent(d, sink, 0)
-			liveIDs = append(liveIDs, id)
-			liveRefs = append(liveRefs, ref.schedule(d))
-		case op < 7: // cancel a random outstanding event
-			if len(liveIDs) == 0 {
-				continue
-			}
-			k := rng.Intn(len(liveIDs))
-			gc := e.Cancel(liveIDs[k])
-			rc := ref.cancel(liveRefs[k])
-			if gc != rc {
-				t.Fatalf("op %d: Cancel disagreement: slab=%v ref=%v", i, gc, rc)
+			e.ScheduleEvent(d, sink, 0)
+			ref.schedule(d)
+		case op < 7: // peek at the next event time on both engines
+			gat, gok := e.NextAt()
+			rat, rok := ref.peek()
+			if gat != rat || gok != rok {
+				t.Fatalf("op %d: NextAt disagreement: slab=%v,%v ref=%v,%v", i, gat, gok, rat, rok)
 			}
 		default: // fire one event on both engines
 			at, seq, ok := ref.step()
