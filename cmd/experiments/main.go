@@ -41,7 +41,6 @@ type cliOptions struct {
 	seed       int64
 	parallel   int
 	sampleUs   int
-	invariants bool
 	list       bool
 	cpuProfile string
 	memProfile string
@@ -59,7 +58,6 @@ func parseFlags(args []string, stderr io.Writer) (cliOptions, error) {
 	fs.Int64Var(&o.seed, "seed", 42, "trace construction seed")
 	fs.IntVar(&o.parallel, "parallel", runtime.NumCPU(), "simulation worker goroutines (1 = serial)")
 	fs.IntVar(&o.sampleUs, "sample-us", 0, "emit per-cell time series sampled every N simulated µs under <out>/series/<id>/ (0 = off)")
-	fs.BoolVar(&o.invariants, "invariants", false, "compose the conservation-checking pipeline stage into every cell (transparent; violations fail the run)")
 	fs.BoolVar(&o.list, "list", false, "list experiments and exit")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a pprof CPU profile of the sweep to FILE")
 	fs.StringVar(&o.memProfile, "memprofile", "", "write a pprof heap profile (post-sweep, GC-settled) to FILE")
@@ -157,7 +155,6 @@ func run(o cliOptions, out io.Writer) error {
 	opts := experiments.Options{
 		Seed: o.seed, Quick: o.quick, Workers: o.parallel,
 		SampleEvery: sim.Duration(o.sampleUs) * sim.Microsecond,
-		Invariants:  o.invariants,
 	}
 	selected, err := selectExperiments(o.only)
 	if err != nil {

@@ -102,18 +102,6 @@ func testRun(dir, only string, quick bool, seed int64, parallel, sampleUs int) e
 	}, io.Discard)
 }
 
-// TestRunWithInvariants regenerates a subset with the conservation
-// checker composed into every cell; any violation fails the run.
-func TestRunWithInvariants(t *testing.T) {
-	o := cliOptions{
-		outDir: t.TempDir(), only: "fig12b", quick: true,
-		seed: 42, parallel: 1, invariants: true,
-	}
-	if err := run(o, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestCLIExitCodes drives the full argv-to-exit-code path: flag misuse
 // exits 2, runtime failures exit 1, success exits 0.
 func TestCLIExitCodes(t *testing.T) {
@@ -130,6 +118,7 @@ func TestCLIExitCodes(t *testing.T) {
 		{"negative sample interval", []string{"-only", "table2", "-sample-us", "-1"}, 1},
 		{"sample interval past the clock range", []string{"-only", "table2", "-sample-us", "9223372036855"}, 1},
 		{"removed shards flag", []string{"-shards", "2"}, 2},
+		{"removed invariants flag", []string{"-invariants"}, 2},
 		{"bad cpuprofile path", []string{"-only", "table2", "-quick", "-cpuprofile", "/nonexistent/dir/cpu.pprof"}, 1},
 		{"bad memprofile path", []string{"-only", "table2", "-quick", "-memprofile", "/nonexistent/dir/mem.pprof"}, 1},
 		{"list", []string{"-list"}, 0},

@@ -149,12 +149,6 @@ type Config struct {
 	// to a build without the subsystem. The plan is read-only once the
 	// run starts, so one plan value may be shared across systems.
 	Fault *fault.Plan
-
-	// Invariants composes the conservation checker
-	// (pipeline.InvariantStage) after the datapath; Run then fails on any
-	// admission/release violation. The checker is transparent: results
-	// are identical with it on or off. Ignored when TranslationOff.
-	Invariants bool
 }
 
 // Validate reports configuration errors.
@@ -188,6 +182,20 @@ func (c Config) Validate() error {
 			return fmt.Errorf("core: %w", err)
 		}
 	}
+	// Only the DevTLB is handed the future access sequence an Oracle
+	// cache replaces by; a chipset cache would panic at its first
+	// eviction.
+	for _, cc := range []struct {
+		name string
+		cfg  tlb.Config
+	}{
+		{"context cache", c.IOMMU.ContextCache}, {"IOTLB", c.IOMMU.IOTLB},
+		{"L2 PWC", c.IOMMU.L2PWC}, {"L3 PWC", c.IOMMU.L3PWC},
+	} {
+		if cc.cfg.Policy == tlb.Oracle {
+			return fmt.Errorf("core: the %s cannot run the Oracle policy: only the DevTLB sees the future", cc.name)
+		}
+	}
 	return nil
 }
 
@@ -206,7 +214,6 @@ func (c Config) datapath() pipeline.Config {
 		Prefetch:   c.Prefetch,
 		IOMMU:      c.IOMMU,
 		Walkers:    c.IOMMUWalkers,
-		Invariants: c.Invariants,
 	}
 }
 

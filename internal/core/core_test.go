@@ -252,6 +252,52 @@ func TestAccountingInvariants(t *testing.T) {
 	}
 }
 
+// TestCheckConservation tampers each count the after-drain check reads
+// and expects an error, on the translated and the native path.
+func TestCheckConservation(t *testing.T) {
+	tr := makeTrace(t, workload.Iperf3, 4, trace.RR1, 0.002)
+	finished := func(t *testing.T, cfg Config) (*System, Result) {
+		t.Helper()
+		s, err := NewSystem(cfg, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Packets == 0 {
+			t.Fatal("empty run")
+		}
+		return s, r
+	}
+	for _, c := range []struct {
+		name   string
+		cfg    Config
+		tamper func(s *System, r *Result)
+	}{
+		{"requests", BaseConfig(), func(_ *System, r *Result) { r.Requests++ }},
+		{"drops", BaseConfig(), func(_ *System, r *Result) { r.Drops++ }},
+		{"ptb allocs", BaseConfig(), func(_ *System, r *Result) { r.PTB.Allocs++ }},
+		{"ptb in use", HyperTRIOConfig(), func(s *System, _ *Result) { s.chain.Admit() }},
+		{"native requests", Config{Params: DefaultParams(), TranslationOff: true},
+			func(_ *System, r *Result) { r.Requests-- }},
+		{"native drops", Config{Params: DefaultParams(), TranslationOff: true},
+			func(_ *System, r *Result) { r.Drops = 1 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, r := finished(t, c.cfg)
+			if err := s.checkConservation(r); err != nil {
+				t.Fatalf("untampered run: %v", err)
+			}
+			c.tamper(s, &r)
+			if err := s.checkConservation(r); err == nil || !strings.Contains(err.Error(), "conservation violated") {
+				t.Fatalf("checkConservation = %v, want a conservation error", err)
+			}
+		})
+	}
+}
+
 func TestDeterministicRuns(t *testing.T) {
 	tr := makeTrace(t, workload.Websearch, 32, trace.RAND1, 0.004)
 	a := run(t, HyperTRIOConfig(), tr)
@@ -298,6 +344,38 @@ func TestOracleDevTLBRuns(t *testing.T) {
 	oracle := run(t, cfg, tr)
 	if oracle.DevTLB.Misses > lru.DevTLB.Misses {
 		t.Fatalf("oracle misses %d > LFU misses %d", oracle.DevTLB.Misses, lru.DevTLB.Misses)
+	}
+}
+
+// TestOracleChipsetCacheRejected pins that only the DevTLB may run the
+// Oracle policy: the chipset caches are never handed the future, so a
+// config naming one is an error from Validate and NewSystem, not a panic
+// at the first eviction.
+func TestOracleChipsetCacheRejected(t *testing.T) {
+	tr := makeTrace(t, workload.Websearch, 64, trace.RR1, 0.002)
+	for _, c := range []struct {
+		name  string
+		cache func(*Config) *tlb.Config
+	}{
+		{"context cache", func(c *Config) *tlb.Config { return &c.IOMMU.ContextCache }},
+		{"IOTLB", func(c *Config) *tlb.Config { return &c.IOMMU.IOTLB }},
+		{"L2 PWC", func(c *Config) *tlb.Config { return &c.IOMMU.L2PWC }},
+		{"L3 PWC", func(c *Config) *tlb.Config { return &c.IOMMU.L3PWC }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := HyperTRIOConfig()
+			cc := c.cache(&cfg)
+			if cc.Sets == 0 {
+				*cc = tlb.Config{Name: "iotlb", Sets: 4, Ways: 4}
+			}
+			cc.Policy = tlb.Oracle
+			if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), c.name) {
+				t.Fatalf("Validate = %v, want an error naming the %s", err, c.name)
+			}
+			if _, err := NewSystem(cfg, tr); err == nil {
+				t.Fatal("NewSystem accepted an Oracle chipset cache")
+			}
+		})
 	}
 }
 

@@ -21,8 +21,10 @@ import (
 // step, and with a Tracer plus EngineEvents, whose engine probe keeps
 // one arrival event per link slot. Without the probe's sched/fire
 // lines the second trace must be byte-identical to the first, and the
-// two Results deep-equal — every case with and without the invariant
-// checker.
+// two Results deep-equal. Each case's invariants subtest then checks the
+// conservation identities of that run from the outside: the trace holds
+// one drop line per counted drop and one completion per packet, and the
+// PTB's counts match the packet accounting.
 func TestDropRetryFastForwardExact(t *testing.T) {
 	websearch, err := trace.Construct(trace.Config{
 		Benchmark: workload.Websearch, Tenants: 16, Interleave: trace.RR1, Seed: 42, Scale: 0.002,
@@ -90,29 +92,41 @@ func TestDropRetryFastForwardExact(t *testing.T) {
 	}
 
 	for _, c := range cases {
-		for _, invariants := range []bool{false, true} {
-			name := c.name
-			if invariants {
-				name += "/invariants"
+		t.Run(c.name, func(t *testing.T) {
+			fast, fastTrace := tracedRun(t, c.cfg, c.tr, c.sampleEvery, false)
+			slow, slowTrace := tracedRun(t, c.cfg, c.tr, c.sampleEvery, true)
+			if fast.Drops == 0 {
+				t.Fatal("no drops: the case does not exercise the drop-retry loop")
 			}
-			t.Run(name, func(t *testing.T) {
-				cfg := c.cfg
-				cfg.Invariants = invariants
-				fast, fastTrace := tracedRun(t, cfg, c.tr, c.sampleEvery, false)
-				slow, slowTrace := tracedRun(t, cfg, c.tr, c.sampleEvery, true)
-				if fast.Drops == 0 {
-					t.Fatal("no drops: the case does not exercise the drop-retry loop")
+			if !reflect.DeepEqual(fast, slow) {
+				t.Fatalf("Results differ:\nfast-forward: %+v\nper-slot:     %+v", fast, slow)
+			}
+			if got, want := fastTrace, withoutEngineLines(slowTrace); !bytes.Equal(got, want) {
+				t.Fatalf("model traces differ (%d vs %d bytes) at line %d",
+					len(got), len(want), firstDiffLine(got, want))
+			}
+			t.Run("invariants", func(t *testing.T) {
+				if n := countEvents(fastTrace, "drop"); n != fast.Drops {
+					t.Errorf("trace has %d drop lines, Result %d drops", n, fast.Drops)
 				}
-				if !reflect.DeepEqual(fast, slow) {
-					t.Fatalf("Results differ:\nfast-forward: %+v\nper-slot:     %+v", fast, slow)
+				if n := countEvents(fastTrace, "complete"); n != fast.Packets {
+					t.Errorf("trace has %d completions, Result %d packets", n, fast.Packets)
 				}
-				if got, want := fastTrace, withoutEngineLines(slowTrace); !bytes.Equal(got, want) {
-					t.Fatalf("model traces differ (%d vs %d bytes) at line %d",
-						len(got), len(want), firstDiffLine(got, want))
+				if fast.PTB.Allocs != fast.Packets || fast.PTB.Rejected != fast.Drops {
+					t.Errorf("PTB allocs/rejected %d/%d, packets/drops %d/%d",
+						fast.PTB.Allocs, fast.PTB.Rejected, fast.Packets, fast.Drops)
+				}
+				if want := fast.Packets * workload.RequestsPerPacket; fast.Requests != want {
+					t.Errorf("%d requests, want %d", fast.Requests, want)
 				}
 			})
-		}
+		})
 	}
+}
+
+// countEvents counts the NDJSON trace lines whose event is ev.
+func countEvents(nd []byte, ev string) uint64 {
+	return uint64(bytes.Count(nd, []byte(`"ev":"`+ev+`"`)))
 }
 
 // tracedRun runs cfg over tr with a Tracer, adding the engine probe when

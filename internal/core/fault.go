@@ -5,7 +5,6 @@ import (
 
 	"hypertrio/internal/fault"
 	"hypertrio/internal/mem"
-	"hypertrio/internal/workload"
 )
 
 // System is the fault injector's Target: scripted events apply to the
@@ -30,7 +29,8 @@ func (s *System) FlushAll() int {
 // Remap rewrites the page's guest mapping to a fresh physical frame (the
 // guest recycling a buffer mid-flight). The mapping's leaf is overwritten
 // in place, so in-flight partial-walk resume points stay coherent and the
-// page's next full walk observes the new frame.
+// page's next full walk observes the new frame. Every tenant of the
+// SID's ring slot walks the same template table, so all of them see it.
 func (s *System) Remap(sid mem.SID, iova uint64, shift uint8) error {
 	nt := s.tenants.Get(sid)
 	if nt == nil {
@@ -47,31 +47,4 @@ func (s *System) FaultStats() (fault.Stats, bool) {
 		return fault.Stats{}, false
 	}
 	return s.injector.Stats(), true
-}
-
-// verifyInvariants cross-checks the composed invariant checker (if any)
-// against the system's own packet accounting after the run drains. A
-// chain without the checker verifies nothing and costs nothing.
-func (s *System) verifyInvariants(r Result) error {
-	iv := s.chain.Invariants()
-	if iv == nil {
-		return nil
-	}
-	if err := iv.CheckFinal(); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	rep := iv.Report()
-	if rep.Attempts != r.Packets+r.Drops {
-		return fmt.Errorf("core: invariant violated: %d admission attempts != %d packets + %d drops",
-			rep.Attempts, r.Packets, r.Drops)
-	}
-	if rep.Admitted != r.Packets || rep.Rejected != r.Drops {
-		return fmt.Errorf("core: invariant violated: admitted/rejected %d/%d != packets/drops %d/%d",
-			rep.Admitted, rep.Rejected, r.Packets, r.Drops)
-	}
-	if want := r.Packets * workload.RequestsPerPacket; r.Requests != want {
-		return fmt.Errorf("core: invariant violated: %d requests != %d packets x %d",
-			r.Requests, r.Packets, workload.RequestsPerPacket)
-	}
-	return nil
 }

@@ -7,19 +7,18 @@ import (
 	"testing"
 
 	"hypertrio/internal/fault"
+	"hypertrio/internal/mem"
 	"hypertrio/internal/obs"
 	"hypertrio/internal/sim"
 	"hypertrio/internal/trace"
 	"hypertrio/internal/workload"
 )
 
-// faultConfig is the full HyperTRIO design with the invariant checker
-// composed and the given fault plan loaded (nil for a fault-free run with
-// the checker still on).
+// faultConfig is the full HyperTRIO design with the given fault plan
+// loaded (nil for a fault-free run).
 func faultConfig(p *fault.Plan) Config {
 	cfg := HyperTRIOConfig()
 	cfg.Fault = p
-	cfg.Invariants = true
 	return cfg
 }
 
@@ -176,25 +175,37 @@ func TestTenantChurnFlushesState(t *testing.T) {
 	}
 }
 
-// TestInvariantStageTransparent pins that composing the checker changes
-// nothing: the simulation outcome is identical with and without it.
-func TestInvariantStageTransparent(t *testing.T) {
-	tr := makeTrace(t, workload.Iperf3, 8, trace.RR1, 0.002)
-	for _, base := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"base", BaseConfig()},
-		{"hypertrio", HyperTRIOConfig()},
-	} {
-		t.Run(base.name, func(t *testing.T) {
-			plain := run(t, base.cfg, tr)
-			checked := base.cfg
-			checked.Invariants = true
-			if got := run(t, checked, tr); !reflect.DeepEqual(got, plain) {
-				t.Errorf("invariant checker perturbed the run:\n with    %+v\n without %+v", got, plain)
-			}
-		})
+// TestFaultPlanSharesTemplates pins the one tenant-table build: a
+// faulted System registers the same congruence-class templates as a
+// fault-free one, so SIDs one ring window apart walk the same table and
+// a class holds at most RingSlots distinct tables.
+func TestFaultPlanSharesTemplates(t *testing.T) {
+	const tenants = 64
+	tr := makeTrace(t, workload.Iperf3, tenants, trace.RR1, 0.002)
+	cfg := faultConfig(&fault.Plan{Events: []fault.Event{
+		{At: 1000, Kind: fault.Remap, SID: 1, IOVA: workload.RingPageFor(1), Shift: 12},
+	}})
+	s, err := NewSystem(cfg, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	distinct := map[*mem.NestedTable]bool{}
+	for sid := mem.SID(1); sid <= tenants; sid++ {
+		nt := s.tenants.Get(sid)
+		if nt == nil {
+			t.Fatalf("SID %d has no table", sid)
+		}
+		distinct[nt] = true
+		if sid+workload.RingSlots <= tenants && s.tenants.Get(sid+workload.RingSlots) != nt {
+			t.Errorf("SIDs %d and %d are in one congruence class but walk different tables",
+				sid, sid+workload.RingSlots)
+		}
+	}
+	if len(distinct) > workload.RingSlots {
+		t.Errorf("faulted System holds %d distinct tables, want at most %d", len(distinct), workload.RingSlots)
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
 	}
 }
 

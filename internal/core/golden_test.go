@@ -15,14 +15,12 @@ var updateGoldens = flag.Bool("update", false, "rewrite the datapath goldens und
 
 // TestDatapathGoldens pins the datapath's outward face byte for byte —
 // the -describe text and the sorted metric names the registry publishes
-// after a short run — for the two Table IV designs, the native path, and
-// HyperTRIO with the invariant checker composed. Regenerate deliberately
+// after a short run — for the two Table IV designs and the native path.
+// Regenerate deliberately
 // with
 //
 //	go test ./internal/core -run TestDatapathGoldens -update
 func TestDatapathGoldens(t *testing.T) {
-	invariants := HyperTRIOConfig()
-	invariants.Invariants = true
 	tr := makeTrace(t, workload.Iperf3, 4, trace.RR1, 0.002)
 	for _, tc := range []struct {
 		name string
@@ -31,7 +29,6 @@ func TestDatapathGoldens(t *testing.T) {
 		{"base", BaseConfig()},
 		{"hypertrio", HyperTRIOConfig()},
 		{"native", Config{Params: DefaultParams(), TranslationOff: true}},
-		{"hypertrio-invariants", invariants},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			describe, err := DescribePipeline(tc.cfg)

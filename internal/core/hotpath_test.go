@@ -43,7 +43,7 @@ func TestOracleFlattenLazy(t *testing.T) {
 }
 
 // TestOracleRequiresMaterialized pins the streaming/oracle coupling: a
-// configuration with any Belady-policy cache cannot run from an online
+// configuration with a Belady-policy DevTLB cannot run from an online
 // source — its replacement decisions need the whole future — and must
 // fail fast with a clear error instead of silently materializing
 // O(requests) state. Materialized adapters over the same config work.

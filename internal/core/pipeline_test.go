@@ -45,12 +45,6 @@ func TestDatapathResolvesVariants(t *testing.T) {
 	noTLB := BaseConfig()
 	noTLB.DevTLB.Sets = 0
 	check("no devtlb", kinds(noTLB), []string{"ptb", "iommu"})
-	checked := HyperTRIOConfig()
-	checked.Invariants = true
-	check("invariants", kinds(checked),
-		[]string{"ptb", "devtlb", "prefetch", "iommu", "history-reader", "invariants"})
-	off.Invariants = true
-	check("native ignores invariants", kinds(off), nil)
 }
 
 // TestDescribePipeline checks the user-facing -describe rendering.

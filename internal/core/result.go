@@ -8,6 +8,7 @@ import (
 	"hypertrio/internal/obs"
 	"hypertrio/internal/sim"
 	"hypertrio/internal/tlb"
+	"hypertrio/internal/workload"
 )
 
 // Result is what one simulation run reports.
@@ -180,6 +181,32 @@ func (s *System) result() Result {
 	r.Prefetch = s.chain.PrefetchStats()
 	r.IOMMU = s.chain.IOMMUStats()
 	return r
+}
+
+// checkConservation asserts the run's accounting identities after the
+// drain, from the counts the PTB and System keep anyway: every packet
+// issued its three requests, and with admission every PTB slot was
+// released, every admission is a packet and every rejection a drop. The
+// native path admits everything, so it never drops.
+func (s *System) checkConservation(r Result) error {
+	if want := r.Packets * workload.RequestsPerPacket; r.Requests != want {
+		return fmt.Errorf("core: conservation violated: %d requests != %d packets x %d",
+			r.Requests, r.Packets, workload.RequestsPerPacket)
+	}
+	if s.cfg.TranslationOff {
+		if r.Drops != 0 {
+			return fmt.Errorf("core: conservation violated: %d drops on the native path", r.Drops)
+		}
+		return nil
+	}
+	if n := s.chain.PTBInUse(); n != 0 {
+		return fmt.Errorf("core: conservation violated: %d PTB slots never released", n)
+	}
+	if r.PTB.Allocs != r.Packets || r.PTB.Rejected != r.Drops {
+		return fmt.Errorf("core: conservation violated: PTB allocs/rejected %d/%d != packets/drops %d/%d",
+			r.PTB.Allocs, r.PTB.Rejected, r.Packets, r.Drops)
+	}
+	return nil
 }
 
 // PrefetchServedShare is the fraction of all translation requests

@@ -129,26 +129,13 @@ func NewSystem(cfg Config, tr *trace.Trace) (*System, error) {
 }
 
 // RequiresMaterialized reports whether the configuration's datapath
-// needs the whole request sequence ahead of time — true exactly when any
-// cache it composes runs the Oracle (Belady) policy, whose replacement
-// decisions look into the future. Streaming sources cannot drive such a
-// configuration; NewSystemSource fails fast instead of silently
-// materializing O(requests) state.
+// needs the whole request sequence ahead of time — true exactly when the
+// DevTLB runs the Oracle (Belady) policy, whose replacement decisions
+// look into the future (Validate rejects it on every other cache).
+// Streaming sources cannot drive such a configuration; NewSystemSource
+// fails fast instead of silently materializing O(requests) state.
 func RequiresMaterialized(cfg Config) bool {
-	if cfg.TranslationOff {
-		return false
-	}
-	if cfg.DevTLB.Sets > 0 && cfg.DevTLB.Policy == tlb.Oracle {
-		return true
-	}
-	for _, cc := range []tlb.Config{
-		cfg.IOMMU.ContextCache, cfg.IOMMU.IOTLB, cfg.IOMMU.L2PWC, cfg.IOMMU.L3PWC,
-	} {
-		if cc.Policy == tlb.Oracle {
-			return true
-		}
-	}
-	return false
+	return !cfg.TranslationOff && cfg.DevTLB.Sets > 0 && cfg.DevTLB.Policy == tlb.Oracle
 }
 
 // NewSystemSource is NewSystem over any packet Source — a materialized
@@ -227,57 +214,41 @@ func NewSystemSource(cfg Config, src trace.Source) (*System, error) {
 	}
 	s.ctx.Reserve(mem.SID(meta.Tenants))
 	tenants := mem.NewTenantTables(mem.SID(meta.Tenants))
-	if cfg.Fault == nil {
-		// Every tenant of a class runs the same guest image, so tenant
-		// page tables are structurally identical up to the ring-window
-		// slot the SID maps to (RingSlots congruence classes). Simulation
-		// outcomes depend only on walk shape and (SID, IOVA) cache keys —
-		// never on which physical frames back a walk — so all tenants of
-		// one congruence class share a single template table, keeping
-		// simulated memory O(classes x RingSlots) at any tenant count. A
-		// fault plan's Remap mutates per-tenant tables, so faulted runs
-		// build private ones below.
-		lo := 1
-		for ci := range population {
-			cl := &population[ci]
-			slots := workload.RingSlots
-			if cl.Tenants < slots {
-				slots = cl.Tenants
-			}
-			templates := make([]*mem.NestedTable, slots)
-			for c := 0; c < slots; c++ {
-				as, err := workload.BuildAddressSpaceLevels(cl.Profile, mem.SID(lo+c), s.host, nil, levels)
-				if err != nil {
-					return nil, fmt.Errorf("core: building tenant template %d: %w", lo+c, err)
-				}
-				templates[c] = as.Nested
-			}
-			for i := lo; i < lo+cl.Tenants; i++ {
-				sid := mem.SID(i)
-				nt := templates[(i-lo)%slots]
-				tenants.Set(sid, nt)
-				s.ctx.Set(sid, mem.ContextEntry{
-					DID:       uint32(sid),
-					GuestRoot: nt.GuestRoot(),
-					HostRoot:  nt.HostRoot(),
-				})
-			}
-			lo += cl.Tenants
+	// Every tenant of a class runs the same guest image, so tenant page
+	// tables are structurally identical up to the ring-window slot the
+	// SID maps to (RingSlots congruence classes). Simulation outcomes
+	// depend only on walk shape and (SID, IOVA) cache keys — never on
+	// which physical frames back a walk — so all tenants of one
+	// congruence class share a single template table, keeping simulated
+	// memory O(classes x RingSlots) at any tenant count. A fault plan's
+	// Remap rewrites a template's leaf in place, keeping its page size:
+	// every sharer then walks to the new frame with the same accesses.
+	lo := 1
+	for ci := range population {
+		cl := &population[ci]
+		slots := workload.RingSlots
+		if cl.Tenants < slots {
+			slots = cl.Tenants
 		}
-	} else {
-		lo := 1
-		for ci := range population {
-			cl := &population[ci]
-			for i := lo; i < lo+cl.Tenants; i++ {
-				sid := mem.SID(i)
-				as, err := workload.BuildAddressSpaceLevels(cl.Profile, sid, s.host, s.ctx, levels)
-				if err != nil {
-					return nil, fmt.Errorf("core: building tenant %d: %w", i, err)
-				}
-				tenants.Set(sid, as.Nested)
+		templates := make([]*mem.NestedTable, slots)
+		for c := 0; c < slots; c++ {
+			as, err := workload.BuildAddressSpaceLevels(cl.Profile, mem.SID(lo+c), s.host, nil, levels)
+			if err != nil {
+				return nil, fmt.Errorf("core: building tenant template %d: %w", lo+c, err)
 			}
-			lo += cl.Tenants
+			templates[c] = as.Nested
 		}
+		for i := lo; i < lo+cl.Tenants; i++ {
+			sid := mem.SID(i)
+			nt := templates[(i-lo)%slots]
+			tenants.Set(sid, nt)
+			s.ctx.Set(sid, mem.ContextEntry{
+				DID:       uint32(sid),
+				GuestRoot: nt.GuestRoot(),
+				HostRoot:  nt.HostRoot(),
+			})
+		}
+		lo += cl.Tenants
 	}
 	s.tenants = tenants
 	env := pipeline.Env{
@@ -434,7 +405,7 @@ func (s *System) Run() (Result, error) {
 		}
 	}
 	res := s.result()
-	if err := s.verifyInvariants(res); err != nil {
+	if err := s.checkConservation(res); err != nil {
 		return Result{}, err
 	}
 	return res, nil

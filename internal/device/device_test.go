@@ -37,6 +37,23 @@ func TestPTBPanics(t *testing.T) {
 	NewPTB(1).Release()
 }
 
+func TestPTBRejectN(t *testing.T) {
+	p := NewPTB(2)
+	p.Alloc()
+	p.Alloc()
+	p.RejectN(4)
+	if s := p.Stats(); s.Rejected != 4 || s.Allocs != 2 {
+		t.Fatalf("stats %+v", s)
+	}
+	p.Release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RejectN with a free slot did not panic")
+		}
+	}()
+	p.RejectN(1)
+}
+
 func TestPTBZeroCapacityPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

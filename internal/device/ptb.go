@@ -91,5 +91,11 @@ func (p *PTB) Register(r *obs.Registry, prefix string) {
 }
 
 // RejectN counts n failed allocation attempts in one step: link slots
-// the caller knows would find the buffer as full as it is now.
-func (p *PTB) RejectN(n uint64) { p.rejected.Add(n) }
+// the caller knows would find the buffer as full as it is now. Calling
+// it with a slot free panics: those attempts would have been admitted.
+func (p *PTB) RejectN(n uint64) {
+	if p.inUse < p.capacity {
+		panic(fmt.Sprintf("device: PTB rejects %d attempts with %d of %d slots in use", n, p.inUse, p.capacity))
+	}
+	p.rejected.Add(n)
+}

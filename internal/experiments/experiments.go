@@ -50,17 +50,10 @@ type Options struct {
 	// front (the Oracle policy) transparently fall back to the
 	// materialized path.
 	Stream bool
-	// Invariants sets core.Config.Invariants on every simulation cell,
-	// composing the conservation checker into its datapath. The checker is
-	// transparent — rendered tables are byte-identical with it on or
-	// off — but any conservation violation (a packet completing without
-	// admission, PTB occupancy escaping its capacity, attempts not
-	// equalling packets plus drops) fails the sweep instead of skewing
-	// a table silently.
-	Invariants bool
 }
 
-// DefaultOptions is what cmd/experiments uses.
+// DefaultOptions is the paper-scale configuration: seed 42, every other
+// option at its zero value.
 func DefaultOptions() Options { return Options{Seed: 42} }
 
 // Experiment ties a paper artifact to its regeneration function.
@@ -192,19 +185,12 @@ func (s *sweep) simTrace(cfg core.Config, tc trace.Config) {
 // writes the per-cell time series under SeriesDir.
 func (s *sweep) run() (*results, error) {
 	cells := s.cells
-	if s.o.SampleEvery > 0 || s.o.Invariants {
+	if s.o.SampleEvery > 0 {
 		cells = make([]runner.Cell, len(s.cells))
 		copy(cells, s.cells)
-	}
-	if s.o.SampleEvery > 0 {
 		shared := &obs.Options{SampleEvery: s.o.SampleEvery}
 		for i := range cells {
 			cells[i].Config.Obs = shared
-		}
-	}
-	if s.o.Invariants {
-		for i := range cells {
-			cells[i].Config.Invariants = true // TranslationOff cells ignore it
 		}
 	}
 	rs, err := runner.Pool{Workers: s.o.Workers}.Run(cells)

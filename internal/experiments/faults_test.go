@@ -59,24 +59,3 @@ func TestExtChurnSignal(t *testing.T) {
 		t.Errorf("Base bandwidth did not drop under churn: %.2f -> %.2f", b0, b1)
 	}
 }
-
-// TestInvariantsOptionTransparent runs a fault-injected sweep with and
-// without the conservation checker composed into every cell: the
-// rendered tables must be byte-identical (and the checked run must not
-// flag a violation).
-func TestInvariantsOptionTransparent(t *testing.T) {
-	plain, err := ExtChurn(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := quick()
-	o.Invariants = true
-	checked, err := ExtChurn(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.String() != checked.String() {
-		t.Fatalf("invariant checker perturbed the sweep:\n%s\nvs\n%s",
-			plain.String(), checked.String())
-	}
-}

@@ -146,14 +146,13 @@ func TestStormSignal(t *testing.T) {
 	}
 }
 
-// Conservation holds under every committed scenario: with the
-// invariants stage composed into every cell the engine itself asserts
-// attempts == packets + drops (and admission/occupancy bounds) while
-// it runs, and the per-class breakdown must reconcile exactly with the
-// run totals.
+// Conservation holds under every committed scenario: every run checks
+// its own accounting after the drain (System.checkConservation: PTB
+// allocs == packets, rejections == drops, requests == 3 x packets, no
+// slot left in use), and the per-class breakdown must reconcile exactly
+// with the run totals.
 func TestScenarioConservation(t *testing.T) {
 	o := quick()
-	o.Invariants = true
 	for _, name := range []string{"noisy-neighbor", "sid-flood", "incast", "diurnal", "storm"} {
 		s, err := scenarioFor(name, o)
 		if err != nil {
@@ -171,7 +170,7 @@ func TestScenarioConservation(t *testing.T) {
 		}
 		res, err := sw.run()
 		if err != nil {
-			t.Fatalf("%s: invariant violation or run failure: %v", name, err)
+			t.Fatalf("%s: conservation violation or run failure: %v", name, err)
 		}
 		for _, d := range faultDesigns {
 			r := res.next()

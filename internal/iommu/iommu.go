@@ -198,7 +198,6 @@ func (u *IOMMU) Translate(sid mem.SID, iova uint64, pageShift uint8, recordHisto
 	var rp resumePoints
 	ent, replay := u.memo.lookup(nt, iova>>mem.PageShift, startLevel)
 	if ent != nil {
-		nt.ReplayReads(replay)
 		res.MemAccesses += replay
 		res.HPA = ent.hpa4k | iova&(mem.PageSize-1)
 		rp = ent.resumePoints

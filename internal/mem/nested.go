@@ -226,12 +226,11 @@ func (nt *NestedTable) WalkInto(iova uint64, acc []NestedAccess) (NestedResult, 
 }
 
 // TableHPA returns the host-physical address of the guest table page that
-// a partial walk resumes from at the given guest level, by performing a
-// silent (uncounted) walk. The IOMMU calls it only after an L2-PWC-resumed
+// a partial walk resumes from at the given guest level, by replaying the
+// descent outside any walk's access record. The IOMMU calls it only after an L2-PWC-resumed
 // walk whose 1 GB granule the L3 PWC does not hold; every other install
 // address comes from the walk's own accesses.
 func (nt *NestedTable) TableHPA(iova uint64, level int) (Addr, error) {
-	// Silent walk: replay the descent without recording accesses.
 	curGPA := uint64(nt.guest.Root())
 	for l := nt.guest.levels; l > level; l-- {
 		hostRes, err := nt.host.WalkFromInto(curGPA, nt.host.levels, nt.host.root, nt.hostBuf[:0])
@@ -239,13 +238,11 @@ func (nt *NestedTable) TableHPA(iova uint64, level int) (Addr, error) {
 		if err != nil {
 			return 0, err
 		}
-		nt.hostSpace.reads -= uint64(len(hostRes.Accesses)) // silent
 		entryHost := Addr(hostRes.PA) + Addr(index(iova, l)*8)
 		e, err := nt.hostSpace.ReadEntry(entryHost)
 		if err != nil {
 			return 0, err
 		}
-		nt.hostSpace.reads-- // silent
 		if e&ptePresent == 0 {
 			return 0, &NotMappedError{VA: iova, Level: l}
 		}
@@ -259,7 +256,6 @@ func (nt *NestedTable) TableHPA(iova uint64, level int) (Addr, error) {
 	if err != nil {
 		return 0, err
 	}
-	nt.hostSpace.reads -= uint64(len(hostRes.Accesses))
 	return Addr(hostRes.PA), nil
 }
 
@@ -272,14 +268,6 @@ func (nt *NestedTable) TableHPA(iova uint64, level int) (Addr, error) {
 // on it.
 func (nt *NestedTable) Epoch() uint64 {
 	return nt.guest.mutations + nt.host.mutations
-}
-
-// ReplayReads charges n entry reads to host physical memory without
-// touching any table page — the accounting half of replaying a memoized
-// walk, which must leave the read counters exactly as the real walk
-// would have.
-func (nt *NestedTable) ReplayReads(n int) {
-	nt.hostSpace.reads += uint64(n)
 }
 
 // UnmapIOVA removes the guest mapping for iova (driver unmap). The

@@ -104,10 +104,6 @@ type Space struct {
 	// tableAddrs records every registered table page in registration
 	// order.
 	tableAddrs []Addr
-
-	// access statistics
-	reads  uint64
-	writes uint64
 }
 
 // NewSpace creates an address space whose allocations start at base.
@@ -122,12 +118,6 @@ func NewSpace(name string, base, limit Addr) *Space {
 
 // Name returns the label the space was created with.
 func (s *Space) Name() string { return s.name }
-
-// Reads returns the number of 8-byte entry reads performed in this space.
-func (s *Space) Reads() uint64 { return s.reads }
-
-// Writes returns the number of entry writes performed in this space.
-func (s *Space) Writes() uint64 { return s.writes }
 
 // AllocFrame reserves one naturally aligned frame of size 1<<shift and
 // returns its base address.
@@ -242,7 +232,6 @@ func (s *Space) ReadEntry(addr Addr) (uint64, error) {
 	if addr%8 != 0 {
 		return 0, fmt.Errorf("mem: misaligned entry read %#x", uint64(addr))
 	}
-	s.reads++
 	return w[(addr-base)/8], nil
 }
 
@@ -256,7 +245,6 @@ func (s *Space) WriteEntry(addr Addr, v uint64) error {
 	if addr%8 != 0 {
 		return fmt.Errorf("mem: misaligned entry write %#x", uint64(addr))
 	}
-	s.writes++
 	w[(addr-base)/8] = v
 	return nil
 }

@@ -9,8 +9,9 @@ package mem
 // Distinct SIDs may share one *NestedTable: all tenants run the same
 // guest image and so build identical table structures, and the model's
 // outcomes depend only on walk shape, not on which physical frames back
-// it. core.System exploits that to register a single template table for
-// every tenant when no fault plan can mutate per-tenant state.
+// it. core.System registers one template table per ring slot and class
+// for every tenant, in faulted runs too: a remap rewrites a template's
+// leaf in place, keeping the page size and so every walk's shape.
 type TenantTables struct {
 	byID []*NestedTable // indexed by SID; nil = unregistered
 }

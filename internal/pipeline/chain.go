@@ -31,7 +31,6 @@ type Chain struct {
 	pb      *PrefetchBufferStage // nil without prefetching
 	chipset *ChipsetStage        // nil on the native path
 	history *HistoryReaderStage  // nil without prefetching
-	inv     *InvariantStage      // nil unless Config.Invariants
 
 	// stages lists the composed stages in datapath order for Describe,
 	// Register and Stages.
@@ -48,8 +47,8 @@ type Chain struct {
 }
 
 // New composes the datapath cfg describes into env: admission, the
-// DevTLB, the Prefetch Buffer, the chipset, the history reader and the
-// invariant checker, each present as cfg says. The zero Config composes
+// DevTLB, the Prefetch Buffer, the chipset and the history reader, each
+// present as cfg says. The zero Config composes
 // no stages — the native path.
 func New(env Env, cfg Config) *Chain {
 	c := &Chain{tracer: env.Tracer, faults: env.Faults, pool: NewWalkerPool(cfg.Walkers)}
@@ -80,30 +79,15 @@ func New(env Env, cfg Config) *Chain {
 		}
 		c.stages = append(c.stages, c.history)
 	}
-	if cfg.Invariants {
-		c.inv = newInvariantStage(c.ptb)
-		c.stages = append(c.stages, c.inv)
-	}
 	return c
 }
 
 // Admit takes an admission slot for one packet (always true without an
-// admission stage), through the invariant checker when it is composed.
-func (c *Chain) Admit() bool {
-	if c.inv != nil {
-		return c.inv.Admit()
-	}
-	return c.ptb.Admit()
-}
+// admission stage).
+func (c *Chain) Admit() bool { return c.ptb.Admit() }
 
 // ReleaseSlot frees the admission slot at packet completion.
-func (c *Chain) ReleaseSlot() {
-	if c.inv != nil {
-		c.inv.Release()
-		return
-	}
-	c.ptb.Release()
-}
+func (c *Chain) ReleaseSlot() { c.ptb.Release() }
 
 // Observe feeds the accepted packet stream to the prefetch predictor.
 func (c *Chain) Observe(sid mem.SID) {
@@ -223,9 +207,6 @@ func (c *Chain) DevTLBServed() *obs.Counter { return &c.devtlbServed }
 // PrefetchServed counts demand requests answered by the Prefetch Buffer.
 func (c *Chain) PrefetchServed() *obs.Counter { return &c.prefetchServed }
 
-// Invariants returns the composed invariant checker, or nil.
-func (c *Chain) Invariants() *InvariantStage { return c.inv }
-
 // WalkersBusy returns how many chipset walkers are currently held.
 func (c *Chain) WalkersBusy() int { return c.pool.Busy() }
 
@@ -286,12 +267,6 @@ func (c *Chain) Describe() string {
 }
 
 // RejectN accounts n admission attempts known to fail — link slots the
-// drop-retry loop skips while nothing can free a slot — in one step,
-// through the invariant checker when it is composed.
-func (c *Chain) RejectN(n uint64) {
-	if c.inv != nil {
-		c.inv.RejectN(n)
-		return
-	}
-	c.ptb.RejectN(n)
-}
+// drop-retry loop skips while nothing can free a slot — in one step (a
+// no-op without an admission stage).
+func (c *Chain) RejectN(n uint64) { c.ptb.RejectN(n) }

@@ -115,6 +115,4 @@ type Config struct {
 	IOMMU iommu.Config
 	// Walkers bounds the chipset's walk concurrency (0 = unlimited).
 	Walkers int
-	// Invariants composes the conservation checker over admission.
-	Invariants bool
 }

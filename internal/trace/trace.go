@@ -188,47 +188,3 @@ func (c Config) validate() error {
 // paper's edge-effect rule, which keeps every modeled tenant active for
 // the whole trace.
 func Construct(c Config) (*Trace, error) { return drain(NewStream(c)) }
-
-// RequestType labels the three translations of one packet.
-type RequestType uint8
-
-const (
-	RingPointer RequestType = iota
-	DataBuffer
-	Mailbox
-)
-
-func (t RequestType) String() string {
-	switch t {
-	case RingPointer:
-		return "ring"
-	case DataBuffer:
-		return "data"
-	case Mailbox:
-		return "mailbox"
-	}
-	return fmt.Sprintf("RequestType(%d)", uint8(t))
-}
-
-// Request is one flattened translation request; Flatten expands packets
-// into the per-request stream (used by oracle precomputation and by the
-// trace inspector CLI).
-type Request struct {
-	SID  mem.SID
-	IOVA uint64
-	Type RequestType
-}
-
-// Flatten expands the trace's packets into individual requests in
-// arrival order: ring, data, mailbox per packet.
-func (t *Trace) Flatten() []Request {
-	out := make([]Request, 0, t.Requests())
-	for _, p := range t.Packets {
-		out = append(out,
-			Request{p.SID, p.Ring, RingPointer},
-			Request{p.SID, p.Data, DataBuffer},
-			Request{p.SID, p.Mailbox, Mailbox},
-		)
-	}
-	return out
-}

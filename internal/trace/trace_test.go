@@ -125,28 +125,6 @@ func TestConstructDeterminism(t *testing.T) {
 	}
 }
 
-func TestFlatten(t *testing.T) {
-	tr := mustConstruct(t, Config{Benchmark: workload.Iperf3, Tenants: 2, Interleave: RR1, Seed: 1, Scale: 0.005})
-	reqs := tr.Flatten()
-	if len(reqs) != tr.Requests() {
-		t.Fatalf("flatten produced %d requests, want %d", len(reqs), tr.Requests())
-	}
-	for i, p := range tr.Packets {
-		r := reqs[i*3 : i*3+3]
-		if r[0].Type != RingPointer || r[1].Type != DataBuffer || r[2].Type != Mailbox {
-			t.Fatalf("packet %d types: %v %v %v", i, r[0].Type, r[1].Type, r[2].Type)
-		}
-		if r[0].IOVA != p.Ring || r[1].IOVA != p.Data || r[2].IOVA != p.Mailbox {
-			t.Fatalf("packet %d IOVAs mismatch", i)
-		}
-		for _, rr := range r {
-			if rr.SID != p.SID {
-				t.Fatalf("packet %d SID mismatch", i)
-			}
-		}
-	}
-}
-
 func TestBinaryRoundTrip(t *testing.T) {
 	tr := mustConstruct(t, Config{Benchmark: workload.Mediastream, Tenants: 7, Interleave: RR4, Seed: 13, Scale: 0.01})
 	var buf bytes.Buffer
@@ -334,9 +312,6 @@ func TestTraceAccessors(t *testing.T) {
 	}
 	if empty.Requests() != 0 {
 		t.Fatal("empty trace has requests")
-	}
-	if got := RequestType(99).String(); got == "" {
-		t.Fatal("unknown request type has empty String")
 	}
 	if got := InterleaveKind(9).String(); got == "" {
 		t.Fatal("unknown interleave kind has empty String")
