@@ -144,10 +144,12 @@ bench-compare:
 smoke:
 	$(GO) run ./cmd/experiments -quick -out results-smoke
 
-# Non-test Go line count outside the bench module: the size figure
-# CHANGES.md records before and after each change.
+# Non-test Go line counts: outside the bench module (the size figure
+# CHANGES.md records before and after each change), then the bench
+# module itself.
 loc:
-	@find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs wc -l
+	@printf 'non-test Go lines outside bench/: '; find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' -exec cat {} + | wc -l
+	@printf 'non-test Go lines in bench/:      '; find ./bench -name '*.go' -not -name '*_test.go' -exec cat {} + | wc -l
 
 ci: build lint test golden mem-guard race race-obs race-fault race-scenario scenario-lint cover-check fuzz-smoke bench-smoke bench-compare smoke
 

@@ -29,9 +29,8 @@
 //
 // Observability: -trace FILE streams model events (arrivals, drops,
 // DevTLB hits/misses, page walks, prefetches) as NDJSON; -trace-engine
-// additionally records every event-kernel sched/fire event, and
-// simulates every dropped link slot as its own event (same result,
-// slower);
+// additionally records every event-kernel sched/fire event (a blocked
+// link's dead slots are skipped in one step, traced or not);
 // -metrics FILE writes the final metrics registry snapshot plus the
 // time series sampled every -sample-us of simulated time (JSON, or CSV
 // of the series alone when FILE ends in .csv). Neither changes

@@ -445,6 +445,9 @@ func TestCLIExitCodes(t *testing.T) {
 		{"bad devtlb geometry", append(small, "-devtlb-entries", "24"), 1},
 		{"bad chipset-iotlb geometry", append(small, "-chipset-iotlb", "24"), 1},
 		{"bad devtlb geometry describe", []string{"-devtlb-entries", "24", "-describe"}, 1},
+		{"devtlb past the entry cap", append(small, "-devtlb-entries", "8589934592"), 1},
+		{"devtlb past the entry cap describe", []string{"-devtlb-entries", "8589934592", "-describe"}, 1},
+		{"chipset-iotlb past the entry cap", append(small, "-chipset-iotlb", "8589934592"), 1},
 		{"describe", []string{"-describe"}, 0},
 		{"faulted run", append(small, "-faults", plan), 0},
 		{"2 MB remap over 4 KB tables", append(small, "-faults", clobberPlan), 1},

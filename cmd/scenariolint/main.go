@@ -9,7 +9,6 @@
 //	scenariolint scenarios/*.json          validate and summarize
 //	scenariolint -check scenarios/*.json   fail if any file is not canonical
 //	scenariolint -w scenarios/*.json       rewrite files in canonical form
-//	scenariolint -emit scenarios/          write the committed library
 //
 // Exit status: 0 on success, 1 if any file is invalid or (with -check)
 // not canonically encoded, 2 on flag misuse.
@@ -21,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"hypertrio/internal/scenario"
 )
@@ -35,10 +33,8 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	write := fs.Bool("w", false, "rewrite each file in canonical encoding")
 	check := fs.Bool("check", false, "fail (exit 1) if a file is not canonically encoded")
-	emit := fs.String("emit", "", "write every committed library scenario into this directory and exit")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: scenariolint [-w | -check] FILE...\n")
-		fmt.Fprintf(stderr, "       scenariolint -emit DIR\n\n")
+		fmt.Fprintf(stderr, "usage: scenariolint [-w | -check] FILE...\n\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -50,17 +46,6 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 	if *write && *check {
 		fmt.Fprintln(stderr, "scenariolint: -w and -check are mutually exclusive")
 		return 2
-	}
-	if *emit != "" {
-		if fs.NArg() != 0 {
-			fmt.Fprintln(stderr, "scenariolint: -emit takes no file arguments")
-			return 2
-		}
-		if err := emitLibrary(*emit, stdout); err != nil {
-			fmt.Fprintln(stderr, "scenariolint:", err)
-			return 1
-		}
-		return 0
 	}
 	if fs.NArg() == 0 {
 		fs.Usage()
@@ -139,25 +124,4 @@ func report(out io.Writer, path string, s *scenario.Scenario, comp *scenario.Com
 	} else {
 		fmt.Fprintf(out, "  faults:   none\n")
 	}
-}
-
-// emitLibrary writes every committed library scenario into dir as
-// <name>.json in canonical encoding — the generator for the repo's
-// scenarios/ directory.
-func emitLibrary(dir string, out io.Writer) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for _, s := range scenario.Library() {
-		var buf bytes.Buffer
-		if err := s.WriteJSON(&buf); err != nil {
-			return err
-		}
-		path := filepath.Join(dir, s.Name+".json")
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n", path)
-	}
-	return nil
 }

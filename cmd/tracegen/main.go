@@ -76,8 +76,8 @@ func main() {
 // so the command exits cleanly (non-zero, one-line error) instead of
 // silently producing an empty or partial artifact.
 func validateShape(tenants int, scale float64) error {
-	if tenants <= 0 {
-		return fmt.Errorf("-tenants must be positive, got %d", tenants)
+	if tenants <= 0 || tenants > trace.MaxTenants {
+		return fmt.Errorf("-tenants must be in 1..%d, got %d", trace.MaxTenants, tenants)
 	}
 	if !(scale > 0 && scale <= 1) {
 		return fmt.Errorf("-scale must be in (0,1], got %g", scale)

@@ -142,6 +142,8 @@ func TestCLIExitCodes(t *testing.T) {
 		{"help", []string{"-h"}, 0},
 		{"generate", []string{"-tenants", "4", "-scale", "0.002", "-o", filepath.Join(dir, "ok.hsio")}, 0},
 		{"zero tenants", []string{"-tenants", "0", "-o", filepath.Join(dir, "zero.hsio")}, 1},
+		{"2^40 tenants", []string{"-tenants", "1099511627776", "-o", filepath.Join(dir, "huge.hsio")}, 1},
+		{"2^40 tenants collect", []string{"-collect", filepath.Join(dir, "huge-logs"), "-tenants", "1099511627776"}, 1},
 		{"NaN scale", []string{"-tenants", "4", "-scale", "NaN", "-o", filepath.Join(dir, "nan.hsio")}, 1},
 		{"NaN scale collect", []string{"-collect", filepath.Join(dir, "logs"), "-tenants", "4", "-scale", "NaN"}, 1},
 		{"NaN scale merge", []string{"-merge", dir, "-tenants", "4", "-scale", "NaN"}, 1},

@@ -17,14 +17,16 @@ import (
 
 // TestDropRetryFastForwardExact is the differential proof of the
 // drop-retry fast-forward. Each case runs twice over the same trace:
-// with a Tracer only, which skips a blocked link's dead slots in one
-// step, and with a Tracer plus EngineEvents, whose engine probe keeps
-// one arrival event per link slot. Without the probe's sched/fire
-// lines the second trace must be byte-identical to the first, and the
-// two Results deep-equal. Each case's invariants subtest then checks the
-// conservation identities of that run from the outside: the trace holds
-// one drop line per counted drop and one completion per packet, and the
-// PTB's counts match the packet accounting.
+// with a Tracer and the engine probe, which skips a blocked link's dead
+// slots in one step, and with a Tracer under RunPerSlot, whose inert
+// slot ticker makes every link slot fire as its own arrival event.
+// Without the probe's sched/fire lines the first trace must be
+// byte-identical to the second, and the two Results deep-equal; the
+// reference must have fired at least one model event per link slot.
+// Each case's invariants subtest then checks the conservation
+// identities of that run from the outside: the trace holds one drop
+// line per counted drop and one completion per packet, and the PTB's
+// counts match the packet accounting.
 func TestDropRetryFastForwardExact(t *testing.T) {
 	websearch, err := trace.Construct(trace.Config{
 		Benchmark: workload.Websearch, Tenants: 16, Interleave: trace.RR1, Seed: 42, Scale: 0.002,
@@ -93,15 +95,18 @@ func TestDropRetryFastForwardExact(t *testing.T) {
 
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			fast, fastTrace := tracedRun(t, c.cfg, c.tr, c.sampleEvery, false)
-			slow, slowTrace := tracedRun(t, c.cfg, c.tr, c.sampleEvery, true)
+			fast, fastTrace, _ := tracedRun(t, c.cfg, c.tr, c.sampleEvery, false)
+			slow, slowTrace, events := tracedRun(t, c.cfg, c.tr, c.sampleEvery, true)
 			if fast.Drops == 0 {
 				t.Fatal("no drops: the case does not exercise the drop-retry loop")
+			}
+			if slots := slow.Packets + slow.Drops; events < slots {
+				t.Fatalf("per-slot reference fired %d model events for %d link slots: it skipped slots", events, slots)
 			}
 			if !reflect.DeepEqual(fast, slow) {
 				t.Fatalf("Results differ:\nfast-forward: %+v\nper-slot:     %+v", fast, slow)
 			}
-			if got, want := fastTrace, withoutEngineLines(slowTrace); !bytes.Equal(got, want) {
+			if got, want := fastTrace, slowTrace; !bytes.Equal(got, want) {
 				t.Fatalf("model traces differ (%d vs %d bytes) at line %d",
 					len(got), len(want), firstDiffLine(got, want))
 			}
@@ -129,24 +134,33 @@ func countEvents(nd []byte, ev string) uint64 {
 	return uint64(bytes.Count(nd, []byte(`"ev":"`+ev+`"`)))
 }
 
-// tracedRun runs cfg over tr with a Tracer, adding the engine probe when
-// engineEvents is set, and returns the Result and the NDJSON trace.
-func tracedRun(t *testing.T, cfg core.Config, tr *trace.Trace, sampleEvery sim.Duration, engineEvents bool) (core.Result, []byte) {
+// tracedRun runs cfg over tr with a Tracer and returns the Result, the
+// NDJSON trace without engine lines and, for a reference run, the model
+// events fired. A reference run goes through RunPerSlot; any other run
+// attaches the engine probe, so the comparison also shows that the
+// probe leaves the packet path alone.
+func tracedRun(t *testing.T, cfg core.Config, tr *trace.Trace, sampleEvery sim.Duration, reference bool) (core.Result, []byte, uint64) {
 	t.Helper()
 	var buf bytes.Buffer
-	cfg.Obs = &obs.Options{Tracer: obs.NewTracer(&buf), EngineEvents: engineEvents, SampleEvery: sampleEvery}
+	cfg.Obs = &obs.Options{Tracer: obs.NewTracer(&buf), EngineEvents: !reference, SampleEvery: sampleEvery}
 	s, err := core.NewSystem(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.Run()
+	var r core.Result
+	var events uint64
+	if reference {
+		r, events, err = s.RunPerSlot()
+	} else {
+		r, err = s.Run()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := cfg.Obs.Tracer.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	return r, buf.Bytes()
+	return r, withoutEngineLines(buf.Bytes()), events
 }
 
 // withoutEngineLines drops the engine probe's sched/fire lines

@@ -37,11 +37,6 @@ type System struct {
 	// simulated time (scenario load envelopes); nextGap is the only
 	// consumer, so a nil shaper keeps the constant-load fast path.
 	shaper ArrivalShaper
-	// perSlot keeps one engine event per dropped link slot instead of
-	// fast-forwarding the drop-retry loop (see drop). It is set
-	// exactly when an engine probe is attached, since the probe exists
-	// to see every event; the Result is the same either way.
-	perSlot bool
 
 	host    *mem.Space
 	ctx     *mem.ContextTable
@@ -272,7 +267,6 @@ func NewSystemSource(cfg Config, src trace.Source) (*System, error) {
 		env.Tracer = o.Tracer
 		if o.EngineEvents && o.Tracer != nil {
 			s.engine.SetProbe(obs.EngineProbe{T: o.Tracer})
-			s.perSlot = true
 		}
 	}
 	if cfg.Fault != nil {
@@ -621,32 +615,30 @@ func (s *System) recordTenantLatency(sid mem.SID, done sim.Time, d sim.Duration)
 }
 
 // drop accounts the link slot at now, whose Admit failed, and schedules
-// the packet's next slot. Unless an engine probe needs to see every slot
-// (perSlot), it also fast-forwards the blocked link: only an event can
-// free an admission slot, so every slot before the engine's earliest
-// pending event would fail Admit again and change nothing else. Those
-// slots are counted as drops here, with their retry/drop trace lines at
-// their own times, and the next slot scheduled is the first at or after
-// that event. Scheduling it now rather than from the slot before it
-// keeps same-picosecond firing order: nothing fires or is scheduled in
-// between, so its sequence number ranks the same against every event it
-// ties with.
+// the packet's next slot. It also fast-forwards the blocked link: only
+// an event can free an admission slot, so every slot before the
+// engine's earliest pending event would fail Admit again and change
+// nothing else. Those slots are counted as drops here, with their
+// retry/drop trace lines at their own times, and the next slot
+// scheduled is the first at or after that event. Scheduling it now
+// rather than from the slot before it keeps same-picosecond firing
+// order: nothing fires or is scheduled in between, so its sequence
+// number ranks the same against every event it ties with. Traced runs,
+// engine probe included, take this same path.
 func (s *System) drop(e *sim.Engine, now sim.Time, sid mem.SID) {
 	if s.otr != nil {
 		s.otr.Emit(obs.Event{T: int64(now), Ev: "drop", SID: uint32(sid)})
 	}
 	next, n := now.Add(s.nextGap(now)), uint64(1)
-	if !s.perSlot {
-		until, ok := e.NextAt()
-		for ; ok && next < until; next = next.Add(s.nextGap(next)) {
-			if s.otr != nil {
-				s.otr.Emit(obs.Event{T: int64(next), Ev: "retry", SID: uint32(sid)})
-				s.otr.Emit(obs.Event{T: int64(next), Ev: "drop", SID: uint32(sid)})
-			}
-			n++
+	until, ok := e.NextAt()
+	for ; ok && next < until; next = next.Add(s.nextGap(next)) {
+		if s.otr != nil {
+			s.otr.Emit(obs.Event{T: int64(next), Ev: "retry", SID: uint32(sid)})
+			s.otr.Emit(obs.Event{T: int64(next), Ev: "drop", SID: uint32(sid)})
 		}
-		s.chain.RejectN(n - 1)
+		n++
 	}
+	s.chain.RejectN(n - 1)
 	s.drops.Add(n)
 	if s.tenantDrops != nil {
 		s.tenantDrops[sid] += n

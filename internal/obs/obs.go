@@ -35,9 +35,9 @@ type Options struct {
 	Tracer *Tracer
 	// EngineEvents additionally probes the event kernel itself,
 	// emitting sched/fire events for every engine event. Very
-	// verbose; requires Tracer. So that the probe sees every link slot,
-	// core then fires one event per dropped slot instead of skipping a
-	// blocked link's dead slots: the same Result, more slowly.
+	// verbose; requires Tracer. The probe only observes: the run fires
+	// the same events, and a blocked link's dead slots are still
+	// skipped in one step.
 	EngineEvents bool
 	// SampleEvery enables the periodic time-series sampler at this
 	// interval in simulated time; 0 disables sampling. The resulting

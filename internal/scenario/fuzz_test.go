@@ -14,7 +14,7 @@ import (
 // with every library scenario plus hostile shapes; `make fuzz-smoke`
 // runs the target briefly on every CI pass.
 func FuzzScenarioCodec(f *testing.F) {
-	for _, s := range Library() {
+	for _, s := range library(f) {
 		var buf bytes.Buffer
 		if err := s.WriteJSON(&buf); err != nil {
 			f.Fatal(err)

@@ -10,7 +10,7 @@ import (
 // Every committed scenario round-trips through the codec exactly:
 // decode(encode(s)) == s and the re-encoding is byte-identical.
 func TestJSONRoundTripLibrary(t *testing.T) {
-	for _, s := range Library() {
+	for _, s := range library(t) {
 		var buf bytes.Buffer
 		if err := s.WriteJSON(&buf); err != nil {
 			t.Fatalf("%s: encode: %v", s.Name, err)
@@ -38,7 +38,7 @@ func TestJSONRoundTripLibrary(t *testing.T) {
 func TestReadScenarioRejects(t *testing.T) {
 	valid := func() string {
 		var buf bytes.Buffer
-		if err := NoisyNeighbor().WriteJSON(&buf); err != nil {
+		if err := mustByName(t, "noisy-neighbor").WriteJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
@@ -68,7 +68,7 @@ func TestReadScenarioRejects(t *testing.T) {
 	}
 	// Overlay kinds decode too (the noisy-neighbor doc has none).
 	var buf bytes.Buffer
-	if err := Storm().WriteJSON(&buf); err != nil {
+	if err := mustByName(t, "storm").WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	doc := strings.Replace(buf.String(), `"kind": "shootdown_storm"`, `"kind": "locust_storm"`, 1)

@@ -3,143 +3,16 @@ package scenario
 import (
 	"fmt"
 
-	"hypertrio/internal/sim"
-	"hypertrio/internal/trace"
-	"hypertrio/internal/workload"
+	"hypertrio/scenarios"
 )
 
-// The committed scenario library. Each constructor returns a fresh
-// Scenario (callers may mutate their copy); Library returns all of
-// them in experiment order. The committed scenarios/*.json files are
-// pinned byte-identical to these definitions by a test, so editing a
-// constructor without regenerating the JSON fails CI.
-
-// NoisyNeighbor is the heavy-hitter isolation scenario: twelve
-// well-behaved iperf3 victims share the device with four
-// noisy-neighbor tenants holding eight arbitration slots each. The
-// adversary crowds the link (32 of 44 slots per round-robin cycle) and
-// the shared translation caches; the signal under test is the victim
-// class's throughput floor.
-func NoisyNeighbor() *Scenario {
-	return &Scenario{
-		Name:       "noisy-neighbor",
-		Seed:       42,
-		Interleave: trace.RR1,
-		Scale:      1,
-		Classes: []Class{
-			{Name: "victim", Benchmark: workload.Iperf3, Tenants: 12, Scale: 0.09},
-			{Name: "bully", Benchmark: workload.Iperf3, Tenants: 4, Role: RoleNoisyNeighbor, Scale: 0.09},
-		},
-		Phases: []Phase{
-			{Name: "steady", Dur: 6 * sim.Millisecond, Env: Envelope{Kind: EnvFlat, Level: 1}},
-		},
-	}
-}
-
-// SIDFlood is the IOTLB-thrash scenario: twelve iperf3 victims beside
-// two flood tenants running FloodProfile at four arbitration slots
-// each — a single-use entry stream sweeping the shared IOTLB and walk
-// caches. The signal under test is the victims' hit-rate and latency
-// degradation versus the neutral twin.
-func SIDFlood() *Scenario {
-	return &Scenario{
-		Name:       "sid-flood",
-		Seed:       42,
-		Interleave: trace.RR1,
-		Scale:      1,
-		Classes: []Class{
-			{Name: "victim", Benchmark: workload.Iperf3, Tenants: 12, Scale: 0.09},
-			{Name: "flood", Benchmark: workload.Iperf3, Tenants: 2, Role: RoleSIDFlood, Weight: 4, Scale: 0.09},
-		},
-		Phases: []Phase{
-			{Name: "steady", Dur: 6 * sim.Millisecond, Env: Envelope{Kind: EnvFlat, Level: 1}},
-		},
-	}
-}
-
-// Incast is the synchronized fan-in scenario: sixteen mediastream
-// tenants idle at 35% load, then a phase of 25 µs microbursts to full
-// rate every 100 µs — the translation structures absorb a cold spike
-// at the top of every period.
-func Incast() *Scenario {
-	return &Scenario{
-		Name:       "incast",
-		Seed:       42,
-		Interleave: trace.RR1,
-		Scale:      1,
-		Classes: []Class{
-			{Name: "ms", Benchmark: workload.Mediastream, Tenants: 16, Scale: 0.8},
-		},
-		Phases: []Phase{
-			{Name: "lull", Dur: 800 * sim.Microsecond, Env: Envelope{Kind: EnvFlat, Level: 0.35}},
-			{Name: "burst", Dur: 2400 * sim.Microsecond, Env: Envelope{
-				Kind: EnvIncast, Level: 0.35, Peak: 1,
-				Period: 100 * sim.Microsecond, Burst: 25 * sim.Microsecond,
-			}},
-			{Name: "recover", Dur: 800 * sim.Microsecond, Env: Envelope{Kind: EnvFlat, Level: 0.35}},
-		},
-	}
-}
-
-// Diurnal is the day/night curve: sixteen websearch tenants under a
-// triangle wave between 25% and 95% load with a 1 ms period — three
-// full days over the horizon. Locality-poor websearch exercises the
-// walk path hardest exactly when the curve peaks.
-func Diurnal() *Scenario {
-	return &Scenario{
-		Name:       "diurnal",
-		Seed:       42,
-		Interleave: trace.RR1,
-		Scale:      1,
-		Classes: []Class{
-			{Name: "web", Benchmark: workload.Websearch, Tenants: 16, Scale: 0.1},
-		},
-		Phases: []Phase{
-			{Name: "day", Dur: 3 * sim.Millisecond, Env: Envelope{
-				Kind: EnvDiurnal, Level: 0.25, Peak: 0.95, Period: sim.Millisecond,
-			}},
-		},
-	}
-}
-
-// Storm is the invalidation-storm-at-peak scenario: sixteen iperf3
-// tenants ramp to full load, then hold the peak while a shootdown
-// storm (600 tenant-wide invalidations) and a walker-fault storm (200
-// armed faults) land on them, then cool to half load. The control is
-// WithoutOverlays — identical load, no faults — so the pinned signal
-// is the storm's cost alone.
-func Storm() *Scenario {
-	return &Scenario{
-		Name:       "storm",
-		Seed:       42,
-		Interleave: trace.RR1,
-		Scale:      1,
-		Classes: []Class{
-			{Name: "tenant", Benchmark: workload.Iperf3, Tenants: 16, Scale: 0.09},
-		},
-		Phases: []Phase{
-			{Name: "ramp", Dur: 600 * sim.Microsecond, Env: Envelope{Kind: EnvRamp, Level: 0.3, Peak: 1}},
-			{Name: "peak", Dur: 1200 * sim.Microsecond, Env: Envelope{Kind: EnvFlat, Level: 1}},
-			{Name: "cool", Dur: 600 * sim.Microsecond, Env: Envelope{Kind: EnvFlat, Level: 0.5}},
-		},
-		Overlays: []Overlay{
-			{Phase: "peak", Kind: OverlayShootdownStorm, Events: 600, Class: "tenant"},
-			{Phase: "peak", Kind: OverlayWalkerFaultStorm, Events: 200},
-		},
-	}
-}
-
-// Library returns the committed scenarios in experiment order.
-func Library() []*Scenario {
-	return []*Scenario{NoisyNeighbor(), SIDFlood(), Incast(), Diurnal(), Storm()}
-}
-
-// ByName returns the committed scenario with the given name.
+// ByName decodes the committed scenario scenarios/<name>.json. Each
+// call returns a fresh Scenario the caller may mutate.
 func ByName(name string) (*Scenario, error) {
-	for _, s := range Library() {
-		if s.Name == name {
-			return s, nil
-		}
+	f, err := scenarios.FS.Open(name + ".json")
+	if err != nil {
+		return nil, fmt.Errorf("scenario: no library scenario %q", name)
 	}
-	return nil, fmt.Errorf("scenario: no library scenario %q", name)
+	defer f.Close()
+	return ReadScenario(f)
 }

@@ -246,7 +246,6 @@ const (
 	maxPhases       = 256
 	maxOverlays     = 256
 	maxOverlayFires = 1 << 20
-	maxTenants      = 1 << 21
 	maxNameLen      = 128
 	maxWeight       = 64
 	maxClassScale   = 64
@@ -300,8 +299,8 @@ func (s *Scenario) Validate() error {
 		if cl.Role >= roleCount {
 			return fmt.Errorf("scenario: class %q: unknown role %d", cl.Name, cl.Role)
 		}
-		if cl.Tenants <= 0 || cl.Tenants > maxTenants {
-			return fmt.Errorf("scenario: class %q: tenants must be in 1..%d, got %d", cl.Name, maxTenants, cl.Tenants)
+		if cl.Tenants <= 0 || cl.Tenants > trace.MaxTenants {
+			return fmt.Errorf("scenario: class %q: tenants must be in 1..%d, got %d", cl.Name, trace.MaxTenants, cl.Tenants)
 		}
 		if cl.Weight < 0 || cl.Weight > maxWeight {
 			return fmt.Errorf("scenario: class %q: weight must be in 0..%d, got %d", cl.Name, maxWeight, cl.Weight)
@@ -311,8 +310,8 @@ func (s *Scenario) Validate() error {
 		}
 		total += cl.Tenants
 	}
-	if total > maxTenants {
-		return fmt.Errorf("scenario: %d tenants across classes exceeds the %d cap", total, maxTenants)
+	if total > trace.MaxTenants {
+		return fmt.Errorf("scenario: %d tenants across classes exceeds the %d cap", total, trace.MaxTenants)
 	}
 	if len(s.Phases) == 0 || len(s.Phases) > maxPhases {
 		return fmt.Errorf("scenario: need 1..%d phases, got %d", maxPhases, len(s.Phases))

@@ -17,7 +17,7 @@ import (
 // pieces its shape implies: a shaper iff some phase offers less than
 // flat full load, a plan iff it has overlays.
 func TestLibraryCompiles(t *testing.T) {
-	lib := Library()
+	lib := library(t)
 	if len(lib) != 5 {
 		t.Fatalf("library has %d scenarios, want 5", len(lib))
 	}
@@ -49,7 +49,7 @@ func TestLibraryCompiles(t *testing.T) {
 // The neutral twin drops every adversarial ingredient but keeps the
 // population shape.
 func TestNeutralTwin(t *testing.T) {
-	s := Storm()
+	s := mustByName(t, "storm")
 	s.Classes[0].Role = RoleNoisyNeighbor // make the twin do some work
 	n := s.Neutral()
 	if n.Name != "storm-neutral" {
@@ -87,7 +87,7 @@ func TestNeutralTwin(t *testing.T) {
 // WithScale shrinks every extent together and floors at the smallest
 // meaningful value.
 func TestWithScale(t *testing.T) {
-	s := Incast()
+	s := mustByName(t, "incast")
 	q := s.WithScale(0.5)
 	if q.Scale != s.Scale*0.5 {
 		t.Fatalf("scale = %v", q.Scale)
@@ -98,7 +98,7 @@ func TestWithScale(t *testing.T) {
 	if q.Phases[1].Env.Period != s.Phases[1].Env.Period/2 || q.Phases[1].Env.Burst != s.Phases[1].Env.Burst/2 {
 		t.Fatalf("envelope extents not scaled: %+v", q.Phases[1].Env)
 	}
-	st := Storm().WithScale(0.001)
+	st := mustByName(t, "storm").WithScale(0.001)
 	for _, ov := range st.Overlays {
 		if ov.Events < 1 {
 			t.Fatalf("events scaled below 1: %+v", ov)
@@ -158,7 +158,7 @@ func TestValidateRejects(t *testing.T) {
 		}, "period"},
 	}
 	for _, tc := range cases {
-		s := NoisyNeighbor()
+		s := mustByName(t, "noisy-neighbor")
 		tc.mut(s)
 		err := s.Validate()
 		if err == nil {
@@ -252,7 +252,7 @@ func TestShaperGap(t *testing.T) {
 // overlay's phase window, and targeted inside the overlay's class
 // range.
 func TestComposePlan(t *testing.T) {
-	s := Storm()
+	s := mustByName(t, "storm")
 	c1, err := s.Compile()
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +286,7 @@ func TestComposePlan(t *testing.T) {
 		}
 	}
 	// A different seed moves the targets.
-	alt := Storm()
+	alt := mustByName(t, "storm")
 	alt.Seed++
 	c3, err := alt.Compile()
 	if err != nil {
@@ -298,7 +298,7 @@ func TestComposePlan(t *testing.T) {
 }
 
 func TestClassRange(t *testing.T) {
-	c, err := NoisyNeighbor().Compile()
+	c, err := mustByName(t, "noisy-neighbor").Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestClassRange(t *testing.T) {
 // A compiled scenario's stream and materialized trace are the same
 // packet sequence — the equivalence every execution mode relies on.
 func TestStreamMatchesMaterialize(t *testing.T) {
-	c, err := NoisyNeighbor().WithScale(0.02).Compile()
+	c, err := mustByName(t, "noisy-neighbor").WithScale(0.02).Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestStreamMatchesMaterialize(t *testing.T) {
 // Apply layers exactly the scenario's shaper and plan onto a design
 // config and leaves everything else alone.
 func TestApply(t *testing.T) {
-	storm, err := Storm().Compile()
+	storm, err := mustByName(t, "storm").Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestApply(t *testing.T) {
 	}
 	// A calm scenario leaves an externally scripted plan in place and
 	// installs no shaper for flat-full-load phases.
-	calm, err := NoisyNeighbor().Compile()
+	calm, err := mustByName(t, "noisy-neighbor").Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +388,7 @@ var _ trace.Source = (*trace.Stream)(nil)
 
 // SID range bookkeeping stays consistent with mem.SID arithmetic.
 func TestClassRangeSIDType(t *testing.T) {
-	c, err := SIDFlood().Compile()
+	c, err := mustByName(t, "sid-flood").Compile()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,6 +73,10 @@ type Config struct {
 // Entries returns the total capacity.
 func (c Config) Entries() int { return c.Sets * c.Ways }
 
+// MaxEntries caps one cache's capacity, Sets × Ways: 1,000× Fig. 9's
+// largest DevTLB, and a bound on the slots New allocates up front.
+const MaxEntries = 1 << 20
+
 // Validate reports a geometry or policy the cache cannot be built with.
 func (c Config) Validate() error {
 	if c.Sets <= 0 || c.Sets&(c.Sets-1) != 0 {
@@ -80,6 +84,9 @@ func (c Config) Validate() error {
 	}
 	if c.Ways <= 0 {
 		return fmt.Errorf("tlb: %s: ways must be positive, got %d", c.Name, c.Ways)
+	}
+	if c.Sets > MaxEntries/c.Ways {
+		return fmt.Errorf("tlb: %s: %d sets × %d ways exceeds the %d-entry cap", c.Name, c.Sets, c.Ways, MaxEntries)
 	}
 	if c.Policy < LRU || c.Policy > PLRU {
 		return fmt.Errorf("tlb: %s: unknown policy %d", c.Name, c.Policy)

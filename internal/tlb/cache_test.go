@@ -2,6 +2,7 @@ package tlb
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -31,6 +32,34 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if New(Config{Name: "ok", Sets: 1, Ways: 8, Policy: LFU}).Config().Entries() != 8 {
 		t.Fatal("Entries() wrong")
+	}
+}
+
+// The entry cap is checked before New allocates a slot, and without
+// forming Sets × Ways, which could overflow.
+func TestConfigValidateEntryCap(t *testing.T) {
+	cases := []struct {
+		name       string
+		sets, ways int
+		ok         bool
+	}{
+		{"at the cap", MaxEntries / 8, 8, true},
+		{"fully associative at the cap", 1, MaxEntries, true},
+		{"twice the cap", MaxEntries / 4, 8, false},
+		{"2^30 sets", 1 << 30, 8, false},
+		{"one entry over the cap", 1, MaxEntries + 1, false},
+		{"product overflows int", 1 << 62, 1 << 4, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err := Config{Name: "devtlb", Sets: c.sets, Ways: c.ways, Policy: LRU}.Validate()
+			if (err == nil) != c.ok {
+				t.Fatalf("Validate() = %v, want ok=%v", err, c.ok)
+			}
+			if err != nil && !strings.Contains(err.Error(), "devtlb") {
+				t.Errorf("error %q does not name the cache", err)
+			}
+		})
 	}
 }
 

@@ -167,9 +167,13 @@ type Config struct {
 	RNG workload.RNG
 }
 
+// MaxTenants caps a trace's tenants, and so the per-tenant state
+// NewStream allocates up front; 10⁶-tenant streams fit.
+const MaxTenants = 1 << 21
+
 func (c Config) validate() error {
-	if c.Tenants <= 0 {
-		return fmt.Errorf("trace: tenants must be positive, got %d", c.Tenants)
+	if c.Tenants <= 0 || c.Tenants > MaxTenants {
+		return fmt.Errorf("trace: tenants must be in 1..%d, got %d", MaxTenants, c.Tenants)
 	}
 	if !c.Benchmark.Known() {
 		return fmt.Errorf("trace: unknown benchmark %v", c.Benchmark)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"hypertrio/internal/workload"
@@ -31,6 +32,20 @@ func TestConstructValidation(t *testing.T) {
 	for i, c := range bad {
 		if _, err := Construct(c); err == nil {
 			t.Errorf("config %d accepted: %+v", i, c)
+		}
+	}
+}
+
+// The tenant cap is checked before NewStream allocates per-tenant state.
+func TestConfigTenantCap(t *testing.T) {
+	c := Config{Benchmark: workload.Iperf3, Tenants: MaxTenants, Interleave: RR1, Scale: 0.1}
+	if err := c.validate(); err != nil {
+		t.Fatalf("%d tenants rejected: %v", c.Tenants, err)
+	}
+	for _, n := range []int{MaxTenants + 1, 1 << 40} {
+		c.Tenants = n
+		if err := c.validate(); err == nil || !strings.Contains(err.Error(), "tenants") {
+			t.Errorf("%d tenants: validate() = %v, want a tenants error", n, err)
 		}
 	}
 }
