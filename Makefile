@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test golden mem-guard race race-obs race-fault race-scenario scenario-lint cover cover-check fuzz-smoke vet lint bench-quick bench-obs bench-smoke bench-compare smoke loc ci clean
+.PHONY: all build test golden mem-guard race race-obs race-fault race-scenario scenario-lint cover cover-check fuzz-smoke vet lint bench-quick bench-obs bench-smoke bench-vet bench-compare smoke loc ci clean
 
 all: build
 
@@ -121,6 +121,12 @@ bench-obs:
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
+# The bench module (bench/, hyperbench) is a separate Go module that
+# `go build ./...` from the root does not reach; vetting it compiles it
+# against the current internal packages it imports.
+bench-vet:
+	cd bench && GOWORK=off $(GO) vet ./...
+
 # Performance gate: hyperbench (bench/run.sh) runs every workload of
 # BENCHMARK.json three times for 5 s at seed 42, checking each replay's
 # Result against the committed digest, into a fresh results set under
@@ -151,7 +157,7 @@ loc:
 	@printf 'non-test Go lines outside bench/: '; find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' -exec cat {} + | wc -l
 	@printf 'non-test Go lines in bench/:      '; find ./bench -name '*.go' -not -name '*_test.go' -exec cat {} + | wc -l
 
-ci: build lint test golden mem-guard race race-obs race-fault race-scenario scenario-lint cover-check fuzz-smoke bench-smoke bench-compare smoke
+ci: build lint test golden mem-guard race race-obs race-fault race-scenario scenario-lint cover-check fuzz-smoke bench-smoke bench-vet bench-compare smoke
 
 clean:
 	rm -rf results-smoke cover.out

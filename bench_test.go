@@ -195,7 +195,7 @@ func BenchmarkEngineScheduleFirePending(b *testing.B) {
 // access buffer, so a warm walk allocates nothing.
 func BenchmarkNestedWalk(b *testing.B) {
 	host := mem.NewSpace("host", 0x1_0000_0000, 0)
-	nt, err := mem.NewNestedTable("t", 0x40000000, host)
+	nt, err := mem.NewNestedTableLevels("t", 0x40000000, host, mem.Levels)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -237,15 +237,13 @@ func BenchmarkDevTLB(b *testing.B) {
 func benchIOMMU(b *testing.B, memoEntries int) (*iommu.IOMMU, []*workload.AddressSpace) {
 	b.Helper()
 	host := mem.NewSpace("host", 0x1_0000_0000, 0)
-	ct := mem.NewContextTable()
 	tenants := mem.NewTenantTables(16)
 	var spaces []*workload.AddressSpace
 	for i := 1; i <= 16; i++ {
-		as, err := workload.BuildAddressSpace(workload.ProfileFor(workload.Websearch), mem.SID(i), host, ct)
+		as, err := workload.BuildAddressSpaceLevels(workload.ProfileFor(workload.Websearch), mem.SID(i), host, tenants, mem.Levels)
 		if err != nil {
 			b.Fatal(err)
 		}
-		tenants.Set(mem.SID(i), as.Nested)
 		spaces = append(spaces, as)
 	}
 	u := iommu.New(iommu.Config{
@@ -253,7 +251,7 @@ func benchIOMMU(b *testing.B, memoEntries int) (*iommu.IOMMU, []*workload.Addres
 		L2PWC:        tlb.Config{Name: "l2", Sets: 32, Ways: 16, Policy: tlb.LFU},
 		L3PWC:        tlb.Config{Name: "l3", Sets: 64, Ways: 16, Policy: tlb.LFU},
 		MemoEntries:  memoEntries,
-	}, ct, tenants)
+	}, tenants)
 	return u, spaces
 }
 

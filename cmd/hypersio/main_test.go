@@ -277,6 +277,16 @@ func writeMutatedTrace(t *testing.T, mutate func(*trace.Trace)) string {
 	return path
 }
 
+// mustRead returns the contents of the file at path.
+func mustRead(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // writePlan writes a small valid fault plan and returns its path.
 func writePlan(t *testing.T) string {
 	t.Helper()
@@ -424,6 +434,16 @@ func TestCLIExitCodes(t *testing.T) {
 		tr.Benchmark = 9
 		tr.Profile = hypertrio.Profile{}
 	})
+	badProfile := writeMutatedTrace(t, func(tr *trace.Trace) { tr.Profile.Streams = 0 })
+	trailingPlan := filepath.Join(t.TempDir(), "trailing-plan.json")
+	if err := os.WriteFile(trailingPlan, append(mustRead(t, plan), "junk"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	scenarioPath := writeScenario(t, "noisy-neighbor", 0.002)
+	trailingScenario := filepath.Join(t.TempDir(), "trailing-scenario.json")
+	if err := os.WriteFile(trailingScenario, append(mustRead(t, scenarioPath), mustRead(t, scenarioPath)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		args []string
@@ -441,6 +461,8 @@ func TestCLIExitCodes(t *testing.T) {
 		{"conflicting describe+faults", []string{"-describe", "-faults", plan}, 1},
 		{"missing faults file", append(small, "-faults", "/nonexistent/plan.json"), 1},
 		{"bad faults schema", append(small, "-faults", badPlan), 1},
+		{"faults file with trailing data", append(small, "-faults", trailingPlan), 1},
+		{"scenario file with trailing data", []string{"-scenario", trailingScenario}, 1},
 		{"out-of-range SID plan", []string{"-tenants", "4", "-scale", "0.001", "-faults", farSIDPlan}, 1},
 		{"bad devtlb geometry", append(small, "-devtlb-entries", "24"), 1},
 		{"bad chipset-iotlb geometry", append(small, "-chipset-iotlb", "24"), 1},
@@ -456,6 +478,7 @@ func TestCLIExitCodes(t *testing.T) {
 		{"replay packet SID beyond tenants", []string{"-replay", badSID}, 1},
 		{"replay 2^30 tenants with 4 stats", []string{"-replay", hugeTenants}, 1},
 		{"replay unknown benchmark", []string{"-replay", badBenchmark}, 1},
+		{"replay bad embedded profile", []string{"-replay", badProfile}, 1},
 		{"sample interval past the clock range", append(small, "-sample-us", "9223372036855"), 1},
 		{"sample interval wrapping negative", append(small, "-sample-us", "10000000000000"), 1},
 	}

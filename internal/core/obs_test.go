@@ -18,7 +18,9 @@ import (
 // zeroPacketTrace models a Scale that rounded every tenant's budget down
 // to zero: tenants exist (page tables get built) but no packet arrives.
 func zeroPacketTrace() *trace.Trace {
-	return &trace.Trace{Meta: trace.Meta{Benchmark: workload.Iperf3, Tenants: 2, Scale: 0.001}}
+	return &trace.Trace{Meta: trace.Meta{
+		Benchmark: workload.Iperf3, Tenants: 2, Scale: 0.001, Profile: workload.ProfileFor(workload.Iperf3),
+	}}
 }
 
 // TestZeroPacketRun pins the degenerate-run accounting: a tenant-ful but

@@ -39,7 +39,6 @@ type System struct {
 	shaper ArrivalShaper
 
 	host    *mem.Space
-	ctx     *mem.ContextTable
 	tenants *mem.TenantTables
 	chain   *pipeline.Chain
 
@@ -168,7 +167,6 @@ func NewSystemSource(cfg Config, src trace.Source) (*System, error) {
 		dt:        cfg.Params.Interarrival(),
 		shaper:    cfg.Shaper,
 		host:      mem.NewSpace("host", 0x1_0000_0000, 0),
-		ctx:       mem.NewContextTable(),
 		tenantLat: make([]tenantLatency, meta.Tenants+1),
 	}
 	if len(meta.Classes) > 0 {
@@ -182,13 +180,7 @@ func NewSystemSource(cfg Config, src trace.Source) (*System, error) {
 	// byte-identity the golden suite pins).
 	population := meta.Classes
 	if len(population) == 0 {
-		profile := meta.Profile
-		if err := profile.Validate(); err != nil {
-			// Traces built by older tools may lack the embedded profile;
-			// fall back to the benchmark's calibration.
-			profile = workload.ProfileFor(meta.Benchmark)
-		}
-		population = []trace.TenantClass{{Profile: profile, Tenants: meta.Tenants}}
+		population = []trace.TenantClass{{Profile: meta.Profile, Tenants: meta.Tenants}}
 	} else {
 		n := 0
 		for _, cl := range population {
@@ -207,7 +199,6 @@ func NewSystemSource(cfg Config, src trace.Source) (*System, error) {
 	if levels == 0 {
 		levels = mem.Levels
 	}
-	s.ctx.Reserve(mem.SID(meta.Tenants))
 	tenants := mem.NewTenantTables(mem.SID(meta.Tenants))
 	// Every tenant of a class runs the same guest image, so tenant page
 	// tables are structurally identical up to the ring-window slot the
@@ -234,14 +225,7 @@ func NewSystemSource(cfg Config, src trace.Source) (*System, error) {
 			templates[c] = as.Nested
 		}
 		for i := lo; i < lo+cl.Tenants; i++ {
-			sid := mem.SID(i)
-			nt := templates[(i-lo)%slots]
-			tenants.Set(sid, nt)
-			s.ctx.Set(sid, mem.ContextEntry{
-				DID:       uint32(sid),
-				GuestRoot: nt.GuestRoot(),
-				HostRoot:  nt.HostRoot(),
-			})
+			tenants.Set(mem.SID(i), templates[(i-lo)%slots])
 		}
 		lo += cl.Tenants
 	}
@@ -253,7 +237,6 @@ func NewSystemSource(cfg Config, src trace.Source) (*System, error) {
 			TLBHit:       cfg.Params.TLBHit,
 			Interarrival: s.dt,
 		},
-		Ctx:     s.ctx,
 		Tenants: tenants,
 	}
 	if tr != nil {

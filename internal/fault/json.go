@@ -62,13 +62,17 @@ func parseIOVA(s string) (uint64, error) {
 	return strconv.ParseUint(strings.TrimPrefix(s, "0x"), 16, 64)
 }
 
-// ReadPlan decodes and validates a JSON plan.
+// ReadPlan decodes (strictly — unknown fields and anything after the
+// document are errors) and validates a JSON plan.
 func ReadPlan(r io.Reader) (*Plan, error) {
 	var doc planDoc
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&doc); err != nil {
 		return nil, fmt.Errorf("fault: decoding plan: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("fault: data after the JSON plan")
 	}
 	if doc.Schema != PlanSchema {
 		return nil, fmt.Errorf("fault: plan schema %q, want %q", doc.Schema, PlanSchema)

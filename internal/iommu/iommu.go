@@ -20,7 +20,7 @@ import (
 // Config describes the chipset translation hardware.
 type Config struct {
 	// ContextCache caches SID -> context entries; a miss costs
-	// mem.ContextReadAccesses memory reads.
+	// ContextReadAccesses memory reads.
 	ContextCache tlb.Config
 	// IOTLB is an optional chipset-resident gIOVA->hPA cache (used by
 	// the Fig. 4 motivational study; the Base/HyperTRIO configurations
@@ -44,6 +44,11 @@ type Config struct {
 	MemoEntries int
 }
 
+// ContextReadAccesses is the number of physical memory accesses one
+// context-table lookup costs on a context-cache miss: one read of the
+// root-table entry and one of the context entry.
+const ContextReadAccesses = 2
+
 // DefaultContextCache returns the context-cache geometry used by every
 // experiment: 64 entries, fully associative, LRU.
 func DefaultContextCache() tlb.Config {
@@ -54,8 +59,7 @@ func DefaultContextCache() tlb.Config {
 type IOMMU struct {
 	cfg Config
 
-	ctxTable *mem.ContextTable
-	tenants  *mem.TenantTables
+	tenants *mem.TenantTables
 
 	cc    *tlb.Cache
 	iotlb *tlb.Cache // nil when disabled
@@ -79,18 +83,17 @@ type IOMMU struct {
 	memAccesses  obs.Counter
 }
 
-// New builds the IOMMU. ctxTable must contain an entry for every SID that
-// will translate; tenants maps each SID to its nested page tables.
-func New(cfg Config, ctxTable *mem.ContextTable, tenants *mem.TenantTables) *IOMMU {
+// New builds the IOMMU. tenants maps every SID that will translate to
+// its nested page tables; a SID it does not hold fails to translate.
+func New(cfg Config, tenants *mem.TenantTables) *IOMMU {
 	u := &IOMMU{
-		cfg:      cfg,
-		ctxTable: ctxTable,
-		tenants:  tenants,
-		cc:       tlb.New(cfg.ContextCache),
-		l2pwc:    tlb.New(cfg.L2PWC),
-		l3pwc:    tlb.New(cfg.L3PWC),
-		history:  NewHistory(DefaultHistoryDepth),
-		memo:     newWalkMemo(cfg.MemoEntries),
+		cfg:     cfg,
+		tenants: tenants,
+		cc:      tlb.New(cfg.ContextCache),
+		l2pwc:   tlb.New(cfg.L2PWC),
+		l3pwc:   tlb.New(cfg.L3PWC),
+		history: NewHistory(DefaultHistoryDepth),
+		memo:    newWalkMemo(cfg.MemoEntries),
 	}
 	if cfg.IOTLB.Sets > 0 {
 		u.iotlb = tlb.New(cfg.IOTLB)
@@ -136,21 +139,18 @@ func (u *IOMMU) Translate(sid mem.SID, iova uint64, pageShift uint8, recordHisto
 	var res Result
 	u.translations.Inc()
 
+	nt := u.tenants.Get(sid)
+	if nt == nil {
+		return res, fmt.Errorf("iommu: no context entry for SID %d", sid)
+	}
+
 	// Context lookup: SID -> page-table roots.
 	ccKey := tlb.Key{SID: uint32(sid)}
 	if _, ok := u.cc.Lookup(ccKey); ok {
 		res.CCHit = true
 	} else {
-		if _, err := u.ctxTable.Lookup(sid); err != nil {
-			return res, err
-		}
-		res.MemAccesses += mem.ContextReadAccesses
+		res.MemAccesses += ContextReadAccesses
 		u.cc.Insert(tlb.Entry{Key: ccKey})
-	}
-
-	nt := u.tenants.Get(sid)
-	if nt == nil {
-		return res, fmt.Errorf("iommu: no nested table for SID %d", sid)
 	}
 
 	if recordHistory {

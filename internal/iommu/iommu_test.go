@@ -8,23 +8,21 @@ import (
 	"hypertrio/internal/workload"
 )
 
-// buildTenants maps n tenants with the mediastream layout and returns the
+// buildTenants maps n tenants with kind's layout and returns the
 // pieces an IOMMU needs.
-func buildTenants(t *testing.T, n int, kind workload.Kind) (*mem.ContextTable, *mem.TenantTables, []*workload.AddressSpace) {
+func buildTenants(t *testing.T, n int, kind workload.Kind) (*mem.TenantTables, []*workload.AddressSpace) {
 	t.Helper()
 	host := mem.NewSpace("host", 0x1_0000_0000, 0)
-	ct := mem.NewContextTable()
 	tenants := mem.NewTenantTables(mem.SID(n))
 	var spaces []*workload.AddressSpace
 	for i := 1; i <= n; i++ {
-		as, err := workload.BuildAddressSpace(workload.ProfileFor(kind), mem.SID(i), host, ct)
+		as, err := workload.BuildAddressSpaceLevels(workload.ProfileFor(kind), mem.SID(i), host, tenants, mem.Levels)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tenants.Set(mem.SID(i), as.Nested)
 		spaces = append(spaces, as)
 	}
-	return ct, tenants, spaces
+	return tenants, spaces
 }
 
 func testConfig(iotlbSets int) Config {
@@ -40,11 +38,11 @@ func testConfig(iotlbSets int) Config {
 }
 
 func TestTranslateMatchesWalk(t *testing.T) {
-	ct, tenants, spaces := buildTenants(t, 2, workload.Mediastream)
-	u := New(testConfig(0), ct, tenants)
+	tenants, spaces := buildTenants(t, 2, workload.Mediastream)
+	u := New(testConfig(0), tenants)
 	for _, as := range spaces {
 		for _, iova := range []uint64{as.Ring + 0x40, as.DataPages[3] + 0x1234, as.Mailbox} {
-			want, err := as.Nested.Walk(iova)
+			want, err := as.Nested.WalkInto(iova, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,8 +58,8 @@ func TestTranslateMatchesWalk(t *testing.T) {
 }
 
 func TestColdTranslationCosts(t *testing.T) {
-	ct, tenants, spaces := buildTenants(t, 1, workload.Mediastream)
-	u := New(testConfig(0), ct, tenants)
+	tenants, spaces := buildTenants(t, 1, workload.Mediastream)
+	u := New(testConfig(0), tenants)
 	as := spaces[0]
 	// Cold 4K ring page: 2 context reads + 24 walk accesses.
 	res, err := u.Translate(as.SID, as.Ring, mem.PageShift, true)
@@ -71,8 +69,8 @@ func TestColdTranslationCosts(t *testing.T) {
 	if res.CCHit || res.PWCLevel != 0 {
 		t.Fatalf("cold translation hit something: %+v", res)
 	}
-	if res.MemAccesses != mem.ContextReadAccesses+24 {
-		t.Fatalf("cold 4K cost %d accesses, want %d", res.MemAccesses, mem.ContextReadAccesses+24)
+	if res.MemAccesses != ContextReadAccesses+24 {
+		t.Fatalf("cold 4K cost %d accesses, want %d", res.MemAccesses, ContextReadAccesses+24)
 	}
 	// Cold 2M data page in a fresh granule: context hits now; the L3 PWC
 	// entry installed by the ring walk covers a different 1 GB granule.
@@ -89,8 +87,8 @@ func TestColdTranslationCosts(t *testing.T) {
 }
 
 func TestPWCAcceleration(t *testing.T) {
-	ct, tenants, spaces := buildTenants(t, 1, workload.Mediastream)
-	u := New(testConfig(0), ct, tenants)
+	tenants, spaces := buildTenants(t, 1, workload.Mediastream)
+	u := New(testConfig(0), tenants)
 	as := spaces[0]
 	if _, err := u.Translate(as.SID, as.Ring, mem.PageShift, true); err != nil {
 		t.Fatal(err)
@@ -136,7 +134,7 @@ func TestPWCAcceleration(t *testing.T) {
 // hits; the walk must then go through the planted table and miss the
 // answer of the real one.
 func TestPWCResumeReadsEntry(t *testing.T) {
-	ct, tenants, spaces := buildTenants(t, 1, workload.Mediastream)
+	tenants, spaces := buildTenants(t, 1, workload.Mediastream)
 	as := spaces[0]
 	if len(as.InitPages) == 0 || len(as.DataPages) < 2 {
 		t.Fatal("mediastream layout lost its init or data pages")
@@ -151,7 +149,7 @@ func TestPWCResumeReadsEntry(t *testing.T) {
 		{"L2", 2, as.Ring, as.InitPages[0], as.Mailbox, mem.HugePageShift},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			u := New(testConfig(0), ct, tenants)
+			u := New(testConfig(0), tenants)
 			pwc := u.l3pwc
 			if c.pwcLevel == 2 {
 				pwc = u.l2pwc
@@ -169,7 +167,7 @@ func TestPWCResumeReadsEntry(t *testing.T) {
 				t.Fatal("target granule has no PWC entry")
 			}
 			pwc.Insert(tlb.Entry{Key: granuleKey(as.SID, c.target, c.shift), Value: donor.Value})
-			want, err := as.Nested.Walk(c.target)
+			want, err := as.Nested.WalkInto(c.target, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -185,8 +183,8 @@ func TestPWCResumeReadsEntry(t *testing.T) {
 }
 
 func TestIOTLBHitCostsNothing(t *testing.T) {
-	ct, tenants, spaces := buildTenants(t, 1, workload.Iperf3)
-	u := New(testConfig(8), ct, tenants)
+	tenants, spaces := buildTenants(t, 1, workload.Iperf3)
+	u := New(testConfig(8), tenants)
 	as := spaces[0]
 	if _, err := u.Translate(as.SID, as.Ring, mem.PageShift, true); err != nil {
 		t.Fatal(err)
@@ -201,7 +199,7 @@ func TestIOTLBHitCostsNothing(t *testing.T) {
 	if res.MemAccesses != 0 {
 		t.Fatalf("IOTLB hit cost %d accesses, want 0", res.MemAccesses)
 	}
-	want, err := as.Nested.Walk(as.Ring + 16)
+	want, err := as.Nested.WalkInto(as.Ring+16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,8 +209,8 @@ func TestIOTLBHitCostsNothing(t *testing.T) {
 }
 
 func TestTenantsIsolatedInCaches(t *testing.T) {
-	ct, tenants, spaces := buildTenants(t, 2, workload.Iperf3)
-	u := New(testConfig(8), ct, tenants)
+	tenants, spaces := buildTenants(t, 2, workload.Iperf3)
+	u := New(testConfig(8), tenants)
 	a, b := spaces[0], spaces[1]
 	ra, err := u.Translate(a.SID, a.Ring, mem.PageShift, true)
 	if err != nil {
@@ -231,8 +229,8 @@ func TestTenantsIsolatedInCaches(t *testing.T) {
 }
 
 func TestInvalidateForcesRewalk(t *testing.T) {
-	ct, tenants, spaces := buildTenants(t, 1, workload.Mediastream)
-	u := New(testConfig(8), ct, tenants)
+	tenants, spaces := buildTenants(t, 1, workload.Mediastream)
+	u := New(testConfig(8), tenants)
 	as := spaces[0]
 	iova := as.DataPages[0]
 	if _, err := u.Translate(as.SID, iova, mem.HugePageShift, true); err != nil {
@@ -256,8 +254,8 @@ func TestInvalidateForcesRewalk(t *testing.T) {
 }
 
 func TestStatsAccumulate(t *testing.T) {
-	ct, tenants, spaces := buildTenants(t, 1, workload.Iperf3)
-	u := New(testConfig(8), ct, tenants)
+	tenants, spaces := buildTenants(t, 1, workload.Iperf3)
+	u := New(testConfig(8), tenants)
 	as := spaces[0]
 	for i := 0; i < 5; i++ {
 		if _, err := u.Translate(as.SID, as.Ring, mem.PageShift, true); err != nil {
@@ -279,11 +277,24 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 }
 
+// TestTranslateUnknownSID pins the context-table check: a SID the tenant
+// tables do not hold — past their end, or inside them but unregistered —
+// fails to translate before any cache or walk state is touched.
 func TestTranslateUnknownSID(t *testing.T) {
-	ct, tenants, _ := buildTenants(t, 1, workload.Iperf3)
-	u := New(testConfig(0), ct, tenants)
-	if _, err := u.Translate(99, workload.RingIOVA, mem.PageShift, true); err == nil {
-		t.Fatal("unknown SID accepted")
+	tenants, spaces := buildTenants(t, 1, workload.Iperf3)
+	tenants.Set(4, nil) // grow the index past SID 1, leaving 2..4 unregistered
+	u := New(testConfig(0), tenants)
+	for _, sid := range []mem.SID{0, 3, 99} {
+		if _, err := u.Translate(sid, workload.RingIOVA, mem.PageShift, true); err == nil {
+			t.Fatalf("unregistered SID %d accepted", sid)
+		}
+	}
+	if s := u.Stats(); s.ContextCache.Lookups != 0 || s.Walks != 0 {
+		t.Fatalf("failed translations touched the chipset: %d context-cache lookups, %d walks",
+			s.ContextCache.Lookups, s.Walks)
+	}
+	if res, err := u.Translate(1, spaces[0].Ring, mem.PageShift, true); err != nil || res.CCHit {
+		t.Fatalf("registered SID 1: CCHit %v, err %v; want a context-cache miss", res.CCHit, err)
 	}
 }
 
@@ -313,8 +324,8 @@ func TestHistoryRecordRecentDrop(t *testing.T) {
 }
 
 func TestHistoryRecordedByTranslate(t *testing.T) {
-	ct, tenants, spaces := buildTenants(t, 1, workload.Iperf3)
-	u := New(testConfig(0), ct, tenants)
+	tenants, spaces := buildTenants(t, 1, workload.Iperf3)
+	u := New(testConfig(0), tenants)
 	as := spaces[0]
 	if _, err := u.Translate(as.SID, as.Ring+8, mem.PageShift, true); err != nil {
 		t.Fatal(err)
@@ -349,8 +360,8 @@ func TestPageKeyGranules(t *testing.T) {
 }
 
 func TestInvalidateSIDScoped(t *testing.T) {
-	ct, tenants, spaces := buildTenants(t, 2, workload.Mediastream)
-	u := New(testConfig(4), ct, tenants)
+	tenants, spaces := buildTenants(t, 2, workload.Mediastream)
+	u := New(testConfig(4), tenants)
 	for _, as := range spaces {
 		if _, err := u.Translate(as.SID, as.Ring, workload.PageShiftOf(as.Ring), true); err != nil {
 			t.Fatal(err)
@@ -383,8 +394,8 @@ func TestInvalidateSIDScoped(t *testing.T) {
 }
 
 func TestFlushAllKeepsHistory(t *testing.T) {
-	ct, tenants, spaces := buildTenants(t, 2, workload.Mediastream)
-	u := New(testConfig(4), ct, tenants)
+	tenants, spaces := buildTenants(t, 2, workload.Mediastream)
+	u := New(testConfig(4), tenants)
 	for _, as := range spaces {
 		if _, err := u.Translate(as.SID, as.Ring, workload.PageShiftOf(as.Ring), true); err != nil {
 			t.Fatal(err)
@@ -415,13 +426,13 @@ func TestFlushAllKeepsHistory(t *testing.T) {
 // that fills the memo, and an L2-resume memo hit that takes its L3 PWC
 // install address from the L3 PWC.
 func TestWarmTranslateZeroAllocs(t *testing.T) {
-	ct, tenants, spaces := buildTenants(t, 1, workload.Mediastream)
+	tenants, spaces := buildTenants(t, 1, workload.Mediastream)
 	uncachedCfg := testConfig(0)
 	uncachedCfg.MemoEntries = -1
 	oneEntryCfg := testConfig(0)
 	oneEntryCfg.MemoEntries = 1
-	memo := New(testConfig(0), ct, tenants)
-	uncached := New(uncachedCfg, ct, tenants)
+	memo := New(testConfig(0), tenants)
+	uncached := New(uncachedCfg, tenants)
 	as := spaces[0]
 	init1, init2 := as.InitPages[1], as.InitPages[2] // one 2 MB granule
 
@@ -442,8 +453,8 @@ func TestWarmTranslateZeroAllocs(t *testing.T) {
 		{"L3-PWC resume, 2 MB data page", uncached, as.DataPages[1], mem.HugePageShift, false, 0, 0, 3, false},
 		{"memo hit", memo, as.Ring, mem.PageShift, false, 0, 0, 2, true},
 		// A one-entry memo: each page's walk evicts the other's entry.
-		{"L2-resumed memo fill", New(oneEntryCfg, ct, tenants), init1, mem.PageShift, false, init2, init2, 2, false},
-		{"L2-resume memo hit, L3 address from the L3 PWC", New(testConfig(0), ct, tenants), init1, mem.PageShift, false, init2, 0, 2, true},
+		{"L2-resumed memo fill", New(oneEntryCfg, tenants), init1, mem.PageShift, false, init2, init2, 2, false},
+		{"L2-resume memo hit, L3 address from the L3 PWC", New(testConfig(0), tenants), init1, mem.PageShift, false, init2, 0, 2, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			calls := 0

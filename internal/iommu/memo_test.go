@@ -33,15 +33,15 @@ func driveMemoDifferential(t *testing.T, cfg Config, seed int64, sidsPerTable in
 	t.Helper()
 	const nTenants = 3
 
-	ctM, tenantsM, spacesM := buildTenants(t, nTenants, workload.Mediastream)
-	sids := shareTables(ctM, tenantsM, spacesM, sidsPerTable)
-	uM := New(cfg, ctM, tenantsM)
+	tenantsM, spacesM := buildTenants(t, nTenants, workload.Mediastream)
+	sids := shareTables(tenantsM, spacesM, sidsPerTable)
+	uM := New(cfg, tenantsM)
 
-	ctU, tenantsU, spacesU := buildTenants(t, nTenants, workload.Mediastream)
-	shareTables(ctU, tenantsU, spacesU, sidsPerTable)
+	tenantsU, spacesU := buildTenants(t, nTenants, workload.Mediastream)
+	shareTables(tenantsU, spacesU, sidsPerTable)
 	cfgU := cfg
 	cfgU.MemoEntries = -1
-	uU := New(cfgU, ctU, tenantsU)
+	uU := New(cfgU, tenantsU)
 
 	rng := rand.New(rand.NewSource(seed))
 
@@ -273,14 +273,13 @@ func TestMemoMatchesUncachedSharedTables(t *testing.T) {
 // shareTables registers perTable-1 further SIDs on each tenant's table
 // (SID k+1+j*len(spaces) on table k, as core.NewSystemSource assigns
 // tenants to ring-slot templates) and returns each table's SIDs.
-func shareTables(ct *mem.ContextTable, tenants *mem.TenantTables, spaces []*workload.AddressSpace, perTable int) [][]mem.SID {
+func shareTables(tenants *mem.TenantTables, spaces []*workload.AddressSpace, perTable int) [][]mem.SID {
 	sids := make([][]mem.SID, len(spaces))
 	for k, as := range spaces {
 		sids[k] = []mem.SID{as.SID}
 		for j := 1; j < perTable; j++ {
 			sid := mem.SID(k + 1 + j*len(spaces))
 			tenants.Set(sid, as.Nested)
-			ct.Set(sid, mem.ContextEntry{DID: uint32(sid), GuestRoot: as.Nested.GuestRoot(), HostRoot: as.Nested.HostRoot()})
 			sids[k] = append(sids[k], sid)
 		}
 	}
@@ -297,26 +296,22 @@ func TestMemoTableKeyContract(t *testing.T) {
 	build := func(memoEntries int) (*IOMMU, *workload.AddressSpace, *workload.AddressSpace) {
 		t.Helper()
 		host := mem.NewSpace("host", 0x1_0000_0000, 0)
-		ct := mem.NewContextTable()
 		tenants := mem.NewTenantTables(3)
 		p := workload.ProfileFor(workload.Mediastream)
-		a, err := workload.BuildAddressSpace(p, 1, host, nil)
+		a, err := workload.BuildAddressSpaceLevels(p, 1, host, nil, mem.Levels)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := workload.BuildAddressSpace(p, 1, host, nil)
+		b, err := workload.BuildAddressSpaceLevels(p, 1, host, nil, mem.Levels)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for sid, nt := range []*mem.NestedTable{1: a.Nested, 2: a.Nested, 3: b.Nested} {
-			if nt != nil {
-				tenants.Set(mem.SID(sid), nt)
-				ct.Set(mem.SID(sid), mem.ContextEntry{DID: uint32(sid), GuestRoot: nt.GuestRoot(), HostRoot: nt.HostRoot()})
-			}
-		}
+		tenants.Set(1, a.Nested)
+		tenants.Set(2, a.Nested)
+		tenants.Set(3, b.Nested)
 		cfg := testConfig(0) // no IOTLB: every translation consults the memo
 		cfg.MemoEntries = memoEntries
-		return New(cfg, ct, tenants), a, b
+		return New(cfg, tenants), a, b
 	}
 	u, a, b := build(0)
 	twin, ta, tb := build(-1)
@@ -387,18 +382,12 @@ func TestMemoTableKeyContract(t *testing.T) {
 	// A mutation of shared table A misses for every SID on it and leaves
 	// B's entries live; one of B then leaves A's live.
 	init0 := a.InitPages[0]
-	gpa := mem.Addr(0)
-	if w, err := a.Nested.Walk(init0); err != nil {
-		t.Fatal(err)
-	} else {
-		gpa = mem.Addr(w.GPA)
-	}
 	for _, m := range []struct {
 		name string
 		f    func(nt *mem.NestedTable) error
 	}{
 		{"MapIOVA", func(nt *mem.NestedTable) error { _, _, err := nt.MapIOVA(0x1000_0000, mem.PageShift); return err }},
-		{"RemapIOVA", func(nt *mem.NestedTable) error { return nt.RemapIOVA(init0, gpa, mem.PageShift) }},
+		{"Remap", func(nt *mem.NestedTable) error { _, _, err := nt.MapIOVA(init0, mem.PageShift); return err }},
 		{"UnmapIOVA", func(nt *mem.NestedTable) error { _, err := nt.UnmapIOVA(init0, mem.PageShift); return err }},
 	} {
 		// Full walks, then PWC resumes, each SID on its own page.

@@ -12,10 +12,10 @@ import (
 // always agrees with a direct nested walk and never reports more memory
 // accesses than a cold two-dimensional walk plus context reads.
 func TestPropertyTranslateAgreesWithWalk(t *testing.T) {
-	ct, tenants, spaces := buildTenants(t, 8, workload.Websearch)
-	u := New(testConfig(16), ct, tenants)
+	tenants, spaces := buildTenants(t, 8, workload.Websearch)
+	u := New(testConfig(16), tenants)
 	rng := rand.New(rand.NewSource(77))
-	maxCost := mem.ContextReadAccesses + 24
+	maxCost := ContextReadAccesses + 24
 	for i := 0; i < 500; i++ {
 		as := spaces[rng.Intn(len(spaces))]
 		var iova uint64
@@ -34,7 +34,7 @@ func TestPropertyTranslateAgreesWithWalk(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: %v", i, err)
 		}
-		want, err := as.Nested.Walk(iova)
+		want, err := as.Nested.WalkInto(iova, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +44,7 @@ func TestPropertyTranslateAgreesWithWalk(t *testing.T) {
 		if res.MemAccesses < 0 || res.MemAccesses > maxCost {
 			t.Fatalf("iter %d: %d accesses outside [0,%d]", i, res.MemAccesses, maxCost)
 		}
-		if res.IOTLBHit && res.MemAccesses > mem.ContextReadAccesses {
+		if res.IOTLBHit && res.MemAccesses > ContextReadAccesses {
 			t.Fatalf("iter %d: IOTLB hit cost %d accesses", i, res.MemAccesses)
 		}
 	}
@@ -65,8 +65,8 @@ func TestPropertyTranslateAgreesWithWalk(t *testing.T) {
 // results — a translation after invalidate re-walks and returns the same
 // hPA (the mapping itself is unchanged).
 func TestPropertyInvalidateConsistency(t *testing.T) {
-	ct, tenants, spaces := buildTenants(t, 4, workload.Mediastream)
-	u := New(testConfig(8), ct, tenants)
+	tenants, spaces := buildTenants(t, 4, workload.Mediastream)
+	u := New(testConfig(8), tenants)
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 300; i++ {
 		as := spaces[rng.Intn(len(spaces))]
@@ -79,7 +79,7 @@ func TestPropertyInvalidateConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := as.Nested.Walk(page)
+		want, err := as.Nested.WalkInto(page, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -53,13 +53,55 @@ func TestSpaceReadWriteEntry(t *testing.T) {
 	}
 }
 
+// TestSpaceAliasSharesStorage pins AliasTable: a write through the alias
+// is visible at the source page and the reverse, aliasing an address
+// that is not a table page errors, and registering a page twice panics.
+func TestSpaceAliasSharesStorage(t *testing.T) {
+	guest := NewSpace("guest", 0x40000000, 0)
+	host := NewSpace("host", 0x100000000, 0)
+	src := guest.AllocTable()
+	alias := host.AllocFrame(PageShift)
+	if err := host.AliasTable(alias, guest, src+0x18); err != nil {
+		t.Fatal(err)
+	}
+	if err := host.WriteEntry(alias+8, 0xa000|ptePresent); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := guest.ReadEntry(src + 8); err != nil || v != 0xa000|ptePresent {
+		t.Fatalf("source reads %#x (%v) after a write through the alias", v, err)
+	}
+	if err := guest.WriteEntry(src+16, 0xb000|ptePresent); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := host.ReadEntry(alias + 16); err != nil || v != 0xb000|ptePresent {
+		t.Fatalf("alias reads %#x (%v) after a write at the source", v, err)
+	}
+	if host.TableCount() != 1 || guest.TableCount() != 1 {
+		t.Fatalf("table counts host %d, guest %d; want 1 each", host.TableCount(), guest.TableCount())
+	}
+	if err := host.AliasTable(host.AllocFrame(PageShift), guest, guest.AllocFrame(PageShift)); err == nil {
+		t.Fatal("aliasing a data frame accepted")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("registering a table page twice did not panic")
+		}
+	}()
+	_ = host.AliasTable(alias, guest, src)
+}
+
+// walk is a full single-dimension walk of va from pt's root.
+func walk(pt *PageTable, va uint64) (WalkResult, error) {
+	return pt.WalkFromInto(va, pt.levels, pt.root, nil)
+}
+
 func TestPageTableMapWalk4K(t *testing.T) {
 	s := NewSpace("t", 0, 0)
-	pt := NewPageTable(s)
+	pt := NewPageTableLevels(s, Levels)
 	if err := pt.Map(0x7f0000123000, 0xabc000, PageShift); err != nil {
 		t.Fatal(err)
 	}
-	res, err := pt.Walk(0x7f0000123abc)
+	res, err := walk(pt, 0x7f0000123abc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +123,11 @@ func TestPageTableMapWalk4K(t *testing.T) {
 
 func TestPageTableMapWalk2M(t *testing.T) {
 	s := NewSpace("t", 0, 0)
-	pt := NewPageTable(s)
+	pt := NewPageTableLevels(s, Levels)
 	if err := pt.Map(0xbbe00000, 0x40000000, HugePageShift); err != nil {
 		t.Fatal(err)
 	}
-	res, err := pt.Walk(0xbbe12345)
+	res, err := walk(pt, 0xbbe12345)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +144,8 @@ func TestPageTableMapWalk2M(t *testing.T) {
 
 func TestPageTableNotMapped(t *testing.T) {
 	s := NewSpace("t", 0, 0)
-	pt := NewPageTable(s)
-	_, err := pt.Walk(0x1234000)
+	pt := NewPageTableLevels(s, Levels)
+	_, err := walk(pt, 0x1234000)
 	var nm *NotMappedError
 	if !errors.As(err, &nm) {
 		t.Fatalf("err = %v, want NotMappedError", err)
@@ -115,7 +157,7 @@ func TestPageTableNotMapped(t *testing.T) {
 
 func TestPageTableMisalignedMap(t *testing.T) {
 	s := NewSpace("t", 0, 0)
-	pt := NewPageTable(s)
+	pt := NewPageTableLevels(s, Levels)
 	if err := pt.Map(0x1001, 0x2000, PageShift); err == nil {
 		t.Fatal("misaligned va accepted")
 	}
@@ -129,7 +171,7 @@ func TestPageTableMisalignedMap(t *testing.T) {
 
 func TestPageTableHugeConflict(t *testing.T) {
 	s := NewSpace("t", 0, 0)
-	pt := NewPageTable(s)
+	pt := NewPageTableLevels(s, Levels)
 	if err := pt.Map(0x40000000, 0x1000, PageShift); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +181,7 @@ func TestPageTableHugeConflict(t *testing.T) {
 		t.Fatalf("huge map over table: %v", err)
 	}
 	// Walking now hits the huge leaf.
-	res, err := pt.Walk(0x40000123)
+	res, err := walk(pt, 0x40000123)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,10 +194,10 @@ func TestPageTableHugeConflict(t *testing.T) {
 	}
 }
 
-// Property: random (va, pa) mappings round-trip through Walk.
+// Property: random (va, pa) mappings round-trip through a walk.
 func TestPropertyMapWalkRoundTrip(t *testing.T) {
 	s := NewSpace("t", 0, 0)
-	pt := NewPageTable(s)
+	pt := NewPageTableLevels(s, Levels)
 	mapped := make(map[uint64]uint64)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 500; i++ {
@@ -171,7 +213,7 @@ func TestPropertyMapWalkRoundTrip(t *testing.T) {
 	}
 	for va, pa := range mapped {
 		off := uint64(rng.Intn(PageSize))
-		res, err := pt.Walk(va | off)
+		res, err := walk(pt, va|off)
 		if err != nil {
 			t.Fatalf("walk %#x: %v", va, err)
 		}
@@ -184,7 +226,7 @@ func TestPropertyMapWalkRoundTrip(t *testing.T) {
 func newTestNested(t *testing.T) (*NestedTable, *Space) {
 	t.Helper()
 	host := NewSpace("host", 0x100000000, 0)
-	nt, err := NewNestedTable("tenant0", 0x40000000, host)
+	nt, err := NewNestedTableLevels("tenant0", 0x40000000, host, Levels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +238,7 @@ func TestNestedWalk4KAccessCount(t *testing.T) {
 	if _, _, err := nt.MapIOVA(0x34800000, PageShift); err != nil {
 		t.Fatal(err)
 	}
-	res, err := nt.Walk(0x34800040)
+	res, err := nt.WalkInto(0x34800040, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +262,7 @@ func TestNestedWalk2MAccessCount(t *testing.T) {
 	if _, _, err := nt.MapIOVA(0xbbe00000, HugePageShift); err != nil {
 		t.Fatal(err)
 	}
-	res, err := nt.Walk(0xbbe54321)
+	res, err := nt.WalkInto(0xbbe54321, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +283,7 @@ func TestNestedWalkTranslation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := nt.Walk(0xbbe00000 + 0x1234)
+	res, err := nt.WalkInto(0xbbe00000+0x1234, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +300,7 @@ func TestNestedWalkFromPartial(t *testing.T) {
 	if _, _, err := nt.MapIOVA(0x34800000, PageShift); err != nil {
 		t.Fatal(err)
 	}
-	full, err := nt.Walk(0x34800040)
+	full, err := nt.WalkInto(0x34800040, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +309,7 @@ func TestNestedWalkFromPartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := nt.WalkFrom(0x34800040, 2, tbl)
+	part, err := nt.WalkFromInto(0x34800040, 2, tbl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +326,7 @@ func TestNestedWalkFromPartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part1, err := nt.WalkFrom(0x34800040, 1, tbl1)
+	part1, err := nt.WalkFromInto(0x34800040, 1, tbl1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +343,7 @@ func TestNestedPartial2M(t *testing.T) {
 	if _, _, err := nt.MapIOVA(0xbbe00000, HugePageShift); err != nil {
 		t.Fatal(err)
 	}
-	full, err := nt.Walk(0xbbe00040)
+	full, err := nt.WalkInto(0xbbe00040, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +351,7 @@ func TestNestedPartial2M(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := nt.WalkFrom(0xbbe00040, 2, tbl)
+	part, err := nt.WalkFromInto(0xbbe00040, 2, tbl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +381,7 @@ func TestTableHPAIsSilent(t *testing.T) {
 	if nt.Epoch() != epoch {
 		t.Fatalf("TableHPA changed the epoch: %d -> %d", epoch, nt.Epoch())
 	}
-	full, err := nt.Walk(iova)
+	full, err := nt.WalkInto(iova, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +400,7 @@ func TestTableHPAIsSilent(t *testing.T) {
 // allocator's record and access counts match the paper's arithmetic.
 func TestPropertyNestedRoundTrip(t *testing.T) {
 	host := NewSpace("host", 0x100000000, 0)
-	nt, err := NewNestedTable("t", 0x40000000, host)
+	nt, err := NewNestedTableLevels("t", 0x40000000, host, Levels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +434,7 @@ func TestPropertyNestedRoundTrip(t *testing.T) {
 	}
 	for iova, want := range mapped {
 		off := uint64(rng.Int63n(1 << want.shift))
-		res, err := nt.Walk(iova | off)
+		res, err := nt.WalkInto(iova|off, nil)
 		if err != nil {
 			t.Fatalf("walk %#x: %v", iova|off, err)
 		}
@@ -406,24 +448,6 @@ func TestPropertyNestedRoundTrip(t *testing.T) {
 		if len(res.Accesses) != wantN {
 			t.Fatalf("walk %#x: %d accesses, want %d", iova, len(res.Accesses), wantN)
 		}
-	}
-}
-
-func TestContextTable(t *testing.T) {
-	ct := NewContextTable()
-	ct.Set(5, ContextEntry{DID: 1, GuestRoot: 0x1000, HostRoot: 0x2000})
-	e, err := ct.Lookup(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.DID != 1 || e.GuestRoot != 0x1000 || e.HostRoot != 0x2000 {
-		t.Fatalf("entry = %+v", e)
-	}
-	if _, err := ct.Lookup(6); err == nil {
-		t.Fatal("lookup of missing SID should error")
-	}
-	if ct.Len() != 1 {
-		t.Fatalf("Len = %d", ct.Len())
 	}
 }
 
@@ -454,7 +478,7 @@ func TestFiveLevelWalkCounts(t *testing.T) {
 	if _, _, err := nt.MapIOVA(0x34800000, PageShift); err != nil {
 		t.Fatal(err)
 	}
-	res, err := nt.Walk(0x34800040)
+	res, err := nt.WalkInto(0x34800040, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +489,7 @@ func TestFiveLevelWalkCounts(t *testing.T) {
 	if res.HPA == 0 {
 		t.Fatal("zero hPA")
 	}
-	res2, err := nt.Walk(0x34800040)
+	res2, err := nt.WalkInto(0x34800040, nil)
 	if err != nil || res2.HPA != res.HPA {
 		t.Fatalf("repeat walk diverged: %v %#x vs %#x", err, res2.HPA, res.HPA)
 	}
@@ -474,15 +498,15 @@ func TestFiveLevelWalkCounts(t *testing.T) {
 func TestFiveLevelSingleDimension(t *testing.T) {
 	s := NewSpace("t", 0, 0)
 	pt := NewPageTableLevels(s, 5)
-	if pt.Levels() != 5 {
-		t.Fatalf("Levels = %d", pt.Levels())
+	if pt.levels != 5 {
+		t.Fatalf("Levels = %d", pt.levels)
 	}
 	// A 5-level table can map VAs beyond the 4-level 48-bit limit.
 	va := uint64(1)<<52 | 0x123000
 	if err := pt.Map(va, 0xabc000, PageShift); err != nil {
 		t.Fatal(err)
 	}
-	res, err := pt.Walk(va | 0x42)
+	res, err := walk(pt, va|0x42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,7 +529,7 @@ func TestBadDepthPanics(t *testing.T) {
 
 func TestUnmapRemap(t *testing.T) {
 	s := NewSpace("t", 0, 0)
-	pt := NewPageTable(s)
+	pt := NewPageTableLevels(s, Levels)
 	if err := pt.Map(0x1000, 0x2000, PageShift); err != nil {
 		t.Fatal(err)
 	}
@@ -513,7 +537,7 @@ func TestUnmapRemap(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("Unmap: %v %v", ok, err)
 	}
-	if _, err := pt.Walk(0x1000); err == nil {
+	if _, err := walk(pt, 0x1000); err == nil {
 		t.Fatal("walk succeeded after unmap")
 	}
 	// Unmapping again reports absent.
@@ -529,7 +553,7 @@ func TestUnmapRemap(t *testing.T) {
 	if s.TableCount() != tables {
 		t.Fatal("remap allocated new table pages")
 	}
-	res, err := pt.Walk(0x1000)
+	res, err := walk(pt, 0x1000)
 	if err != nil || res.PA != 0x3000 {
 		t.Fatalf("walk after remap: %v %#x", err, res.PA)
 	}
@@ -537,7 +561,7 @@ func TestUnmapRemap(t *testing.T) {
 
 func TestUnmapValidation(t *testing.T) {
 	s := NewSpace("t", 0, 0)
-	pt := NewPageTable(s)
+	pt := NewPageTableLevels(s, Levels)
 	if _, err := pt.Unmap(0x1001, PageShift); err == nil {
 		t.Fatal("misaligned unmap accepted")
 	}
@@ -555,7 +579,7 @@ func TestUnmapValidation(t *testing.T) {
 
 func TestNestedUnmapRemap(t *testing.T) {
 	host := NewSpace("host", 0x1_0000_0000, 0)
-	nt, err := NewNestedTable("t", 0x40000000, host)
+	nt, err := NewNestedTableLevels("t", 0x40000000, host, Levels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,34 +591,40 @@ func TestNestedUnmapRemap(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("UnmapIOVA: %v %v", ok, err)
 	}
-	if _, err := nt.Walk(0xbbe00040); err == nil {
+	if _, err := nt.WalkInto(0xbbe00040, nil); err == nil {
 		t.Fatal("nested walk succeeded after unmap")
 	}
-	if err := nt.RemapIOVA(0xbbe00000, gpa, HugePageShift); err != nil {
-		t.Fatal(err)
-	}
-	res, err := nt.Walk(0xbbe00040)
+	// Mapping the gIOVA again installs a fresh guest page in the same
+	// guest tables.
+	tables := nt.guestSpace.TableCount()
+	gpa2, _, err := nt.MapIOVA(0xbbe00000, HugePageShift)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.GPA != uint64(gpa)+0x40 {
+	if gpa2 == gpa || nt.guestSpace.TableCount() != tables {
+		t.Fatalf("remap: gPA %#x -> %#x, guest tables %d -> %d", uint64(gpa), uint64(gpa2), tables, nt.guestSpace.TableCount())
+	}
+	res, err := nt.WalkInto(0xbbe00040, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.GPA != uint64(gpa2)+0x40 {
 		t.Fatalf("remap GPA %#x", res.GPA)
 	}
 }
 
 // TestGuestTablesStayReachable pins the property the chipset's page-walk
 // caches rely on: once a guest table exists, no nested-table mutation
-// detaches it. A huge map or remap over it and a huge unmap of it are
+// detaches it. A huge map over it and a huge unmap of it are
 // refused, and the table's host address is unchanged afterwards.
 func TestGuestTablesStayReachable(t *testing.T) {
 	host := NewSpace("host", 0x1_0000_0000, 0)
-	nt, err := NewNestedTable("t", 0x40000000, host)
+	nt, err := NewNestedTableLevels("t", 0x40000000, host, Levels)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const base = 0xbbe00000 // 2 MB aligned
-	gpa, _, err := nt.MapIOVA(base, HugePageShift)
-	if err != nil {
+	if _, _, err := nt.MapIOVA(base, HugePageShift); err != nil {
 		t.Fatal(err)
 	}
 	// Carve the 2 MB page into 4 KB pages: a guest L1 table takes the
@@ -613,9 +643,6 @@ func TestGuestTablesStayReachable(t *testing.T) {
 	if _, _, err := nt.MapIOVA(base, HugePageShift); err == nil {
 		t.Fatal("MapIOVA placed a 2 MB leaf over a guest L1 table")
 	}
-	if err := nt.RemapIOVA(base, gpa, HugePageShift); err == nil {
-		t.Fatal("RemapIOVA placed a 2 MB leaf over a guest L1 table")
-	}
 	if nt.Epoch() != epoch {
 		t.Fatalf("refused maps moved the epoch: %d -> %d", epoch, nt.Epoch())
 	}
@@ -625,7 +652,7 @@ func TestGuestTablesStayReachable(t *testing.T) {
 	if got, err := nt.TableHPA(base+0x3000, 1); err != nil || got != tbl1 {
 		t.Fatalf("guest L1 table moved: %#x -> %#x (%v)", uint64(tbl1), uint64(got), err)
 	}
-	if _, err := nt.Walk(base + 0x3040); err != nil {
+	if _, err := nt.WalkInto(base+0x3040, nil); err != nil {
 		t.Fatalf("4 KB page lost after refused mutations: %v", err)
 	}
 }
@@ -635,20 +662,19 @@ func TestGuestTablesStayReachable(t *testing.T) {
 // walk dimension strictly increases Epoch.
 func TestMutationEpoch(t *testing.T) {
 	host := NewSpace("host", 0x1_0000_0000, 0)
-	nt, err := NewNestedTable("t", 0x40000000, host)
+	nt, err := NewNestedTableLevels("t", 0x40000000, host, Levels)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e0 := nt.Epoch()
-	gpa, _, err := nt.MapIOVA(0x1000_0000, PageShift)
-	if err != nil {
+	if _, _, err := nt.MapIOVA(0x1000_0000, PageShift); err != nil {
 		t.Fatal(err)
 	}
 	e1 := nt.Epoch()
 	if e1 <= e0 {
 		t.Fatalf("MapIOVA did not advance the epoch: %d -> %d", e0, e1)
 	}
-	if g := nt.Guest().Mutations(); g == 0 {
+	if g := nt.guest.mutations; g == 0 {
 		t.Fatal("guest table reports zero mutations after MapIOVA")
 	}
 	if _, err := nt.UnmapIOVA(0x1000_0000, PageShift); err != nil {
@@ -658,10 +684,10 @@ func TestMutationEpoch(t *testing.T) {
 	if e2 <= e1 {
 		t.Fatalf("UnmapIOVA did not advance the epoch: %d -> %d", e1, e2)
 	}
-	if err := nt.RemapIOVA(0x1000_0000, gpa, PageShift); err != nil {
+	if _, _, err := nt.MapIOVA(0x1000_0000, PageShift); err != nil {
 		t.Fatal(err)
 	}
 	if nt.Epoch() <= e2 {
-		t.Fatalf("RemapIOVA did not advance the epoch: %d -> %d", e2, nt.Epoch())
+		t.Fatalf("re-mapping did not advance the epoch: %d -> %d", e2, nt.Epoch())
 	}
 }

@@ -51,10 +51,10 @@ type NestedTable struct {
 	host       *PageTable
 	hostSpace  *Space
 
-	// guestFrames maps every guest-physical frame we allocated (table
-	// pages and data pages) to its host frame; used to keep the host
-	// table complete and by tests.
-	guestFrames map[Addr]Addr
+	// adopted counts the guest table pages already host-mapped: the
+	// guest space's tableAddrs is append-only, so its entries from
+	// adopted on are the ones still to map.
+	adopted int
 
 	// hostBuf is the reused scratch for the host-dimension accesses of a
 	// single walk step, so steady-state walks allocate nothing. Walks are
@@ -62,22 +62,16 @@ type NestedTable struct {
 	hostBuf []Access
 }
 
-// NewNestedTable builds an empty nested translation for one tenant with
-// 4-level tables. guestBase is where the tenant's guest-physical
+// NewNestedTableLevels builds an empty nested translation for one tenant
+// with the given table depth in both dimensions (4 or 5; §II-A's 24- vs
+// 35-access walks). guestBase is where the tenant's guest-physical
 // allocations start (every tenant may use the same guest-physical layout
 // — isolation comes from the per-tenant host table). hostSpace is the
 // shared host physical memory.
-func NewNestedTable(name string, guestBase Addr, hostSpace *Space) (*NestedTable, error) {
-	return NewNestedTableLevels(name, guestBase, hostSpace, Levels)
-}
-
-// NewNestedTableLevels builds the nested translation with the given table
-// depth in both dimensions (4 or 5; §II-A's 24- vs 35-access walks).
 func NewNestedTableLevels(name string, guestBase Addr, hostSpace *Space, levels int) (*NestedTable, error) {
 	nt := &NestedTable{
-		guestSpace:  NewSpace(name+"/guest", guestBase, 0),
-		hostSpace:   hostSpace,
-		guestFrames: make(map[Addr]Addr),
+		guestSpace: NewSpace(name+"/guest", guestBase, 0),
+		hostSpace:  hostSpace,
 	}
 	nt.host = NewPageTableLevels(hostSpace, levels)
 	nt.guest = NewPageTableLevels(nt.guestSpace, levels)
@@ -87,9 +81,6 @@ func NewNestedTableLevels(name string, guestBase Addr, hostSpace *Space, levels 
 	}
 	return nt, nil
 }
-
-// Guest returns the guest (first-level) page table.
-func (nt *NestedTable) Guest() *PageTable { return nt.guest }
 
 // GuestRoot returns the guest-physical address of the guest L4 table.
 func (nt *NestedTable) GuestRoot() Addr { return nt.guest.Root() }
@@ -103,10 +94,8 @@ func (nt *NestedTable) HostRoot() Addr { return nt.host.Root() }
 func (nt *NestedTable) adoptGuestTables() error {
 	// Registration order is deterministic, so the host frames handed out
 	// here are too.
-	for _, gpa := range nt.guestSpace.tableAddrs {
-		if _, ok := nt.guestFrames[gpa]; ok {
-			continue
-		}
+	for ; nt.adopted < len(nt.guestSpace.tableAddrs); nt.adopted++ {
+		gpa := nt.guestSpace.tableAddrs[nt.adopted]
 		hpa := nt.hostSpace.AllocFrame(PageShift)
 		if err := nt.host.Map(uint64(gpa), uint64(hpa), PageShift); err != nil {
 			return fmt.Errorf("mem: host-mapping guest table %#x: %w", uint64(gpa), err)
@@ -117,7 +106,6 @@ func (nt *NestedTable) adoptGuestTables() error {
 		if err := nt.hostSpace.AliasTable(hpa, nt.guestSpace, gpa); err != nil {
 			return err
 		}
-		nt.guestFrames[gpa] = hpa
 	}
 	return nil
 }
@@ -142,7 +130,6 @@ func (nt *NestedTable) MapIOVA(iova uint64, pageShift uint) (gpa, hpa Addr, err 
 	if err = nt.host.Map(uint64(gpa), uint64(hpa), pageShift); err != nil {
 		return 0, 0, err
 	}
-	nt.guestFrames[gpa] = hpa
 	return gpa, hpa, nil
 }
 
@@ -161,16 +148,11 @@ func (nt *NestedTable) hostTranslate(gpa uint64, guestLevel int, acc *[]NestedAc
 	return res.PA, nil
 }
 
-// WalkFrom performs the two-dimensional walk starting at guest level
+// WalkFromInto performs the two-dimensional walk starting at guest level
 // startLevel with the guest table page already resolved to host-physical
-// address tableHPA. A page-walk-cache hit supplies (startLevel, tableHPA);
-// a full walk uses startLevel = Levels+1 semantics via Walk.
-func (nt *NestedTable) WalkFrom(iova uint64, startLevel int, tableHPA Addr) (NestedResult, error) {
-	return nt.WalkFromInto(iova, startLevel, tableHPA, nil)
-}
-
-// WalkFromInto is WalkFrom appending the walk's accesses onto acc (a
-// reused scratch buffer on the hot path; nil for the allocating form).
+// address tableHPA, as after a page-walk-cache hit. It appends the walk's
+// accesses onto acc (a reused scratch buffer on the hot path; nil for
+// the allocating form).
 func (nt *NestedTable) WalkFromInto(iova uint64, startLevel int, tableHPA Addr, acc []NestedAccess) (NestedResult, error) {
 	res := NestedResult{Accesses: acc}
 	curHost := tableHPA
@@ -207,15 +189,10 @@ func (nt *NestedTable) WalkFromInto(iova uint64, startLevel int, tableHPA Addr, 
 	return res, fmt.Errorf("mem: nested walk of %#x fell through", iova)
 }
 
-// Walk performs the full two-dimensional walk of iova: it first resolves
-// the guest root's gPA through the host table, then descends guest levels,
-// translating every guest table pointer through the host dimension.
-func (nt *NestedTable) Walk(iova uint64) (NestedResult, error) {
-	return nt.WalkInto(iova, nil)
-}
-
-// WalkInto is Walk appending the walk's accesses onto acc (a reused
-// scratch buffer on the hot path; nil for the allocating form).
+// WalkInto performs the full two-dimensional walk of iova: it first
+// resolves the guest root's gPA through the host table, then descends
+// guest levels, translating every guest table pointer through the host
+// dimension. It appends the walk's accesses onto acc like WalkFromInto.
 func (nt *NestedTable) WalkInto(iova uint64, acc []NestedAccess) (NestedResult, error) {
 	res := NestedResult{Accesses: acc}
 	rootHost, err := nt.hostTranslate(uint64(nt.guest.Root()), nt.guest.levels, &res.Accesses)
@@ -275,14 +252,4 @@ func (nt *NestedTable) Epoch() uint64 {
 // untranslatable until the driver maps it again.
 func (nt *NestedTable) UnmapIOVA(iova uint64, pageShift uint) (bool, error) {
 	return nt.guest.Unmap(iova, uint(pageShift))
-}
-
-// RemapIOVA reinstalls a translation for iova onto an existing
-// guest-physical page (the driver recycling a buffer page). Like
-// MapIOVA, it refuses a huge page over a finer guest table.
-func (nt *NestedTable) RemapIOVA(iova uint64, gpa Addr, pageShift uint) error {
-	if err := nt.guest.refuseTableOverwrite(iova, pageShift); err != nil {
-		return err
-	}
-	return nt.guest.Map(iova, uint64(gpa), uint(pageShift))
 }

@@ -3,8 +3,9 @@ package mem
 import "fmt"
 
 // PageTable is a 4- or 5-level radix page table whose table pages live
-// in a Space. Entries are written by Map and read back by Walk, so a walk
-// is a genuine traversal of simulated memory, not a lookup in a Go map.
+// in a Space. Entries are written by Map and read back by WalkFromInto,
+// so a walk is a genuine traversal of simulated table pages, not a lookup
+// of the translation.
 // 5-level tables model the paper's second walk-cost data point (§II-A: a
 // two-dimensional walk costs 24 memory accesses with 4-level tables and
 // 35 with 5-level ones).
@@ -19,12 +20,8 @@ type PageTable struct {
 	mutations uint64
 }
 
-// NewPageTable allocates a root table page in space for a 4-level table.
-func NewPageTable(space *Space) *PageTable {
-	return NewPageTableLevels(space, Levels)
-}
-
-// NewPageTableLevels allocates a table with the given depth (4 or 5).
+// NewPageTableLevels allocates a root table page in space for a table
+// with the given depth (4 or 5).
 func NewPageTableLevels(space *Space, levels int) *PageTable {
 	if levels != 4 && levels != 5 {
 		panic(fmt.Sprintf("mem: unsupported page-table depth %d", levels))
@@ -34,16 +31,6 @@ func NewPageTableLevels(space *Space, levels int) *PageTable {
 
 // Root returns the physical address of the top-level table page.
 func (pt *PageTable) Root() Addr { return pt.root }
-
-// Levels returns the table depth (4 or 5).
-func (pt *PageTable) Levels() int { return pt.levels }
-
-// Space returns the address space the table pages live in.
-func (pt *PageTable) Space() *Space { return pt.space }
-
-// Mutations returns the monotone count of Map/Unmap calls against this
-// table. Cached walk results snapshot it and revalidate by equality.
-func (pt *PageTable) Mutations() uint64 { return pt.mutations }
 
 // levelShift returns the VA shift for a level (4 -> 39, 3 -> 30, 2 -> 21, 1 -> 12).
 func levelShift(level int) uint { return uint(PageShift + 9*(level-1)) }
@@ -156,17 +143,12 @@ func (e *NotMappedError) Error() string {
 	return fmt.Sprintf("mem: va %#x not mapped (level %d entry not present)", e.VA, e.Level)
 }
 
-// Walk translates va by reading entries from simulated memory. startLevel
-// and startTable allow resuming a partial walk (page-walk-cache hit);
-// pass Levels and Root for a full walk.
-func (pt *PageTable) WalkFrom(va uint64, startLevel int, startTable Addr) (WalkResult, error) {
-	return pt.WalkFromInto(va, startLevel, startTable, nil)
-}
-
-// WalkFromInto is WalkFrom appending the walk's accesses onto acc, which
+// WalkFromInto translates va by reading entries from simulated memory,
+// starting at level startLevel in table page startTable (the depth and
+// Root for a full walk). It appends the walk's accesses onto acc, which
 // callers on the hot path pass as a reused scratch buffer (acc[:0]) so a
-// warm walk performs no allocation. The returned result's Accesses is
-// the extended slice; with a nil acc it behaves exactly like WalkFrom.
+// warm walk performs no allocation; the result's Accesses is the
+// extended slice.
 func (pt *PageTable) WalkFromInto(va uint64, startLevel int, startTable Addr, acc []Access) (WalkResult, error) {
 	res := WalkResult{Accesses: acc}
 	cur := startTable
@@ -189,11 +171,6 @@ func (pt *PageTable) WalkFromInto(va uint64, startLevel int, startTable Addr, ac
 		cur = Addr(e & pteAddrMask)
 	}
 	return res, fmt.Errorf("mem: walk of %#x fell through", va)
-}
-
-// Walk performs a full walk from the root.
-func (pt *PageTable) Walk(va uint64) (WalkResult, error) {
-	return pt.WalkFrom(va, pt.levels, pt.root)
 }
 
 // Unmap clears the leaf entry for va at the given page size, returning

@@ -4,7 +4,7 @@
 //
 // Unlike a latency-only model, the page tables here are real data
 // structures: Map writes present entries into simulated table pages and
-// Walk reads them back, returning both the translation and the exact
+// a walk reads them back, returning both the translation and the exact
 // sequence of physical accesses the walk performed. The performance model
 // charges DRAM latency per returned access, and tests verify that
 // translations round-trip against the allocator.
@@ -42,67 +42,23 @@ const (
 	pteAddrMask = ^uint64(PageSize - 1)
 )
 
-// Arena geometry. Table pages are fixed-size slots carved out of chunked
-// []uint64 backing arrays instead of individual heap objects: a slot id
-// resolves to (chunk, offset) by shifts, and a page-number directory maps
-// a table page's address to its slot. Chunks are kept small (8 tables,
-// 32 KB) so a Space holding only a handful of tables — every tenant's
-// guest space — wastes at most a fraction of one chunk.
-const (
-	tablesPerChunkShift = 3 // 8 table slots (32 KB) per arena chunk
-	tablesPerChunk      = 1 << tablesPerChunkShift
-	chunkWords          = tablesPerChunk * EntriesPerTable
-
-	// dirPageShift sizes one directory page: 256 page numbers, covering
-	// 1 MB of address space per 1 KB of directory.
-	dirPageShift = 8
-	dirPageLen   = 1 << dirPageShift
-
-	// extTag marks a directory entry that resolves into another Space's
-	// arena (an aliased table page — see AliasTable).
-	extTag = uint32(1) << 31
-)
-
-// dirPage is one leaf of the two-level page-number directory. Each entry
-// is 0 (not a table page) or a tagged slot reference + 1.
-type dirPage [dirPageLen]uint32
-
-// extRef records one aliased table: the directory entry points here, and
-// reads resolve into the source space's arena slot.
-type extRef struct {
-	src  *Space
-	slot uint32
-}
-
 // Space is a simulated physical address space: a bump allocator for frames
-// plus slab-arena storage for the page-table pages that live in it. Data
-// frames are allocated but not backed — the model never reads packet
-// payloads, only page-table pages.
+// plus storage for the page-table pages that live in it. Data frames are
+// allocated but not backed — the model never reads packet payloads, only
+// page-table pages. A run shares a few template tables across all its
+// tenants (TenantTables), so a space holds tens of table pages and a map
+// keyed by page address is all the indexing it needs.
 type Space struct {
 	name  string
 	next  Addr
 	limit Addr
 
-	// base is the address the bump allocator started at; the page-number
-	// directory is indexed relative to it.
-	base Addr
-
-	// arena holds table-page storage: fixed-size chunks of tablesPerChunk
-	// slots each. Slot n lives at arena[n>>tablesPerChunkShift], word
-	// offset (n & (tablesPerChunk-1)) * EntriesPerTable.
-	arena  [][]uint64
-	nSlots uint32
-
-	// dir maps page number (addr-base)>>PageShift to a tagged slot
-	// reference (+1; 0 = not a table page). Level 1 is a slice of leaf
-	// pages, allocated only where table pages actually live.
-	dir []*dirPage
-
-	// ext holds aliased-table references (tag extTag in dir entries).
-	ext []extRef
+	// tables maps each registered table page's address to its storage;
+	// an aliased page maps to its source page's storage.
+	tables map[Addr]*[EntriesPerTable]uint64
 
 	// tableAddrs records every registered table page in registration
-	// order.
+	// order, the deterministic order NestedTable adopts guest tables in.
 	tableAddrs []Addr
 }
 
@@ -113,11 +69,8 @@ func NewSpace(name string, base, limit Addr) *Space {
 	if base%PageSize != 0 {
 		panic(fmt.Sprintf("mem: space %q base %#x not page aligned", name, base))
 	}
-	return &Space{name: name, next: base, limit: limit, base: base}
+	return &Space{name: name, next: base, limit: limit, tables: make(map[Addr]*[EntriesPerTable]uint64)}
 }
-
-// Name returns the label the space was created with.
-func (s *Space) Name() string { return s.name }
 
 // AllocFrame reserves one naturally aligned frame of size 1<<shift and
 // returns its base address.
@@ -131,16 +84,11 @@ func (s *Space) AllocFrame(shift uint) Addr {
 	return base
 }
 
-// AllocTable reserves a 4 KB frame and registers it as a page-table page
-// backed by a fresh arena slot.
+// AllocTable reserves a 4 KB frame and registers it as a zeroed
+// page-table page.
 func (s *Space) AllocTable() Addr {
 	base := s.AllocFrame(PageShift)
-	slot := s.nSlots
-	s.nSlots++
-	if int(slot>>tablesPerChunkShift) == len(s.arena) {
-		s.arena = append(s.arena, make([]uint64, chunkWords))
-	}
-	s.register(base, slot+1)
+	s.register(base, new([EntriesPerTable]uint64))
 	return base
 }
 
@@ -149,72 +97,21 @@ func (s *Space) AllocTable() Addr {
 // table's storage. The nested walker uses it to expose guest table pages
 // through their host-physical frames, as real hardware does.
 func (s *Space) AliasTable(addr Addr, src *Space, srcAddr Addr) error {
-	v := src.dirLookup(srcAddr &^ (PageSize - 1))
-	if v == 0 {
+	w := src.tables[srcAddr&^(PageSize-1)]
+	if w == nil {
 		return fmt.Errorf("mem: aliasing non-table address %#x in space %q", uint64(srcAddr), src.name)
 	}
-	slot := v - 1
-	if v&extTag != 0 {
-		// Chase one level: aliases always reference the owning arena.
-		e := src.ext[(v&^extTag)-1]
-		src, slot = e.src, e.slot
-	}
-	s.ext = append(s.ext, extRef{src: src, slot: slot})
-	s.register(addr&^(PageSize-1), uint32(len(s.ext))|extTag)
+	s.register(addr&^(PageSize-1), w)
 	return nil
 }
 
-// register installs a tagged slot reference for the table page at base.
-func (s *Space) register(base Addr, v uint32) {
-	pn := uint64(base-s.base) >> PageShift
-	l1 := pn >> dirPageShift
-	for uint64(len(s.dir)) <= l1 {
-		s.dir = append(s.dir, nil)
-	}
-	if s.dir[l1] == nil {
-		s.dir[l1] = &dirPage{}
-	}
-	if s.dir[l1][pn&(dirPageLen-1)] != 0 {
+// register installs w as the storage of the table page at base.
+func (s *Space) register(base Addr, w *[EntriesPerTable]uint64) {
+	if s.tables[base] != nil {
 		panic(fmt.Sprintf("mem: table %#x registered twice in space %q", uint64(base), s.name))
 	}
-	s.dir[l1][pn&(dirPageLen-1)] = v
+	s.tables[base] = w
 	s.tableAddrs = append(s.tableAddrs, base)
-}
-
-// dirLookup returns the tagged slot reference for the table page at base,
-// or 0 if no table page is registered there.
-func (s *Space) dirLookup(base Addr) uint32 {
-	if base < s.base {
-		return 0
-	}
-	pn := uint64(base-s.base) >> PageShift
-	l1 := pn >> dirPageShift
-	if l1 >= uint64(len(s.dir)) || s.dir[l1] == nil {
-		return 0
-	}
-	return s.dir[l1][pn&(dirPageLen-1)]
-}
-
-// slotWords returns the storage of one owned arena slot.
-func (s *Space) slotWords(slot uint32) []uint64 {
-	off := int(slot&(tablesPerChunk-1)) * EntriesPerTable
-	return s.arena[slot>>tablesPerChunkShift][off : off+EntriesPerTable : off+EntriesPerTable]
-}
-
-// tableWords resolves the table page at base to its backing storage
-// (following one alias hop if needed), or nil when base is not a
-// registered table page. Resolution is pure arithmetic — two shifts and
-// two indexed loads — with no map in the path.
-func (s *Space) tableWords(base Addr) []uint64 {
-	v := s.dirLookup(base)
-	if v == 0 {
-		return nil
-	}
-	if v&extTag == 0 {
-		return s.slotWords(v - 1)
-	}
-	e := s.ext[(v&^extTag)-1]
-	return e.src.slotWords(e.slot)
 }
 
 // TableCount reports how many page-table pages live in the space
@@ -224,27 +121,25 @@ func (s *Space) TableCount() int { return len(s.tableAddrs) }
 // ReadEntry reads the 8-byte entry at addr, which must fall inside a
 // registered table page.
 func (s *Space) ReadEntry(addr Addr) (uint64, error) {
-	base := addr &^ (PageSize - 1)
-	w := s.tableWords(base)
+	w := s.tables[addr&^(PageSize-1)]
 	if w == nil {
 		return 0, fmt.Errorf("mem: read of non-table address %#x in space %q", uint64(addr), s.name)
 	}
 	if addr%8 != 0 {
 		return 0, fmt.Errorf("mem: misaligned entry read %#x", uint64(addr))
 	}
-	return w[(addr-base)/8], nil
+	return w[addr%PageSize/8], nil
 }
 
 // WriteEntry writes the 8-byte entry at addr inside a registered table page.
 func (s *Space) WriteEntry(addr Addr, v uint64) error {
-	base := addr &^ (PageSize - 1)
-	w := s.tableWords(base)
+	w := s.tables[addr&^(PageSize-1)]
 	if w == nil {
 		return fmt.Errorf("mem: write to non-table address %#x in space %q", uint64(addr), s.name)
 	}
 	if addr%8 != 0 {
 		return fmt.Errorf("mem: misaligned entry write %#x", uint64(addr))
 	}
-	w[(addr-base)/8] = v
+	w[addr%PageSize/8] = v
 	return nil
 }

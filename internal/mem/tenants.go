@@ -1,10 +1,18 @@
 package mem
 
+// SID is a Source ID: the PCIe Bus/Device/Function identity of a tenant's
+// virtual function. The hypervisor assigns SIDs when a VF is attached, so
+// the translation hardware can key per-tenant state on it. 32 bits cover
+// the million-tenant regime the scale-out experiments model (real
+// hardware segments the ID space across IOMMUs at that scale).
+type SID uint32
+
 // TenantTables is the dense SID-indexed collection of per-tenant nested
-// page tables a simulation walks. SIDs are dense by construction
-// (1..Tenants), so a slice replaces the former map: a hot-path lookup is
-// one bounds check and one indexed load, and the container costs one
-// pointer per tenant instead of map buckets — 8 MB at 10⁶ tenants.
+// page tables a simulation walks. It is the model's only per-SID
+// registry: the IOMMU's context-table read on a context-cache miss
+// resolves here. SIDs are dense by construction (1..Tenants), so a
+// hot-path lookup is one bounds check and one indexed load, and the
+// container costs one pointer per tenant — 8 MB at 10⁶ tenants.
 //
 // Distinct SIDs may share one *NestedTable: all tenants run the same
 // guest image and so build identical table structures, and the model's
@@ -36,15 +44,4 @@ func (t *TenantTables) Get(sid SID) *NestedTable {
 		return nil
 	}
 	return t.byID[sid]
-}
-
-// Len reports how many SIDs have registered tables.
-func (t *TenantTables) Len() int {
-	n := 0
-	for _, nt := range t.byID {
-		if nt != nil {
-			n++
-		}
-	}
-	return n
 }

@@ -68,7 +68,7 @@ func New(env Env, cfg Config) *Chain {
 		c.stages = append(c.stages, c.pb)
 	}
 	c.chipset = &ChipsetStage{
-		mmu: iommu.New(cfg.IOMMU, env.Ctx, env.Tenants), pool: c.pool,
+		mmu: iommu.New(cfg.IOMMU, env.Tenants), pool: c.pool,
 		lat: env.Lat, tracer: env.Tracer, faults: env.Faults, devtlb: c.devtlb,
 	}
 	c.stages = append(c.stages, c.chipset)

@@ -59,11 +59,10 @@ func tenantEnv(t *testing.T) (Env, *workload.AddressSpace) {
 	env := testEnv()
 	host := mem.NewSpace("host", 0x1_0000_0000, 0)
 	env.Tenants = mem.NewTenantTables(1)
-	as, err := workload.BuildAddressSpace(workload.ProfileFor(workload.Iperf3), 1, host, env.Ctx)
+	as, err := workload.BuildAddressSpaceLevels(workload.ProfileFor(workload.Iperf3), 1, host, env.Tenants, mem.Levels)
 	if err != nil {
 		t.Fatal(err)
 	}
-	env.Tenants.Set(1, as.Nested)
 	return env, as
 }
 

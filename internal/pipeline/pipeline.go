@@ -86,9 +86,8 @@ type Latencies struct {
 type Env struct {
 	Lat    Latencies
 	Tracer *obs.Tracer
-	// Ctx and Tenants are the context table and per-tenant nested page
-	// tables the chipset translates against.
-	Ctx     *mem.ContextTable
+	// Tenants holds the per-tenant nested page tables the chipset
+	// translates against.
 	Tenants *mem.TenantTables
 	// OracleKeys supplies the flattened future access sequence for a
 	// Belady-policy DevTLB; consulted only when the DevTLB runs the

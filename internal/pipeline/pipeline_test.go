@@ -19,7 +19,6 @@ func testEnv() Env {
 			TLBHit:       2 * sim.Nanosecond,
 			Interarrival: 60 * sim.Nanosecond,
 		},
-		Ctx: mem.NewContextTable(),
 	}
 }
 

@@ -62,14 +62,17 @@ type overlayDoc struct {
 	Class  string `json:"class,omitempty"`
 }
 
-// ReadScenario decodes (strictly — unknown fields are errors) and
-// validates a JSON scenario.
+// ReadScenario decodes (strictly — unknown fields and anything after the
+// document are errors) and validates a JSON scenario.
 func ReadScenario(r io.Reader) (*Scenario, error) {
 	var doc scenarioDoc
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&doc); err != nil {
 		return nil, fmt.Errorf("scenario: decoding: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("scenario: data after the JSON document")
 	}
 	if doc.Schema != Schema {
 		return nil, fmt.Errorf("scenario: schema %q, want %q", doc.Schema, Schema)

@@ -34,7 +34,8 @@ func TestJSONRoundTripLibrary(t *testing.T) {
 }
 
 // The decoder is strict: wrong schema, unknown fields, unknown enum
-// names and structurally invalid scenarios are all errors.
+// names, structurally invalid scenarios and data after the document are
+// all errors.
 func TestReadScenarioRejects(t *testing.T) {
 	valid := func() string {
 		var buf bytes.Buffer
@@ -55,6 +56,9 @@ func TestReadScenarioRejects(t *testing.T) {
 		{"bad interleave", strings.Replace(valid, `"interleave": "RR1"`, `"interleave": "ZZ1"`, 1), "interleav"},
 		{"bad envelope kind", strings.Replace(valid, `"kind": "flat"`, `"kind": "cubic"`, 1), "envelope"},
 		{"invalid scenario", strings.Replace(valid, `"tenants": 12`, `"tenants": -3`, 1), "tenants"},
+		{"trailing junk", valid + " trailing junk", "after the JSON document"},
+		{"two documents", valid + valid, "after the JSON document"},
+		{"stray brace", valid + "}", "after the JSON document"},
 	}
 	for _, tc := range cases {
 		_, err := ReadScenario(strings.NewReader(tc.doc))

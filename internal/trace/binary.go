@@ -113,6 +113,9 @@ func Read(r io.Reader) (*Trace, error) {
 	if t.Interleave.Validate() != nil {
 		return nil, fmt.Errorf("trace: %w: interleave %v", ErrMalformed, t.Interleave)
 	}
+	if err := t.Profile.Validate(); err != nil {
+		return nil, fmt.Errorf("trace: %w: embedded profile: %v", ErrMalformed, err)
+	}
 	if nstats != tenants {
 		return nil, fmt.Errorf("trace: %w: %d tenant stats for %d tenants", ErrMalformed, nstats, tenants)
 	}

@@ -209,6 +209,8 @@ func malformedTraces(tb testing.TB) map[string][]byte {
 		},
 		"unknown-interleave": func(tr *Trace) { tr.Interleave.Kind = 2 },
 		"zero-burst":         func(tr *Trace) { tr.Interleave.Burst = 0 },
+		"zero-streams":       func(tr *Trace) { tr.Profile.Streams = 0 },
+		"oversized-init":     func(tr *Trace) { tr.Profile.InitPages = 1 << 20 },
 	}
 	out := make(map[string][]byte, len(mutations))
 	for name, mutate := range mutations {

@@ -24,16 +24,11 @@ type AddressSpace struct {
 // Tenants may share the value: isolation comes from per-tenant host tables.
 const guestPhysBase = 0x40000000
 
-// BuildAddressSpace maps the canonical layout for one tenant into fresh
-// 4-level nested page tables backed by hostSpace, and registers the
-// tenant in ct.
-func BuildAddressSpace(p Profile, sid mem.SID, hostSpace *mem.Space, ct *mem.ContextTable) (*AddressSpace, error) {
-	return BuildAddressSpaceLevels(p, sid, hostSpace, ct, mem.Levels)
-}
-
-// BuildAddressSpaceLevels is BuildAddressSpace with an explicit page-table
-// depth (4 or 5 — §II-A's 24- vs 35-access two-dimensional walks).
-func BuildAddressSpaceLevels(p Profile, sid mem.SID, hostSpace *mem.Space, ct *mem.ContextTable, levels int) (*AddressSpace, error) {
+// BuildAddressSpaceLevels maps the canonical layout for one tenant into
+// fresh nested page tables of the given depth (4 or 5 — §II-A's 24- vs
+// 35-access two-dimensional walks) backed by hostSpace. A non-nil tenants
+// registers the tables under sid.
+func BuildAddressSpaceLevels(p Profile, sid mem.SID, hostSpace *mem.Space, tenants *mem.TenantTables, levels int) (*AddressSpace, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -63,12 +58,8 @@ func BuildAddressSpaceLevels(p Profile, sid mem.SID, hostSpace *mem.Space, ct *m
 		}
 		as.InitPages = append(as.InitPages, iova)
 	}
-	if ct != nil {
-		ct.Set(sid, mem.ContextEntry{
-			DID:       uint32(sid),
-			GuestRoot: nt.GuestRoot(),
-			HostRoot:  nt.HostRoot(),
-		})
+	if tenants != nil {
+		tenants.Set(sid, nt)
 	}
 	return as, nil
 }

@@ -160,6 +160,19 @@ func (p Profile) DataShift() uint8 {
 	return mem.HugePageShift
 }
 
+// maxInitPages is how many 4 KB init pages fit between InitBase and 4 GiB.
+const maxInitPages = (1<<32 - InitBase) >> mem.PageShift
+
+// maxDataPages is how many of the profile's data pages fit in its data
+// region: DataBase..SmallDataBase for 2 MB pages (289),
+// SmallDataBase..InitBase for 4 KB pages (65,536).
+func (p Profile) maxDataPages() int {
+	if p.SmallData {
+		return (InitBase - SmallDataBase) >> mem.PageShift
+	}
+	return (SmallDataBase - DataBase) >> mem.HugePageShift
+}
+
 // DataRegionBase returns the bottom of the profile's data-buffer region.
 func (p Profile) DataRegionBase() uint64 {
 	if p.SmallData {
@@ -210,17 +223,21 @@ func ProfileFor(k Kind) Profile {
 // utilization with a single tenant (§V-C).
 func (p Profile) ActiveSet() int { return p.Streams + 2 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Page counts are capped at their
+// layout windows, so a hostile profile cannot make BuildAddressSpaceLevels
+// map more pages than the canonical layout holds.
 func (p Profile) Validate() error {
 	switch {
-	case p.DataPages <= 0:
-		return fmt.Errorf("workload: %s: DataPages must be positive", p.Kind)
+	case p.DataPages <= 0 || p.DataPages > p.maxDataPages():
+		return fmt.Errorf("workload: %s: DataPages must be in 1..%d", p.Kind, p.maxDataPages())
 	case p.Streams <= 0 || p.Streams > p.DataPages:
 		return fmt.Errorf("workload: %s: Streams must be in 1..DataPages", p.Kind)
 	case p.RunLength <= 0:
 		return fmt.Errorf("workload: %s: RunLength must be positive", p.Kind)
 	case p.InitPages < 0 || p.InitTouches < 0:
 		return fmt.Errorf("workload: %s: init parameters must be non-negative", p.Kind)
+	case p.InitPages > maxInitPages:
+		return fmt.Errorf("workload: %s: InitPages must be at most %d", p.Kind, maxInitPages)
 	case p.MinRequests <= 0 || p.MaxRequests < p.MinRequests:
 		return fmt.Errorf("workload: %s: request bounds invalid", p.Kind)
 	}

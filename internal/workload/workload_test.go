@@ -16,6 +16,34 @@ func TestProfilesValid(t *testing.T) {
 	}
 }
 
+// TestProfileValidateCapsPages pins the layout-window caps: each page
+// count is accepted at its window's size and rejected one past it.
+// Validate only inspects the fields, so no row maps anything.
+func TestProfileValidateCapsPages(t *testing.T) {
+	huge := ProfileFor(Iperf3)
+	small := SmallDataVariant(huge)
+	for _, c := range []struct {
+		name string
+		p    Profile
+		set  func(*Profile, int)
+		max  int
+	}{
+		{"2 MB data pages", huge, func(p *Profile, n int) { p.DataPages = n }, 289},
+		{"4 KB data pages", small, func(p *Profile, n int) { p.DataPages = n }, 65536},
+		{"init pages", huge, func(p *Profile, n int) { p.InitPages = n }, 65536},
+	} {
+		p := c.p
+		c.set(&p, c.max)
+		if err := p.Validate(); err != nil {
+			t.Errorf("%s: %d rejected: %v", c.name, c.max, err)
+		}
+		c.set(&p, c.max+1)
+		if err := p.Validate(); err == nil {
+			t.Errorf("%s: %d accepted", c.name, c.max+1)
+		}
+	}
+}
+
 func TestActiveSetsMatchPaper(t *testing.T) {
 	// §V-C: active translation sets of 8 (iperf3), 32 (mediastream),
 	// 36 (websearch).
@@ -176,9 +204,9 @@ func TestUnmapsEmittedOnPageAdvance(t *testing.T) {
 
 func TestBuildAddressSpace(t *testing.T) {
 	host := mem.NewSpace("host", 0x1_0000_0000, 0)
-	ct := mem.NewContextTable()
+	tenants := mem.NewTenantTables(1)
 	p := ProfileFor(Mediastream)
-	as, err := BuildAddressSpace(p, 9, host, ct)
+	as, err := BuildAddressSpaceLevels(p, 9, host, tenants, mem.Levels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +223,7 @@ func TestBuildAddressSpace(t *testing.T) {
 		}
 		seen++
 		for _, iova := range []uint64{pkt.Ring, pkt.Data, pkt.Mailbox} {
-			res, err := as.Nested.Walk(iova)
+			res, err := as.Nested.WalkInto(iova, nil)
 			if err != nil {
 				t.Fatalf("walk %#x: %v", iova, err)
 			}
@@ -204,13 +232,12 @@ func TestBuildAddressSpace(t *testing.T) {
 			}
 		}
 	}
-	// Context table registered.
-	ce, err := ct.Lookup(9)
-	if err != nil {
-		t.Fatal(err)
+	// The tables are registered under the SID, and only there.
+	if tenants.Get(9) != as.Nested {
+		t.Fatal("SID 9 not registered with its nested table")
 	}
-	if ce.GuestRoot != as.Nested.GuestRoot() || ce.HostRoot != as.Nested.HostRoot() {
-		t.Fatal("context entry roots do not match the nested table")
+	if tenants.Get(1) != nil || tenants.Get(8) != nil {
+		t.Fatal("tables registered under another SID")
 	}
 }
 
@@ -219,11 +246,11 @@ func TestTenantsShareIOVAsButNotHPAs(t *testing.T) {
 	// must differ (per-tenant host tables provide isolation).
 	host := mem.NewSpace("host", 0x1_0000_0000, 0)
 	p := ProfileFor(Iperf3)
-	a, err := BuildAddressSpace(p, 1, host, nil)
+	a, err := BuildAddressSpaceLevels(p, 1, host, nil, mem.Levels)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildAddressSpace(p, 2, host, nil)
+	b, err := BuildAddressSpaceLevels(p, 2, host, nil, mem.Levels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,11 +264,11 @@ func TestTenantsShareIOVAsButNotHPAs(t *testing.T) {
 	if RingPageFor(1) == RingPageFor(2) {
 		t.Fatal("SIDs 1 and 2 should use different ring slots")
 	}
-	ra, err := a.Nested.Walk(a.DataPages[0])
+	ra, err := a.Nested.WalkInto(a.DataPages[0], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := b.Nested.Walk(b.DataPages[0])
+	rb, err := b.Nested.WalkInto(b.DataPages[0], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,14 +398,14 @@ func TestSmallDataVariant(t *testing.T) {
 func TestSmallDataAddressSpaceWalks(t *testing.T) {
 	host := mem.NewSpace("host", 0x1_0000_0000, 0)
 	small := SmallDataVariant(ProfileFor(Iperf3))
-	as, err := BuildAddressSpace(small, 4, host, nil)
+	as, err := BuildAddressSpaceLevels(small, 4, host, nil, mem.Levels)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(as.DataPages) != small.DataPages {
 		t.Fatalf("mapped %d data pages, want %d", len(as.DataPages), small.DataPages)
 	}
-	res, err := as.Nested.Walk(as.DataPages[100] + 0x10)
+	res, err := as.Nested.WalkInto(as.DataPages[100]+0x10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
