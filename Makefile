@@ -16,11 +16,11 @@ test:
 
 # The race target doubles as the shared-trace immutability proof:
 # TestSharedTraceConcurrentRuns and the runner pool tests replay shared
-# traces from many goroutines under the race detector. The raised
-# timeout covers internal/experiments: its two quick-suite golden
-# generations plus the scenario tests take ~11 min under -race on a
-# 2-vCPU host — past Go's default 10 m package budget without any test
-# hanging. 25 m leaves over 2x headroom.
+# traces from many goroutines under the race detector. internal/experiments
+# dominates: its one quick-suite golden generation plus the scenario
+# tests take ~3 min under -race on a 2-vCPU host (184 s measured alone;
+# packages run side by side under `./...`, so expect more). The raised
+# 25 m timeout is kept as headroom for slower or busier hosts.
 race:
 	$(GO) test -race -timeout 25m ./...
 
@@ -82,8 +82,6 @@ lint: vet
 
 # Byte-identity gate: the quick experiment suite must reproduce the
 # committed sha256 manifest exactly (internal/experiments/testdata).
-# The pattern also matches TestQuickSuiteGoldenStreaming, so one target
-# pins materialized and streaming runs to the same manifest.
 golden:
 	$(GO) test -run TestQuickSuiteGolden -count=1 ./internal/experiments
 

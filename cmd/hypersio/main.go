@@ -11,7 +11,7 @@
 //	hypersio -benchmark iperf3 -tenants 64 -trace run.ndjson -metrics run.json
 //	hypersio -benchmark iperf3 -tenants 32 -faults plan.json
 //	hypersio -scenario scenarios/noisy-neighbor.json -design hypertrio
-//	hypersio -scenario storm -stream
+//	hypersio -scenario storm
 //	hypersio -design hypertrio -describe
 //
 // Fault injection: -faults FILE loads a JSON fault plan
@@ -24,8 +24,13 @@
 // scenario by name, or any JSON scenario file. The scenario owns the
 // tenant population, the load envelope and the fault script, so
 // -benchmark/-tenants/-interleave/-scale/-seed/-compact-rng are
-// ignored and -replay/-faults are rejected; -stream and every design
-// knob compose as usual. The report gains a per-class breakdown.
+// ignored and -replay/-faults are rejected; every design knob composes
+// as usual. The report gains a per-class breakdown.
+//
+// Sources: a run materializes its trace (or reads -replay's file) unless
+// the trace would pass trace.MaxPackets packets; then it prints one line
+// and replays an online stream of the identical packets instead, in
+// O(tenants) memory.
 //
 // Observability: -trace FILE streams model events (arrivals, drops,
 // DevTLB hits/misses, page walks, prefetches) as NDJSON; -trace-engine
@@ -38,6 +43,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -67,7 +73,6 @@ type options struct {
 	tenants      int
 	seed         int64
 	scale        float64
-	stream       bool
 	compactRNG   bool
 	linkGbps     float64
 	ptb          int
@@ -97,13 +102,12 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 	fs.SetOutput(stderr)
 	var o options
 	fs.StringVar(&o.benchmark, "benchmark", "iperf3", "workload: iperf3, mediastream, websearch")
-	fs.IntVar(&o.tenants, "tenants", 64, "number of concurrent tenants")
+	fs.IntVar(&o.tenants, "tenants", 64, "number of concurrent tenants (at most 1000000; past 131072 needs -compact-rng)")
 	fs.StringVar(&o.interleave, "interleave", "RR1", "inter-tenant interleaving: RR1, RR4, RAND1, RR<k>, RAND<k>")
 	fs.StringVar(&o.design, "design", "hypertrio", "hardware design: base or hypertrio")
 	fs.Int64Var(&o.seed, "seed", 42, "trace construction seed")
 	fs.Float64Var(&o.scale, "scale", 0.01, "trace scale in (0,1]; 1.0 is paper scale (~70M requests at 1024 tenants)")
 	fs.StringVar(&o.replayFile, "replay", "", "replay a saved .hsio trace instead of constructing one")
-	fs.BoolVar(&o.stream, "stream", false, "replay an online generator-backed stream instead of materializing the trace (O(tenants) memory; identical results; supports -tenants up to 1000000)")
 	fs.BoolVar(&o.compactRNG, "compact-rng", false, "use the compact splitmix64 tenant RNG (~60x less generator state; different deterministic sequences)")
 
 	fs.Float64Var(&o.linkGbps, "link", 200, "I/O link bandwidth in Gb/s")
@@ -187,15 +191,9 @@ func (o options) validate() error {
 		if o.tenants > 1_000_000 {
 			return fmt.Errorf("-tenants must be at most 1000000, got %d", o.tenants)
 		}
-		if o.tenants > 100_000 && !o.stream {
-			return fmt.Errorf("-tenants %d requires -stream (materializing a trace that long is O(requests) memory)", o.tenants)
-		}
 		if !(o.scale > 0 && o.scale <= 1) {
 			return fmt.Errorf("-scale must be in (0,1], got %g", o.scale)
 		}
-	}
-	if o.stream && o.replayFile != "" {
-		return fmt.Errorf("-stream and -replay are mutually exclusive (a saved trace is already materialized)")
 	}
 	if o.design != "base" && o.design != "hypertrio" {
 		return fmt.Errorf("unknown design %q (want base or hypertrio)", o.design)
@@ -324,6 +322,11 @@ func run(o options, out io.Writer) error {
 		return nil
 	}
 
+	src, err := openSource(o, comp, out)
+	if err != nil {
+		return err
+	}
+
 	// Observability wiring. The tracer flushes (and its file closes)
 	// whether the run succeeds or fails.
 	obsOpts := &obs.Options{EngineEvents: o.engineEvents}
@@ -341,69 +344,6 @@ func run(o options, out io.Writer) error {
 	}
 	if o.traceFile != "" || obsOpts.SampleEvery > 0 {
 		cfg.Obs = obsOpts
-	}
-
-	var src hypertrio.Source
-	if comp != nil {
-		if o.stream {
-			fmt.Fprintf(out, "streaming scenario population (online, O(tenants) memory)...\n")
-			s, err := comp.Stream()
-			if err != nil {
-				return err
-			}
-			src = s
-		} else {
-			fmt.Fprintf(out, "materializing scenario trace...\n")
-			tr, err := comp.Materialize()
-			if err != nil {
-				return err
-			}
-			src = tr.Source()
-		}
-	} else if o.replayFile != "" {
-		f, err := os.Open(o.replayFile)
-		if err != nil {
-			return err
-		}
-		tr, err := trace.Read(f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("reading %s: %w", o.replayFile, err)
-		}
-		fmt.Fprintf(out, "replaying %s: %s trace, %d tenants, %v interleave\n",
-			o.replayFile, tr.Benchmark, tr.Tenants, tr.Interleave)
-		src = tr.Source()
-	} else {
-		kind, _ := hypertrio.ParseBenchmark(o.benchmark)
-		iv, _ := hypertrio.ParseInterleave(o.interleave)
-		tc := hypertrio.TraceConfig{
-			Benchmark: kind, Tenants: o.tenants, Interleave: iv, Seed: o.seed, Scale: o.scale,
-		}
-		if o.compactRNG {
-			tc.RNG = hypertrio.CompactRNG
-		}
-		if o.stream {
-			fmt.Fprintf(out, "streaming %s workload: %d tenants, %v interleave, scale %g (online, O(tenants) memory)...\n",
-				kind, o.tenants, iv, o.scale)
-			s, err := hypertrio.NewStream(tc)
-			if err != nil {
-				return err
-			}
-			src = s
-		} else {
-			fmt.Fprintf(out, "constructing %s trace: %d tenants, %v interleave, scale %g...\n",
-				kind, o.tenants, iv, o.scale)
-			tr, err := hypertrio.ConstructTrace(tc)
-			if err != nil {
-				return err
-			}
-			src = tr.Source()
-		}
-	}
-	if tr := src.Materialized(); tr != nil {
-		fmt.Fprintf(out, "trace: %d packets, %d translation requests (min/max per-tenant budget %s/%s)\n",
-			len(tr.Packets), tr.Requests(),
-			stats.Count(uint64(tr.MinTenantBudget())), stats.Count(uint64(tr.MaxTenantBudget())))
 	}
 
 	sys, err := hypertrio.NewSystemSource(cfg, src)
@@ -458,6 +398,58 @@ func run(o options, out io.Writer) error {
 		fmt.Fprintf(out, "wrote %s\n", o.metricsFile)
 	}
 	return nil
+}
+
+// openSource returns the run's packet source: -replay's file, or else
+// the scenario's or the flags' trace, materialized unless it would pass
+// trace.MaxPackets packets, in which case the identical packets stream
+// online instead.
+func openSource(o options, comp *scenario.Compiled, out io.Writer) (hypertrio.Source, error) {
+	var tr *trace.Trace
+	var err error
+	var stream func() (hypertrio.Source, error)
+	switch {
+	case o.replayFile != "":
+		f, ferr := os.Open(o.replayFile)
+		if ferr != nil {
+			return nil, ferr
+		}
+		tr, err = trace.Read(f)
+		f.Close()
+		if err != nil {
+			return nil, fmt.Errorf("reading %s: %w", o.replayFile, err)
+		}
+		fmt.Fprintf(out, "replaying %s: %s trace, %d tenants, %v interleave\n",
+			o.replayFile, tr.Benchmark, tr.Tenants, tr.Interleave)
+	case comp != nil:
+		fmt.Fprintf(out, "materializing scenario trace...\n")
+		tr, err = comp.Materialize()
+		stream = func() (hypertrio.Source, error) { return comp.Stream() }
+	default:
+		kind, _ := hypertrio.ParseBenchmark(o.benchmark)
+		iv, _ := hypertrio.ParseInterleave(o.interleave)
+		tc := hypertrio.TraceConfig{
+			Benchmark: kind, Tenants: o.tenants, Interleave: iv, Seed: o.seed, Scale: o.scale,
+		}
+		if o.compactRNG {
+			tc.RNG = hypertrio.CompactRNG
+		}
+		fmt.Fprintf(out, "constructing %s trace: %d tenants, %v interleave, scale %g...\n",
+			kind, o.tenants, iv, o.scale)
+		tr, err = hypertrio.ConstructTrace(tc)
+		stream = func() (hypertrio.Source, error) { return hypertrio.NewStream(tc) }
+	}
+	if errors.Is(err, trace.ErrTooLarge) {
+		fmt.Fprintf(out, "%v; streaming it online instead (O(tenants) memory)\n", err)
+		return stream()
+	}
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(out, "trace: %d packets, %d translation requests (min/max per-tenant budget %s/%s)\n",
+		len(tr.Packets), tr.Requests(),
+		stats.Count(uint64(tr.MinTenantBudget())), stats.Count(uint64(tr.MaxTenantBudget())))
+	return tr.Source(), nil
 }
 
 // loadScenario resolves -scenario: an existing file decodes as JSON;

@@ -85,10 +85,8 @@ func TestRunErrors(t *testing.T) {
 		{"negative sample interval", func(o *options) { o.sampleUs = -1 }},
 		{"engine trace without trace file", func(o *options) { o.engineEvents = true }},
 		{"missing replay file", func(o *options) { o.replayFile = "/nonexistent.hsio" }},
-		{"tenants above cap", func(o *options) { o.tenants = 1_000_001; o.stream = true }},
-		{"huge tenants without stream", func(o *options) { o.tenants = 200_000 }},
-		{"stream with replay", func(o *options) { o.stream = true; o.replayFile = "x.hsio" }},
-		{"stream with oracle policy", func(o *options) { o.stream = true; o.policy = "oracle" }},
+		{"tenants above cap", func(o *options) { o.tenants = 1_000_001; o.compactRNG = true }},
+		{"huge standard-RNG population", func(o *options) { o.tenants = 200_000 }},
 	}
 	for _, c := range cases {
 		o := base()
@@ -99,32 +97,29 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// TestRunStreamMatchesMaterialized pins the user-visible contract of
-// -stream: apart from the construction banner and the absent trace-size
-// line (a stream has no length up front), a streaming run's report is
-// byte-identical to the materialized run's.
-func TestRunStreamMatchesMaterialized(t *testing.T) {
-	report := func(stream, compact bool) string {
-		var b strings.Builder
-		o := base()
-		o.stream, o.compactRNG = stream, compact
-		if err := run(o, &b); err != nil {
-			t.Fatal(err)
-		}
-		out := b.String()
-		// Drop everything before the blank line preceding the results.
-		if i := strings.Index(out, "\n\n"); i >= 0 {
-			out = out[i:]
-		}
-		return out
+// TestOpenSourceBySize pins the size-based choice without simulating:
+// a trace past trace.MaxPackets (2,000 iperf3 tenants at paper scale,
+// ~45M packets) streams online; one under the cap is materialized.
+func TestOpenSourceBySize(t *testing.T) {
+	over := base()
+	over.tenants, over.scale = 2000, 1
+	var out strings.Builder
+	src, err := openSource(over, nil, &out)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got, want := report(true, false), report(false, false); got != want {
-		t.Errorf("streaming report diverged from materialized:\n--- stream\n%s\n--- trace\n%s", got, want)
+	if _, ok := src.(*trace.Stream); !ok {
+		t.Fatalf("over the cap: got %T, want *trace.Stream", src)
 	}
-	// The compact RNG draws different sequences but must still run clean
-	// in both modes and agree between them.
-	if got, want := report(true, true), report(false, true); got != want {
-		t.Errorf("compact-RNG streaming report diverged from materialized:\n--- stream\n%s\n--- trace\n%s", got, want)
+	if !strings.Contains(out.String(), "streaming it online") {
+		t.Errorf("over the cap: the fallback line is missing from\n%s", out.String())
+	}
+	src, err = openSource(base(), nil, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := src.(*trace.TraceSource); !ok {
+		t.Fatalf("under the cap: got %T, want *trace.TraceSource", src)
 	}
 }
 
@@ -331,8 +326,7 @@ func writeScenario(t *testing.T, name string, scale float64) string {
 
 // TestCLIScenarioRun drives -scenario end to end: the scenario banner,
 // the per-class breakdown, and — for the storm — the injector report.
-// A file path and a committed library name both resolve, and the
-// streaming run of the same scenario reports identical results.
+// A file path and a committed library name both resolve.
 func TestCLIScenarioRun(t *testing.T) {
 	path := writeScenario(t, "noisy-neighbor", 0.05)
 	var stdout, stderr strings.Builder
@@ -345,22 +339,6 @@ func TestCLIScenarioRun(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("stdout lacks %q:\n%s", want, out)
 		}
-	}
-
-	// Identical results via -stream, modulo the construction banner.
-	var streamOut strings.Builder
-	if got := cliMain([]string{"-scenario", path, "-stream"}, &streamOut, &stderr); got != 0 {
-		t.Fatalf("stream exit %d, stderr: %s", got, stderr.String())
-	}
-	tail := func(s string) string {
-		if i := strings.Index(s, "\n\n"); i >= 0 {
-			return s[i:]
-		}
-		return s
-	}
-	if tail(streamOut.String()) != tail(out) {
-		t.Errorf("streaming scenario report diverged:\n--- stream\n%s\n--- trace\n%s",
-			tail(streamOut.String()), tail(out))
 	}
 
 	// Committed names resolve without a file, and the storm prints its
@@ -470,6 +448,8 @@ func TestCLIExitCodes(t *testing.T) {
 		{"devtlb past the entry cap", append(small, "-devtlb-entries", "8589934592"), 1},
 		{"devtlb past the entry cap describe", []string{"-devtlb-entries", "8589934592", "-describe"}, 1},
 		{"chipset-iotlb past the entry cap", append(small, "-chipset-iotlb", "8589934592"), 1},
+		{"removed stream flag", []string{"-stream"}, 2},
+		{"huge standard-RNG population", []string{"-tenants", "200000", "-scale", "0.001"}, 1},
 		{"describe", []string{"-describe"}, 0},
 		{"faulted run", append(small, "-faults", plan), 0},
 		{"2 MB remap over 4 KB tables", append(small, "-faults", clobberPlan), 1},

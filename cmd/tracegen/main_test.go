@@ -148,6 +148,7 @@ func TestCLIExitCodes(t *testing.T) {
 		{"NaN scale collect", []string{"-collect", filepath.Join(dir, "logs"), "-tenants", "4", "-scale", "NaN"}, 1},
 		{"NaN scale merge", []string{"-merge", dir, "-tenants", "4", "-scale", "NaN"}, 1},
 		{"missing trace", []string{"-inspect", filepath.Join(dir, "absent.hsio")}, 1},
+		{"trace past the packet cap", []string{"-tenants", "2000", "-scale", "1", "-o", filepath.Join(dir, "long.hsio")}, 1},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -160,7 +161,7 @@ func TestCLIExitCodes(t *testing.T) {
 			}
 		})
 	}
-	for _, name := range []string{"zero.hsio", "nan.hsio", "logs"} {
+	for _, name := range []string{"zero.hsio", "nan.hsio", "logs", "long.hsio"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
 			t.Errorf("%s written despite invalid inputs (%v)", name, err)
 		}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"hypertrio/internal/mem"
 	"hypertrio/internal/obs"
 	"hypertrio/internal/sim"
 	"hypertrio/internal/tlb"
@@ -203,6 +204,44 @@ func TestBaseCollapsesAtHighTenantCount(t *testing.T) {
 	}
 	if r.Drops == 0 {
 		t.Fatal("Base under overload should drop packets")
+	}
+}
+
+// TestBaseSerializedMissClosedForm checks Base against a closed form
+// derived from Table II alone. Base has a one-entry PTB, so a packet
+// holds the entry for its whole critical path. At RR1 with more tenants
+// than the 64-entry context cache every request misses the DevTLB and
+// the context cache: a DevTLB probe, the PCIe round trip, two context
+// accesses and a full 24-access nested walk. The entry is busy for k
+// link slots, so every packet after the first loses k-1 slots:
+// Drops == (k-1) x (Packets-1) exactly. Where some requests hit (RR4,
+// RAND1) the path can only be shorter, so the identity is a bound.
+func TestBaseSerializedMissClosedForm(t *testing.T) {
+	p := DefaultParams()
+	walk := (mem.Levels+1)*(mem.Levels+1) - 1 // guest x host nested walk
+	crit := p.TLBHit + 2*p.PCIeOneWay + sim.Duration(2+walk)*p.DRAMLatency
+	gap := p.Interarrival()
+	k := uint64((crit + gap - 1) / gap)
+	if k != 36 {
+		t.Fatalf("Table II gives k = %d slots per packet (critical path %v, slot %v); the paper's parameters give 36", k, crit, gap)
+	}
+	for _, c := range []struct {
+		iv    trace.Interleave
+		exact bool
+	}{
+		{trace.RR1, true},
+		{trace.RR4, false},
+		{trace.RAND1, false},
+	} {
+		r := run(t, BaseConfig(), makeTrace(t, workload.Iperf3, 128, c.iv, 0.002))
+		want := (k - 1) * (r.Packets - 1)
+		t.Logf("%v: %d packets, %d drops, bound %d", c.iv, r.Packets, r.Drops, want)
+		if c.exact && r.Drops != want {
+			t.Errorf("%v: %d drops over %d packets, want (k-1)(Packets-1) = %d", c.iv, r.Drops, r.Packets, want)
+		}
+		if r.Drops > want {
+			t.Errorf("%v: %d drops over %d packets exceed the serialized-miss bound %d", c.iv, r.Drops, r.Packets, want)
+		}
 	}
 }
 

@@ -14,17 +14,18 @@ type slotTicker struct {
 
 func (k *slotTicker) HandleEvent(e *sim.Engine, now sim.Time, _ uint64) {
 	k.ticks++
-	// Once every packet is accepted no slot can be dropped; stopping
-	// here keeps the ticker from outliving the run's own last event.
-	if k.s.consumed < len(k.s.tr.Packets) {
+	// Once the source is drained and its last packet accepted no slot
+	// can be dropped; stopping here keeps the ticker from outliving the
+	// run's own last event.
+	if !k.s.srcDone || k.s.curValid {
 		e.ScheduleEvent(k.s.nextGap(now), k, 0)
 	}
 }
 
 // RunPerSlot is Run with a slot ticker pending at every link slot: the
-// reference the drop-retry fast-forward is checked against. It needs a
-// materialized trace and also returns the number of model events fired,
-// that is the engine's count without the ticks.
+// reference the drop-retry fast-forward is checked against. It also
+// returns the number of model events fired, that is the engine's count
+// without the ticks.
 func (s *System) RunPerSlot() (Result, uint64, error) {
 	k := &slotTicker{s: s}
 	s.engine.ScheduleEvent(s.nextGap(0), k, 0)

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
+	"hypertrio/internal/fault"
 	"hypertrio/internal/iommu"
 	"hypertrio/internal/pipeline"
 	"hypertrio/internal/tlb"
@@ -42,31 +44,64 @@ func TestOracleFlattenLazy(t *testing.T) {
 	}
 }
 
-// TestOracleRequiresMaterialized pins the streaming/oracle coupling: a
-// configuration with a Belady-policy DevTLB cannot run from an online
-// source — its replacement decisions need the whole future — and must
-// fail fast with a clear error instead of silently materializing
-// O(requests) state. Materialized adapters over the same config work.
-func TestOracleRequiresMaterialized(t *testing.T) {
+// TestStreamMatchesTrace: a run over an online stream equals the run
+// over the materialized trace of the same config, for Base, HyperTRIO
+// and HyperTRIO under tenant churn.
+func TestStreamMatchesTrace(t *testing.T) {
+	tc := trace.Config{Benchmark: workload.Websearch, Tenants: 16, Interleave: trace.RR1, Seed: 42, Scale: 0.005}
+	tr, err := trace.Construct(tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	horizon := horizonOf(t, tr)
+	for name, cfg := range map[string]Config{
+		"base":      BaseConfig(),
+		"hypertrio": HyperTRIOConfig(),
+		"churn":     faultConfig(fault.ChurnPlan(5, 16, horizon/12, horizon/48, horizon)),
+	} {
+		src, err := trace.NewStream(tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSystemSource(cfg, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want := run(t, cfg, tr); got.Packets == 0 || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: stream diverged from the trace:\n%+v\n%+v", name, got, want)
+		}
+		if st, _ := s.FaultStats(); cfg.Fault != nil && st.Detaches == 0 {
+			t.Errorf("%s: the plan detached no tenant", name)
+		}
+	}
+}
+
+// TestOracleFromStream: an Oracle (Belady) DevTLB reads its future by
+// draining the source and rewinding it, so a run over an online stream
+// equals the run over the materialized trace of the same config.
+func TestOracleFromStream(t *testing.T) {
 	cfg := HyperTRIOConfig()
 	cfg.DevTLB.Policy = tlb.Oracle
-	if !RequiresMaterialized(cfg) {
-		t.Fatal("Oracle DevTLB config not reported as requiring materialization")
-	}
-	if RequiresMaterialized(HyperTRIOConfig()) {
-		t.Fatal("non-Oracle config reported as requiring materialization")
-	}
 	tc := trace.Config{Benchmark: workload.Iperf3, Tenants: 2, Interleave: trace.RR1, Seed: 42, Scale: 0.02}
 	src, err := trace.NewStream(tc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSystemSource(cfg, src); err == nil {
-		t.Fatal("Oracle config over a streaming source must fail fast")
+	s, err := NewSystemSource(cfg, src)
+	if err != nil {
+		t.Fatalf("Oracle config over a stream: %v", err)
 	}
-	tr := makeTrace(t, workload.Iperf3, 2, trace.RR1, 0.02)
-	if _, err := NewSystemSource(cfg, tr.Source()); err != nil {
-		t.Fatalf("Oracle config over a materialized adapter: %v", err)
+	got, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := run(t, cfg, makeTrace(t, workload.Iperf3, 2, trace.RR1, 0.02))
+	if got.Packets == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Oracle run over a stream diverged from the trace:\n%+v\n%+v", got, want)
 	}
 }
 
@@ -140,7 +175,7 @@ func TestWarmPacketPathZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestWarmStreamPathZeroAllocs extends the zero-alloc pin to streaming
+// TestWarmStreamPathZeroAllocs extends the zero-alloc pin to online
 // runs: pulling packets from the online generator-backed source (instead
 // of indexing a materialized slice) must not add a single allocation to
 // the warm event path — otherwise million-tenant streaming runs would pay

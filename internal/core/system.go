@@ -22,13 +22,8 @@ import (
 // (internal/pipeline); System owns the link model (arrival slots, drop
 // and retry), the packet-level accounting, and the observability wiring.
 type System struct {
-	cfg Config
-	// src is the packet source the run consumes; tr is the materialized
-	// trace behind it, or nil for online (streaming) sources. Everything
-	// that genuinely needs the whole sequence at once (oracle
-	// precomputation, the end-of-run packet count check) checks tr first.
-	src  trace.Source
-	tr   *trace.Trace
+	cfg  Config
+	src  trace.Source // the packet source the run consumes
 	meta trace.Meta
 
 	engine *sim.Engine
@@ -122,20 +117,12 @@ func NewSystem(cfg Config, tr *trace.Trace) (*System, error) {
 	return NewSystemSource(cfg, tr.Source())
 }
 
-// RequiresMaterialized reports whether the configuration's datapath
-// needs the whole request sequence ahead of time — true exactly when the
-// DevTLB runs the Oracle (Belady) policy, whose replacement decisions
-// look into the future (Validate rejects it on every other cache).
-// Streaming sources cannot drive such a configuration; NewSystemSource
-// fails fast instead of silently materializing O(requests) state.
-func RequiresMaterialized(cfg Config) bool {
-	return !cfg.TranslationOff && cfg.DevTLB.Sets > 0 && cfg.DevTLB.Policy == tlb.Oracle
-}
-
 // NewSystemSource is NewSystem over any packet Source — a materialized
 // trace adapter or an online stream. Online sources keep the run's
 // memory O(tenants): the model pulls one packet at a time and never sees
-// the sequence's length up front.
+// the sequence's length up front. The one exception is an Oracle
+// (Belady) DevTLB, whose replacement decisions look into the future:
+// NewSystemSource reads the source's keys once and rewinds it.
 func NewSystemSource(cfg Config, src trace.Source) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -155,14 +142,9 @@ func NewSystemSource(cfg Config, src trace.Source) (*System, error) {
 			}
 		}
 	}
-	tr := src.Materialized()
-	if tr == nil && RequiresMaterialized(cfg) {
-		return nil, fmt.Errorf("core: the Oracle (Belady) replacement policy requires a materialized trace; construct the trace instead of streaming it")
-	}
 	s := &System{
 		cfg:       cfg,
 		src:       src,
-		tr:        tr,
 		meta:      meta,
 		dt:        cfg.Params.Interarrival(),
 		shaper:    cfg.Shaper,
@@ -239,11 +221,13 @@ func NewSystemSource(cfg Config, src trace.Source) (*System, error) {
 		},
 		Tenants: tenants,
 	}
-	if tr != nil {
-		// Only materialized sources can serve the oracle's future; the
-		// DevTLB skips SetFuture when this hook is absent, and the
-		// fail-fast check above guarantees no Oracle cache was configured.
-		env.OracleKeys = func() []tlb.Key { return flattenKeys(tr) }
+	// Validate admits the Oracle policy on the DevTLB alone.
+	if !cfg.TranslationOff && cfg.DevTLB.Sets > 0 && cfg.DevTLB.Policy == tlb.Oracle {
+		keys, err := futureKeys(src)
+		if err != nil {
+			return nil, fmt.Errorf("core: the Oracle policy's future: %w", err)
+		}
+		env.OracleKeys = keys
 	}
 	if o := cfg.Obs; o != nil {
 		s.otr = o.Tracer
@@ -302,27 +286,37 @@ func (s *System) register(r *obs.Registry) {
 	}
 }
 
-// oracleFlattens counts flattenKeys invocations across all Systems.
+// oracleFlattens counts futureKeys invocations across all Systems.
 // Tests read it to assert the oracle preprocessing stays lazy: building
-// or running a non-Oracle configuration must never flatten the trace.
+// or running a non-Oracle configuration must never read the future.
 var oracleFlattens atomic.Uint64
 
-// flattenKeys produces the DevTLB's ideal lookup sequence for Belady
+// futureKeys produces the DevTLB's ideal lookup sequence for Belady
 // replacement: every packet is eventually accepted exactly once, so the
-// DevTLB observes the flattened trace in order. Packets is a slice, so
-// the order is the trace's — no map iteration feeds the oracle. It runs
-// only when a stage asks for Env.OracleKeys (the Oracle DevTLB policy).
-func flattenKeys(tr *trace.Trace) []tlb.Key {
+// DevTLB observes the source's packets in order. It counts the packets,
+// failing with trace.ErrTooLarge past trace.MaxPackets before anything
+// is allocated, then reads their keys, rewinding the source after each
+// pass (sources are deterministic, so the run replays the identical
+// sequence).
+func futureKeys(src trace.Source) ([]tlb.Key, error) {
 	oracleFlattens.Add(1)
-	keys := make([]tlb.Key, 0, len(tr.Packets)*workload.RequestsPerPacket)
-	for _, p := range tr.Packets {
+	n := 0
+	for _, ok := src.Next(); ok; _, ok = src.Next() {
+		if n++; n > trace.MaxPackets {
+			return nil, fmt.Errorf("%w: the stream runs past the cap of %d packets", trace.ErrTooLarge, trace.MaxPackets)
+		}
+	}
+	src.Reset()
+	keys := make([]tlb.Key, 0, n*workload.RequestsPerPacket)
+	for p, ok := src.Next(); ok; p, ok = src.Next() {
 		keys = append(keys,
 			iommu.PageKey(p.SID, p.Ring, workload.PageShiftOf(p.Ring)),
 			iommu.PageKey(p.SID, p.Data, workload.PageShiftOf(p.Data)),
 			iommu.PageKey(p.SID, p.Mailbox, workload.PageShiftOf(p.Mailbox)),
 		)
 	}
-	return keys
+	src.Reset()
+	return keys, nil
 }
 
 // nextGap returns the gap to the next link slot: the nominal
@@ -367,10 +361,6 @@ func (s *System) Run() (Result, error) {
 	s.engine.Run()
 	if s.curValid || !s.srcDone {
 		return Result{}, fmt.Errorf("core: simulation drained with the packet stream unconsumed (%d packets accepted)", s.consumed)
-	}
-	if s.tr != nil && s.consumed != len(s.tr.Packets) {
-		return Result{}, fmt.Errorf("core: simulation drained with %d of %d packets unprocessed",
-			len(s.tr.Packets)-s.consumed, len(s.tr.Packets))
 	}
 	if s.sampler != nil {
 		// Close the final partial window so short runs still get a point.

@@ -42,14 +42,6 @@ type Options struct {
 	// SeriesDir, when set together with SampleEvery, receives one CSV
 	// per cell (cell-000.csv, ... in submission order) for each sweep.
 	SeriesDir string
-	// Stream replays every queued cell through an online generator-backed
-	// source instead of a materialized trace (runner.Cell.Stream): memory
-	// stays O(tenants) per cell and rendered tables are byte-identical,
-	// since the stream and the constructed trace are the same generation
-	// path. Cells whose configuration requires the whole sequence up
-	// front (the Oracle policy) transparently fall back to the
-	// materialized path.
-	Stream bool
 }
 
 // DefaultOptions is the paper-scale configuration: seed 42, every other
@@ -174,9 +166,10 @@ func (s *sweep) sim(cfg core.Config, kind workload.Kind, tenants int, iv trace.I
 }
 
 // simTrace queues one simulation of cfg over an explicit trace config
-// (used by the profile-override studies).
+// (used by the profile-override studies). Cells sweeping one config
+// share its cached trace.
 func (s *sweep) simTrace(cfg core.Config, tc trace.Config) {
-	s.cells = append(s.cells, runner.Cell{Config: cfg, TraceConfig: tc, Stream: s.o.Stream})
+	s.cells = append(s.cells, runner.Cell{Config: cfg, Open: runner.Shared().Open(tc)})
 }
 
 // run executes the queued cells and returns a cursor over the results in

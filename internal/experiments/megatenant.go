@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hypertrio/internal/core"
+	"hypertrio/internal/runner"
 	"hypertrio/internal/stats"
 	"hypertrio/internal/trace"
 	"hypertrio/internal/workload"
@@ -43,19 +44,20 @@ func megaTenantTrace(n, budget int, o Options) trace.Config {
 
 // ExtMegaTenant sweeps Base vs HyperTRIO from 10³ to 10⁶ tenants using
 // streaming sources: no cell ever materializes its trace, so memory is
-// O(tenants) — the arena-backed spaces hold O(RingSlots) template tables
-// and the generator population is the only per-tenant state. The table
+// O(tenants) — the shared template tables are O(RingSlots) and the
+// generator population is the only per-tenant state. The table
 // reports how translation performance and fairness hold up as the tenant
 // population outgrows every cached structure by orders of magnitude.
 func ExtMegaTenant(o Options) (*stats.Table, error) {
 	counts, budget := megaTenantCounts(o)
-	so := o
-	so.Stream = true // the point of the experiment: bounded memory at any scale
-	sw := newSweep(so)
+	sw := newSweep(o)
 	for _, n := range counts {
-		tc := megaTenantTrace(n, budget, o)
-		sw.simTrace(core.BaseConfig(), tc)
-		sw.simTrace(core.HyperTRIOConfig(), tc)
+		// Every cell streams its own source: bounded memory at any scale
+		// is the point of the experiment.
+		open := func() (trace.Source, error) { return trace.NewStream(megaTenantTrace(n, budget, o)) }
+		sw.cells = append(sw.cells,
+			runner.Cell{Config: core.BaseConfig(), Open: open},
+			runner.Cell{Config: core.HyperTRIOConfig(), Open: open})
 	}
 	res, err := sw.run()
 	if err != nil {

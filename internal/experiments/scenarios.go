@@ -7,6 +7,7 @@ import (
 	"hypertrio/internal/runner"
 	"hypertrio/internal/scenario"
 	"hypertrio/internal/stats"
+	"hypertrio/internal/trace"
 )
 
 // The five experiments below run the committed production-traffic
@@ -39,25 +40,17 @@ func scenarioFor(name string, o Options) (*scenario.Scenario, error) {
 	return s, nil
 }
 
-// simCompiled queues one simulation of cfg over a compiled scenario.
-// Streaming sweeps hand the cell its own fresh source (sources are
-// single-consumer); materialized sweeps share the compiled trace.
-func (s *sweep) simCompiled(cfg core.Config, comp *scenario.Compiled) error {
-	cfg = comp.Apply(cfg)
-	if s.o.Stream {
-		src, err := comp.Stream()
+// simCompiled queues one simulation of cfg over a compiled scenario;
+// every cell of the scenario shares its compiled trace, materialized
+// once on the first worker that opens it.
+func (s *sweep) simCompiled(cfg core.Config, comp *scenario.Compiled) {
+	s.cells = append(s.cells, runner.Cell{Config: comp.Apply(cfg), Open: func() (trace.Source, error) {
+		tr, err := comp.Materialize()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		s.cells = append(s.cells, runner.Cell{Config: cfg, Source: src})
-		return nil
-	}
-	tr, err := comp.Materialize()
-	if err != nil {
-		return err
-	}
-	s.cells = append(s.cells, runner.Cell{Config: cfg, Trace: tr})
-	return nil
+		return tr.Source(), nil
+	}})
 }
 
 // scenarioPair compiles an adversarial scenario and its control and
@@ -74,12 +67,8 @@ func scenarioPair(o Options, adv, control *scenario.Scenario) (*results, error) 
 	}
 	sw := newSweep(o)
 	for _, d := range faultDesigns {
-		if err := sw.simCompiled(d.cfg(), compA); err != nil {
-			return nil, err
-		}
-		if err := sw.simCompiled(d.cfg(), compC); err != nil {
-			return nil, err
-		}
+		sw.simCompiled(d.cfg(), compA)
+		sw.simCompiled(d.cfg(), compC)
 	}
 	return sw.run()
 }

@@ -6,6 +6,7 @@ import (
 
 	"hypertrio/internal/core"
 	"hypertrio/internal/scenario"
+	"hypertrio/internal/trace"
 )
 
 // scenarioResults runs one committed scenario (by name, quick scale)
@@ -164,9 +165,7 @@ func TestScenarioConservation(t *testing.T) {
 		}
 		sw := newSweep(o)
 		for _, d := range faultDesigns {
-			if err := sw.simCompiled(d.cfg(), comp); err != nil {
-				t.Fatal(err)
-			}
+			sw.simCompiled(d.cfg(), comp)
 		}
 		res, err := sw.run()
 		if err != nil {
@@ -196,51 +195,43 @@ func TestScenarioConservation(t *testing.T) {
 }
 
 // Every committed scenario produces the identical Result — not just
-// the same table cells — from a materialized trace and from a stream.
-// The quick-suite golden tests pin the same property at the
-// rendered-output level; this pins the full result structs, per run
-// mode, with a precise failure message.
+// the same table cells — from its materialized trace and from a
+// stream. This pins the full result structs with a precise failure
+// message; ext-megatenant pins streaming at the rendered-output level
+// inside the quick-suite golden.
 func TestScenarioDifferentialDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every scenario twice; skipped in -short mode")
 	}
-	modes := []struct {
-		name   string
-		stream bool
-	}{
-		{"serial", false},
-		{"stream", true},
-	}
 	for _, name := range []string{"noisy-neighbor", "sid-flood", "incast", "diurnal", "storm"} {
-		var ref core.Result
-		for i, m := range modes {
-			o := quick()
-			o.Stream = m.stream
-			s, err := scenarioFor(name, o)
+		s, err := scenarioFor(name, quick())
+		if err != nil {
+			t.Fatal(err)
+		}
+		comp, err := s.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := comp.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream, err := comp.Stream()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rs [2]core.Result
+		for i, src := range []trace.Source{tr.Source(), stream} {
+			sys, err := core.NewSystemSource(comp.Apply(core.HyperTRIOConfig()), src)
 			if err != nil {
 				t.Fatal(err)
 			}
-			comp, err := s.Compile()
-			if err != nil {
-				t.Fatal(err)
+			if rs[i], err = sys.Run(); err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
-			sw := newSweep(o)
-			if err := sw.simCompiled(core.HyperTRIOConfig(), comp); err != nil {
-				t.Fatal(err)
-			}
-			res, err := sw.run()
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, m.name, err)
-			}
-			r := res.next()
-			r.Series = nil
-			if i == 0 {
-				ref = r
-				continue
-			}
-			if !reflect.DeepEqual(r, ref) {
-				t.Errorf("%s: %s diverged from serial:\n%+v\n%+v", name, m.name, r, ref)
-			}
+		}
+		if !reflect.DeepEqual(rs[1], rs[0]) {
+			t.Errorf("%s: stream diverged from the materialized trace:\n%+v\n%+v", name, rs[1], rs[0])
 		}
 	}
 }

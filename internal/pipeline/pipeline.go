@@ -89,10 +89,10 @@ type Env struct {
 	// Tenants holds the per-tenant nested page tables the chipset
 	// translates against.
 	Tenants *mem.TenantTables
-	// OracleKeys supplies the flattened future access sequence for a
-	// Belady-policy DevTLB; consulted only when the DevTLB runs the
-	// Oracle policy. Nil leaves the future unset (Describe-only builds).
-	OracleKeys func() []tlb.Key
+	// OracleKeys is the future access sequence for a Belady-policy
+	// DevTLB; consulted only when the DevTLB runs the Oracle policy. Nil
+	// leaves the future unset (Describe-only builds).
+	OracleKeys []tlb.Key
 	// Faults is the fault injector's hook (nil in every fault-free run;
 	// every consultation in the chain is nil-guarded).
 	Faults FaultHook

@@ -51,14 +51,14 @@ type CacheStage struct {
 }
 
 // newCacheStage builds the DevTLB; a Belady (Oracle) policy is handed
-// the future access sequence when oracleKeys supplies one.
-func newCacheStage(cfg tlb.Config, oracleKeys func() []tlb.Key) *CacheStage {
+// the future access sequence when oracleKeys holds one.
+func newCacheStage(cfg tlb.Config, oracleKeys []tlb.Key) *CacheStage {
 	if cfg.Name == "" {
 		cfg.Name = "devtlb"
 	}
 	cache := tlb.New(cfg)
 	if cfg.Policy == tlb.Oracle && oracleKeys != nil {
-		cache.SetFuture(tlb.NewFuture(oracleKeys()))
+		cache.SetFuture(tlb.NewFuture(oracleKeys))
 	}
 	return &CacheStage{name: cfg.Name, hitEvent: cfg.Name + "_hit", cache: cache}
 }

@@ -4,6 +4,10 @@
 // and a process-wide memoizing cache that constructs each distinct
 // hyper-tenant trace at most once and shares it read-only between
 // simulations (the immutability contract documented in internal/trace).
+// A cell opens its own source on its worker: sweeps open the cached
+// trace (Cache.Open), which pays for itself as soon as two cells share
+// a config; a cell whose trace would be too long to hold opens an
+// online trace.Stream instead.
 package runner
 
 import (
@@ -93,6 +97,19 @@ func (c *Cache) Get(cfg trace.Config) (*trace.Trace, error) {
 	c.mu.Unlock()
 	e.once.Do(func() { e.tr, e.err = trace.Construct(cfg) })
 	return e.tr, e.err
+}
+
+// Open returns an opener for runner.Cell: each call gets the cached
+// trace for cfg (constructing it on first use) and a fresh TraceSource
+// over it, so any number of cells replay one shared trace.
+func (c *Cache) Open(cfg trace.Config) func() (trace.Source, error) {
+	return func() (trace.Source, error) {
+		tr, err := c.Get(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return tr.Source(), nil
+	}
 }
 
 // Reset drops every entry and zeroes the counters (benchmarks use it to

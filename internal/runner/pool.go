@@ -11,54 +11,25 @@ import (
 )
 
 // Cell is one independent unit of simulation work: a system
-// configuration plus the trace it replays. Cells never share mutable
+// configuration plus the source it replays. Cells never share mutable
 // state (each simulation builds its own page tables and caches), which
 // is what makes the sweep embarrassingly parallel.
 type Cell struct {
 	Config core.Config
-	// Trace, when non-nil, is replayed as-is and must not be mutated
-	// anywhere (it may be shared with other cells).
-	Trace *trace.Trace
-	// TraceConfig describes the trace to construct when Trace is nil;
-	// construction goes through the pool's cache, so cells sweeping the
-	// same trace config share one instance.
-	TraceConfig trace.Config
-	// Stream replays TraceConfig through an online generator-backed
-	// source instead of materializing the trace: memory stays O(tenants)
-	// regardless of trace length, which is what makes million-tenant
-	// cells feasible. The packet sequence is identical either way
-	// (Construct drains the same Stream). Ignored when Trace is set.
-	// Configurations that genuinely need the whole sequence up front —
-	// the Oracle replacement policy — fall back to the materialized cache
-	// path rather than failing, since the fallback costs exactly what
-	// streaming was avoiding only for those cells that cannot avoid it.
-	Stream bool
-	// Source, when non-nil, is replayed directly and takes precedence
-	// over every other trace field. Sources are single-consumer: each
-	// cell needs its own (scenario sweeps hand every streaming cell a
-	// fresh scenario.Compiled.Stream()). Unlike the Stream path there is
-	// no materialized fallback — a config that requires the whole
-	// sequence up front is an error.
-	Source trace.Source
+	// Open returns the cell's packet source. It runs on the worker that
+	// simulates the cell, so a queued cell holds no source: a sweep
+	// queues Cache.Open(tc) to share one cached trace between cells, or
+	// an opener over trace.NewStream for an online source.
+	Open func() (trace.Source, error)
 }
 
 // Pool executes cells across a fixed number of worker goroutines. The
-// zero value is ready to use: GOMAXPROCS workers and the Shared cache.
+// zero value is ready to use with GOMAXPROCS workers.
 type Pool struct {
 	// Workers is the number of concurrent simulation goroutines; values
 	// <= 0 mean runtime.GOMAXPROCS(0). Workers == 1 executes cells
 	// sequentially in submission order — the historical serial behaviour.
 	Workers int
-	// Cache memoizes trace construction; nil means the process-wide
-	// Shared() cache.
-	Cache *Cache
-}
-
-func (p Pool) cache() *Cache {
-	if p.Cache != nil {
-		return p.Cache
-	}
-	return Shared()
 }
 
 func (p Pool) workers(cells int) int {
@@ -98,7 +69,7 @@ func (p Pool) Run(cells []Cell) ([]core.Result, error) {
 				if i >= len(cells) || failed.Load() {
 					return
 				}
-				results[i], errs[i] = p.runCell(cells[i])
+				results[i], errs[i] = runCell(cells[i])
 				if errs[i] != nil {
 					failed.Store(true)
 				}
@@ -114,44 +85,20 @@ func (p Pool) Run(cells []Cell) ([]core.Result, error) {
 	return results, nil
 }
 
-// runCell resolves the cell's trace (building or sharing it through the
-// cache) and runs one simulation. Panics inside the simulation engine
-// are converted to errors so one bad cell cannot take down the pool.
-func (p Pool) runCell(c Cell) (res core.Result, err error) {
+// runCell opens the cell's source and runs one simulation. Panics
+// inside the simulation engine are converted to errors so one bad cell
+// cannot take down the pool.
+func runCell(c Cell) (res core.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("simulation panic: %v", r)
 		}
 	}()
-	if c.Source != nil {
-		if core.RequiresMaterialized(c.Config) {
-			return core.Result{}, fmt.Errorf("config requires a materialized trace; cell has a streaming source")
-		}
-		sys, err := core.NewSystemSource(c.Config, c.Source)
-		if err != nil {
-			return core.Result{}, err
-		}
-		return sys.Run()
+	src, err := c.Open()
+	if err != nil {
+		return core.Result{}, err
 	}
-	tr := c.Trace
-	if tr == nil {
-		if c.Stream && !core.RequiresMaterialized(c.Config) {
-			src, err := trace.NewStream(c.TraceConfig)
-			if err != nil {
-				return core.Result{}, err
-			}
-			sys, err := core.NewSystemSource(c.Config, src)
-			if err != nil {
-				return core.Result{}, err
-			}
-			return sys.Run()
-		}
-		tr, err = p.cache().Get(c.TraceConfig)
-		if err != nil {
-			return core.Result{}, err
-		}
-	}
-	sys, err := core.NewSystem(c.Config, tr)
+	sys, err := core.NewSystemSource(c.Config, src)
 	if err != nil {
 		return core.Result{}, err
 	}

@@ -14,8 +14,8 @@ import (
 )
 
 // testCells builds a small heterogeneous sweep: three tenant counts,
-// Base and HyperTRIO each, all through the pool's trace cache.
-func testCells() []Cell {
+// Base and HyperTRIO each, all opening their traces through cache.
+func testCells(cache *Cache) []Cell {
 	var cells []Cell
 	for _, n := range []int{2, 4, 8} {
 		tc := trace.Config{
@@ -26,15 +26,15 @@ func testCells() []Cell {
 			Scale:      0.002,
 		}
 		cells = append(cells,
-			Cell{Config: core.BaseConfig(), TraceConfig: tc},
-			Cell{Config: core.HyperTRIOConfig(), TraceConfig: tc},
+			Cell{Config: core.BaseConfig(), Open: cache.Open(tc)},
+			Cell{Config: core.HyperTRIOConfig(), Open: cache.Open(tc)},
 		)
 	}
 	return cells
 }
 
 func TestPoolEmpty(t *testing.T) {
-	rs, err := Pool{Cache: NewCache()}.Run(nil)
+	rs, err := Pool{}.Run(nil)
 	if err != nil || rs != nil {
 		t.Fatalf("empty run: %v, %v", rs, err)
 	}
@@ -43,7 +43,8 @@ func TestPoolEmpty(t *testing.T) {
 // TestPoolDeterministicAcrossWorkerCounts: any worker count must return
 // the exact same results in the exact same submission order.
 func TestPoolDeterministicAcrossWorkerCounts(t *testing.T) {
-	serial, err := Pool{Workers: 1, Cache: NewCache()}.Run(testCells())
+	cells := testCells(NewCache())
+	serial, err := Pool{Workers: 1}.Run(cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,8 @@ func TestPoolDeterministicAcrossWorkerCounts(t *testing.T) {
 			serial[5].AchievedGbps, serial[4].AchievedGbps)
 	}
 	for _, workers := range []int{0, 2, 7, 32} {
-		parallel, err := Pool{Workers: workers, Cache: NewCache()}.Run(testCells())
+		cells := testCells(NewCache())
+		parallel, err := Pool{Workers: workers}.Run(cells)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +74,7 @@ func TestPoolDeterministicAcrossWorkerCounts(t *testing.T) {
 // construct it once, not once per cell.
 func TestPoolSharesCachedTraces(t *testing.T) {
 	cache := NewCache()
-	if _, err := (Pool{Workers: 4, Cache: cache}).Run(testCells()); err != nil {
+	if _, err := (Pool{Workers: 4}).Run(testCells(cache)); err != nil {
 		t.Fatal(err)
 	}
 	s := cache.Stats()
@@ -84,6 +86,8 @@ func TestPoolSharesCachedTraces(t *testing.T) {
 	}
 }
 
+// TestPoolPrebuiltTrace: an opener over a trace built outside any cache
+// replays it as-is, one fresh source per cell.
 func TestPoolPrebuiltTrace(t *testing.T) {
 	tr, err := trace.Construct(trace.Config{
 		Benchmark:  workload.Iperf3,
@@ -95,19 +99,16 @@ func TestPoolPrebuiltTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewCache()
-	rs, err := Pool{Workers: 2, Cache: cache}.Run([]Cell{
-		{Config: core.BaseConfig(), Trace: tr},
-		{Config: core.HyperTRIOConfig(), Trace: tr},
+	open := func() (trace.Source, error) { return tr.Source(), nil }
+	rs, err := Pool{Workers: 2}.Run([]Cell{
+		{Config: core.BaseConfig(), Open: open},
+		{Config: core.HyperTRIOConfig(), Open: open},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs) != 2 || rs[0].Packets == 0 {
+	if len(rs) != 2 || rs[0].Packets != uint64(len(tr.Packets)) || rs[1].Packets != uint64(len(tr.Packets)) {
 		t.Fatalf("unexpected results: %+v", rs)
-	}
-	if s := cache.Stats(); s.Misses != 0 {
-		t.Errorf("pre-built traces went through the cache: %+v", s)
 	}
 }
 
@@ -116,9 +117,10 @@ func TestPoolPrebuiltTrace(t *testing.T) {
 func TestPoolReportsLowestFailingCell(t *testing.T) {
 	bad := testTraceConfig()
 	bad.Scale = -1
-	cells := testCells()
-	cells[2] = Cell{Config: core.BaseConfig(), TraceConfig: bad}
-	_, err := Pool{Workers: 1, Cache: NewCache()}.Run(cells)
+	cache := NewCache()
+	cells := testCells(cache)
+	cells[2] = Cell{Config: core.BaseConfig(), Open: cache.Open(bad)}
+	_, err := Pool{Workers: 1}.Run(cells)
 	if err == nil {
 		t.Fatal("bad cell accepted")
 	}
@@ -130,16 +132,16 @@ func TestPoolReportsLowestFailingCell(t *testing.T) {
 func TestPoolInvalidConfig(t *testing.T) {
 	cfg := core.BaseConfig()
 	cfg.PTBEntries = -1
-	_, err := Pool{Workers: 2, Cache: NewCache()}.Run([]Cell{
-		{Config: cfg, TraceConfig: testTraceConfig()},
+	_, err := Pool{Workers: 2}.Run([]Cell{
+		{Config: cfg, Open: NewCache().Open(testTraceConfig())},
 	})
 	if err == nil {
 		t.Fatal("invalid system config accepted")
 	}
 }
 
-// TestPoolOracleCellsShareTrace: oracle replacement precomputes per-cell
-// future state from the shared trace; running several oracle cells over
+// TestPoolOracleCellsShareTrace: oracle replacement reads per-cell
+// future state from its source over the shared trace; running several oracle cells over
 // one cached trace concurrently must not interfere (and is exercised
 // under -race by the race CI target).
 func TestPoolOracleCellsShareTrace(t *testing.T) {
@@ -152,17 +154,21 @@ func TestPoolOracleCellsShareTrace(t *testing.T) {
 		Seed:       42,
 		Scale:      0.002,
 	}
+	cache := NewCache()
 	cells := []Cell{
-		{Config: oracle, TraceConfig: tc},
-		{Config: oracle, TraceConfig: tc},
-		{Config: oracle, TraceConfig: tc},
+		{Config: oracle, Open: cache.Open(tc)},
+		{Config: oracle, Open: cache.Open(tc)},
+		{Config: oracle, Open: cache.Open(tc)},
 	}
-	rs, err := Pool{Workers: 3, Cache: NewCache()}.Run(cells)
+	rs, err := Pool{Workers: 3}.Run(cells)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(rs[0], rs[1]) || !reflect.DeepEqual(rs[1], rs[2]) {
 		t.Error("identical oracle cells diverged over a shared trace")
+	}
+	if s := cache.Stats(); s.Misses != 1 {
+		t.Errorf("oracle cells built %d traces for one config", s.Misses)
 	}
 }
 
@@ -171,16 +177,17 @@ func TestPoolOracleCellsShareTrace(t *testing.T) {
 // state is per-System, so concurrent cells must neither race (the -race
 // CI target covers this test) nor change any simulation outcome.
 func TestPoolConcurrentSampling(t *testing.T) {
-	plain, err := Pool{Workers: 4, Cache: NewCache()}.Run(testCells())
+	cells := testCells(NewCache())
+	plain, err := Pool{Workers: 4}.Run(cells)
 	if err != nil {
 		t.Fatal(err)
 	}
 	shared := &obs.Options{SampleEvery: 10 * sim.Microsecond}
-	cells := testCells()
+	cells = testCells(NewCache())
 	for i := range cells {
 		cells[i].Config.Obs = shared
 	}
-	sampled, err := Pool{Workers: 4, Cache: NewCache()}.Run(cells)
+	sampled, err := Pool{Workers: 4}.Run(cells)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,7 +84,7 @@ func (c MixConfig) validate() error {
 			return fmt.Errorf("trace: mix class %d (%s): %w", i, cl.Name, err)
 		}
 	}
-	return nil
+	return checkRNG(c.RNG, c.TotalTenants())
 }
 
 // NewMixStream validates the mix and builds its online source: the
@@ -113,6 +113,6 @@ func NewMixStream(c MixConfig) (*Stream, error) {
 }
 
 // ConstructMix materializes a mixed-population trace by draining its
-// stream, so streaming and materialized mixes agree bit-for-bit by
+// stream, so online and materialized mixes agree bit-for-bit by
 // construction (the same contract Construct has with NewStream).
 func ConstructMix(c MixConfig) (*Trace, error) { return drain(NewMixStream(c)) }

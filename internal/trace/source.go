@@ -37,12 +37,6 @@ type Source interface {
 	Next() (pkt workload.Packet, ok bool)
 	// Reset rewinds the source to the beginning of the identical stream.
 	Reset()
-	// Materialized returns the fully constructed trace behind the source,
-	// or nil for online sources. Consumers that genuinely need the whole
-	// sequence at once (Belady-oracle precomputation, unmap lookahead
-	// scans) use it and must handle nil by failing fast or degrading
-	// conservatively — never by silently draining the source.
-	Materialized() *Trace
 }
 
 // TraceSource adapts a materialized *Trace to the Source interface. The
@@ -72,6 +66,3 @@ func (s *TraceSource) Next() (workload.Packet, bool) {
 
 // Reset rewinds to the first packet.
 func (s *TraceSource) Reset() { s.pos = 0 }
-
-// Materialized returns the backing trace.
-func (s *TraceSource) Materialized() *Trace { return s.tr }

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"fmt"
+
 	"hypertrio/internal/mem"
 	"hypertrio/internal/workload"
 )
@@ -108,9 +110,6 @@ func (s *Stream) Next() (workload.Packet, bool) {
 	return pkt, true
 }
 
-// Materialized returns nil: the stream never holds the whole sequence.
-func (s *Stream) Materialized() *Trace { return nil }
-
 // TenantStats returns the per-tenant accounting accumulated so far
 // (budgets are final from construction; Consumed/Packets grow as the
 // stream is drained). The returned slice is the stream's live state.
@@ -122,12 +121,21 @@ func drain(s *Stream, err error) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Pre-size: the shortest budget bounds the trace length.
-	tr := &Trace{Meta: s.meta, Packets: make([]workload.Packet, 0, (minBudget(s.stats)/workload.RequestsPerPacket)*s.meta.Tenants)}
+	// Pre-size: the shortest budget bounds the trace length, except
+	// that weighted mixes run past it, so the cap is checked again while
+	// draining.
+	size := (minBudget(s.stats) / workload.RequestsPerPacket) * s.meta.Tenants
+	if size > MaxPackets {
+		return nil, fmt.Errorf("%w: %d tenants need at least %d packets, the cap is %d", ErrTooLarge, s.meta.Tenants, size, MaxPackets)
+	}
+	tr := &Trace{Meta: s.meta, Packets: make([]workload.Packet, 0, size)}
 	for {
 		pkt, ok := s.Next()
 		if !ok {
 			break
+		}
+		if len(tr.Packets) == MaxPackets {
+			return nil, fmt.Errorf("%w: the stream runs past the cap of %d packets", ErrTooLarge, MaxPackets)
 		}
 		tr.Packets = append(tr.Packets, pkt)
 	}

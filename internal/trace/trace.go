@@ -7,6 +7,7 @@
 package trace
 
 import (
+	"errors"
 	"fmt"
 
 	"hypertrio/internal/mem"
@@ -171,9 +172,36 @@ type Config struct {
 // NewStream allocates up front; 10⁶-tenant streams fit.
 const MaxTenants = 1 << 21
 
+// MaxStdRNGTenants caps a population drawn from the standard RNG: each
+// of its generators carries ~5 KB of math/rand state, so the cap holds
+// the population to ~640 MB. Larger populations use the compact RNG.
+const MaxStdRNGTenants = 1 << 17
+
+// MaxPackets caps a materialized trace (and the Oracle's future, which
+// is read from the same packets): ~1.5 GiB of packets, which admits
+// paper scale at 1024 tenants. Longer runs replay an online Stream.
+const MaxPackets = 1 << 25
+
+// ErrTooLarge reports a trace that would exceed MaxPackets if
+// materialized. Construct returns it before allocating any packet when
+// the tenants' budgets alone pass the cap.
+var ErrTooLarge = errors.New("trace: too many packets to materialize")
+
+// checkRNG rejects a standard-RNG population past MaxStdRNGTenants.
+func checkRNG(rng workload.RNG, tenants int) error {
+	if rng == workload.StdRNG && tenants > MaxStdRNGTenants {
+		return fmt.Errorf("trace: %d tenants exceed the standard RNG's cap of %d (~5 KB of state each); use the compact RNG (-compact-rng, \"compact_rng\")",
+			tenants, MaxStdRNGTenants)
+	}
+	return nil
+}
+
 func (c Config) validate() error {
 	if c.Tenants <= 0 || c.Tenants > MaxTenants {
 		return fmt.Errorf("trace: tenants must be in 1..%d, got %d", MaxTenants, c.Tenants)
+	}
+	if err := checkRNG(c.RNG, c.Tenants); err != nil {
+		return err
 	}
 	if !c.Benchmark.Known() {
 		return fmt.Errorf("trace: unknown benchmark %v", c.Benchmark)
@@ -190,5 +218,6 @@ func (c Config) validate() error {
 // Construct builds the hyper-tenant trace. Tenant SIDs are 1..Tenants.
 // Generation stops the moment any tenant's generator is exhausted — the
 // paper's edge-effect rule, which keeps every modeled tenant active for
-// the whole trace.
+// the whole trace. A trace longer than MaxPackets fails with
+// ErrTooLarge.
 func Construct(c Config) (*Trace, error) { return drain(NewStream(c)) }

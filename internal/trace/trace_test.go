@@ -38,7 +38,7 @@ func TestConstructValidation(t *testing.T) {
 
 // The tenant cap is checked before NewStream allocates per-tenant state.
 func TestConfigTenantCap(t *testing.T) {
-	c := Config{Benchmark: workload.Iperf3, Tenants: MaxTenants, Interleave: RR1, Scale: 0.1}
+	c := Config{Benchmark: workload.Iperf3, Tenants: MaxTenants, Interleave: RR1, Scale: 0.1, RNG: workload.CompactRNG}
 	if err := c.validate(); err != nil {
 		t.Fatalf("%d tenants rejected: %v", c.Tenants, err)
 	}
@@ -47,6 +47,65 @@ func TestConfigTenantCap(t *testing.T) {
 		if err := c.validate(); err == nil || !strings.Contains(err.Error(), "tenants") {
 			t.Errorf("%d tenants: validate() = %v, want a tenants error", n, err)
 		}
+	}
+}
+
+// A standard-RNG population is capped well below MaxTenants: each of its
+// generators holds ~5 KB of math/rand state. The check runs in validate,
+// before any generator exists, and its error names the compact RNG.
+func TestStdRNGTenantCap(t *testing.T) {
+	profile := workload.ProfileFor(workload.Iperf3)
+	mix := func(tenants int, rng workload.RNG) MixConfig {
+		return MixConfig{Interleave: RR1, RNG: rng, Classes: []ClassSpec{
+			{Name: "a", Profile: profile, Tenants: tenants / 2, Scale: 0.1},
+			{Name: "b", Profile: profile, Tenants: tenants - tenants/2, Scale: 0.1},
+		}}
+	}
+	cfg := func(tenants int, rng workload.RNG) Config {
+		return Config{Benchmark: workload.Iperf3, Tenants: tenants, Interleave: RR1, Scale: 0.1, RNG: rng}
+	}
+	rows := []struct {
+		name string
+		err  error
+		ok   bool
+	}{
+		{"config at the cap", cfg(MaxStdRNGTenants, workload.StdRNG).validate(), true},
+		{"config past the cap", cfg(MaxStdRNGTenants+1, workload.StdRNG).validate(), false},
+		{"compact config past the cap", cfg(MaxStdRNGTenants+1, workload.CompactRNG).validate(), true},
+		{"mix at the cap", mix(MaxStdRNGTenants, workload.StdRNG).validate(), true},
+		{"mix past the cap", mix(1<<21, workload.StdRNG).validate(), false},
+		{"compact mix past the cap", mix(1<<21, workload.CompactRNG).validate(), true},
+	}
+	for _, r := range rows {
+		if r.ok != (r.err == nil) {
+			t.Errorf("%s: validate() = %v", r.name, r.err)
+		}
+		if r.err != nil && !strings.Contains(r.err.Error(), "compact") {
+			t.Errorf("%s: error does not name the compact RNG: %v", r.name, r.err)
+		}
+	}
+}
+
+// A trace past MaxPackets fails with ErrTooLarge before drain allocates
+// or generates anything: 2,000 iperf3 tenants at paper scale are ~45M
+// packets.
+func TestConstructTooLarge(t *testing.T) {
+	c := Config{Benchmark: workload.Iperf3, Tenants: 2000, Interleave: RR1, Seed: 42, Scale: 1}
+	s, err := NewStream(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := drain(s, nil)
+	if !errors.Is(err, ErrTooLarge) || tr != nil {
+		t.Fatalf("drain = %v, %v; want ErrTooLarge", tr, err)
+	}
+	for _, st := range s.TenantStats() {
+		if st.Packets != 0 {
+			t.Fatalf("SID %d generated %d packets before the cap check", st.SID, st.Packets)
+		}
+	}
+	if _, err := Construct(c); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("Construct = %v, want ErrTooLarge", err)
 	}
 }
 
