@@ -190,6 +190,33 @@ func BenchmarkEngineScheduleFirePending(b *testing.B) {
 	}
 }
 
+// arrivalSink replays ht-16-hits' event pattern, where nearly every
+// packet hits the DevTLB: each arrival (payload 0) schedules the next one
+// a 200 Gb/s link slot (61.68 ns) out and its 2 ns hit-done (payload 1).
+type arrivalSink struct{}
+
+func (arrivalSink) HandleEvent(e *sim.Engine, _ sim.Time, payload uint64) {
+	if payload == 0 {
+		e.ScheduleEvent(61680*sim.Picosecond, arrivalSink{}, 0)
+		e.ScheduleEvent(2*sim.Nanosecond, arrivalSink{}, 1)
+	}
+}
+
+// BenchmarkEngineScheduleFireFew measures one fire, with the schedules
+// it triggers, when only 2–4 events are pending: two interleaved arrival
+// chains each keep one arrival queued, plus up to one hit-done each. This
+// is the few-pending regime of ht-16-hits and base-1k, where the wheel's
+// per-event overhead matters more than its O(1) scaling.
+func BenchmarkEngineScheduleFireFew(b *testing.B) {
+	e := sim.NewEngine()
+	e.ScheduleEvent(0, arrivalSink{}, 0)
+	e.ScheduleEvent(30*sim.Nanosecond, arrivalSink{}, 0)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}
+
 // BenchmarkNestedWalk times one full two-dimensional walk of a 2 MB
 // mapping in the form the chipset issues it: WalkInto with a reused
 // access buffer, so a warm walk allocates nothing.

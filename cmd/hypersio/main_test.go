@@ -341,14 +341,14 @@ func TestCLIScenarioRun(t *testing.T) {
 		}
 	}
 
-	// Committed names resolve without a file, and the storm prints its
-	// composed fault script's accounting.
-	stormPath := writeScenario(t, "storm", 0.05)
+	// Committed names resolve without a file: the full-scale storm runs
+	// by name to completion and prints its composed fault script's
+	// accounting.
 	var stormOut strings.Builder
-	if got := cliMain([]string{"-scenario", stormPath}, &stormOut, &stderr); got != 0 {
+	if got := cliMain([]string{"-scenario", "storm"}, &stormOut, &stderr); got != 0 {
 		t.Fatalf("storm exit %d, stderr: %s", got, stderr.String())
 	}
-	for _, want := range []string{"scripted fault events", "faults:"} {
+	for _, want := range []string{"scenario storm:", "800 scripted fault events", "33192 packets", "faults: 800 scripted events applied"} {
 		if !strings.Contains(stormOut.String(), want) {
 			t.Errorf("storm stdout lacks %q:\n%s", want, stormOut.String())
 		}

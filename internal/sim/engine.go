@@ -63,10 +63,11 @@ const (
 // event records recycled through a free list, so ScheduleEvent/Step
 // allocate nothing in steady state (pinned by TestScheduleStepZeroAllocs).
 // Scheduling hashes the timestamp into a wheel slot in O(1); firing
-// advances the cursor and cascades a handful of records to lower levels,
-// amortized O(1) per event. Events at exactly the cursor time sit in a
-// small "ready" heap ordered by (at, seq), which keeps the exact total
-// fire order of a single (at, seq) heap.
+// detaches the lowest occupied slot, fires its earliest record and
+// cascades the rest a level or more down, amortized O(1) per event.
+// Events at exactly the current time sit in a small "ready" heap ordered
+// by (at, seq), which keeps the exact total fire order of a single
+// (at, seq) heap.
 type Engine struct {
 	now     Time
 	slab    []eventRec
@@ -75,16 +76,13 @@ type Engine struct {
 	fired   uint64
 	probe   Probe
 
-	// Timing-wheel state. cur is the wheel cursor; it trails or equals
-	// the clock and only advances on a fire, never on a peek, so a
-	// schedule made after a peek may land below the peeked minimum (only
-	// >= now is guaranteed).
-	cur      Time
+	// Timing-wheel state. The wheel cursor is the clock itself: it only
+	// advances on a fire, never on a peek, so a schedule made after a
+	// peek may land below the peeked minimum (only >= now is guaranteed).
 	slotHead [wheelLevels * wheelSlots]uint32 // intrusive lists (slab index + 1)
 	occ      [wheelLevels]uint64              // per-level slot occupancy bitmaps
-	ready    []uint32                         // 4-ary heap of events at exactly cur
+	ready    []uint32                         // 4-ary heap of events at exactly now
 	ovfl     []uint32                         // 4-ary heap of events beyond the horizon
-	scratch  []uint32                         // reused cascade buffer
 }
 
 // NewEngine returns an engine with the clock at time zero.
@@ -139,29 +137,21 @@ func (e *Engine) allocRec() uint32 {
 // Step fires the single earliest pending event. It returns false when the
 // queue is empty.
 func (e *Engine) Step() bool {
-	at, ok := e.NextAt()
-	if !ok {
+	idx, ok := uint32(0), len(e.ready) > 0
+	if ok {
+		e.ready, idx = e.heapPopFrom(e.ready)
+	} else if idx, ok = e.advance(); !ok {
 		return false
 	}
-	e.advanceTo(at)
-	if len(e.ready) == 0 {
-		panic("sim: timing wheel lost the minimum event")
-	}
-	var idx uint32
-	e.ready, idx = e.heapPopFrom(e.ready)
 	rec := &e.slab[idx]
 	seq, sink, payload, label := rec.seq, rec.sink, rec.payload, rec.label
 	// Recycle before firing (the handler may schedule into this very
 	// slot); clearing the references releases the sink for GC.
 	rec.sink, rec.label = nil, ""
 	e.free = append(e.free, idx)
-	if at < e.now {
-		panic(fmt.Sprintf("sim: time went backwards: %v -> %v (%s)", e.now, at, label))
-	}
-	e.now = at
 	e.fired++
 	if e.probe != nil {
-		e.probe.OnFire(at, seq, label)
+		e.probe.OnFire(e.now, seq, label)
 	}
 	sink.HandleEvent(e, e.now, payload)
 	return true
@@ -178,29 +168,32 @@ func (e *Engine) Run() uint64 {
 
 // --- hierarchical timing wheel ----------------------------------------
 //
-// Placement invariant: a queued record with time t > cur lives at level
-// l = (bits.Len64(t^cur)-1)/wheelBits, slot (t>>(l*wheelBits)) & wheelMask
-// — the level of the highest bit where t diverges from the cursor. Every
-// occupied slot at level l is strictly above the cursor's own slot index
-// at that level, and events at exactly t == cur sit in the ready heap.
+// Placement invariant: a queued record with time t > now lives at level
+// l = (bits.Len64(t^now)-1)/wheelBits, slot (t>>(l*wheelBits)) & wheelMask
+// — the level of the highest bit where t diverges from the clock, which
+// is the wheel cursor. Every occupied slot at level l is strictly above
+// the clock's own slot index at that level, and events at exactly
+// t == now sit in the ready heap.
 //
-// The cursor only ever moves to T, the time of the earliest pending
-// event, which keeps the invariant cheap to maintain. Every slot the
-// cursor passes is empty, and so is every level below the one where T
-// first diverges from the cursor: a record there would order before T.
-// Advancing therefore only detaches T's own slot at the divergence level
-// and cascades its records toward lower levels (or the ready heap); each
-// record re-places at a strictly lower level every time, bounding total
-// relocation work per event by the level count.
+// The clock only ever moves to T, the time of the earliest pending event,
+// which keeps the invariant cheap to maintain. Every slot the clock
+// passes is empty, and so is every level below the one where T first
+// diverges from the clock: a record there would order before T. While
+// the wheel holds anything, T lies inside the clock's 2^48 ps window and
+// every overflow record outside it, so only an empty wheel migrates the
+// overflow heap. Advancing therefore only detaches T's own slot and
+// cascades its other records toward lower levels (or the ready heap);
+// each record re-places at a strictly lower level every time, bounding
+// total relocation work per event by the level count.
 
 // place inserts idx into the ready heap, a wheel slot, or the overflow
-// heap according to t's distance from the cursor. t must be >= cur.
+// heap according to t's distance from the clock. t must be >= now.
 func (e *Engine) place(idx uint32, t Time) {
-	if t == e.cur {
+	if t == e.now {
 		e.ready = e.heapPushTo(e.ready, idx)
 		return
 	}
-	lvl := (bits.Len64(uint64(t)^uint64(e.cur)) - 1) / wheelBits
+	lvl := (bits.Len64(uint64(t)^uint64(e.now)) - 1) / wheelBits
 	if lvl >= wheelLevels {
 		e.ovfl = e.heapPushTo(e.ovfl, idx)
 		return
@@ -212,69 +205,90 @@ func (e *Engine) place(idx uint32, t Time) {
 	e.occ[lvl] |= 1 << uint(slot)
 }
 
+// lowestSlot returns the lowest occupied level (wheelLevels if none) and
+// the slotHead position of its lowest occupied slot, which holds the
+// wheel's earliest records: within one level, lower slot index means
+// earlier time, and any occupied lower level precedes any higher one.
+func (e *Engine) lowestSlot() (lvl, pos int) {
+	for lvl = 0; lvl < wheelLevels; lvl++ {
+		if occ := e.occ[lvl]; occ != 0 {
+			return lvl, lvl*wheelSlots + bits.TrailingZeros64(occ)
+		}
+	}
+	return wheelLevels, 0
+}
+
+// slotMin returns the (at, seq)-least record of the slot list at head
+// (slab index + 1). A level-0 slot holds one time but still needs the
+// seq scan.
+func (e *Engine) slotMin(head uint32) uint32 {
+	m := head - 1
+	for cur := e.slab[m].next; cur != 0; cur = e.slab[cur-1].next {
+		if e.heapLess(cur-1, m) {
+			m = cur - 1
+		}
+	}
+	return m
+}
+
 // NextAt returns the time of the earliest pending event without firing
-// it; ok is false when nothing is pending. The wheel cursor does not
-// move, and a later schedule below the peeked time still fires first. A
-// handler uses it to learn how far the clock may run before anything
-// else can happen (see internal/core's drop-retry fast-forward).
+// it; ok is false when nothing is pending. The clock does not move, and a
+// later schedule below the peeked time still fires first. A handler uses
+// it to learn how far the clock may run before anything else can happen
+// (see internal/core's drop-retry fast-forward).
 func (e *Engine) NextAt() (at Time, ok bool) {
-	// Ready bucket first: it holds events at exactly cur, which precede
-	// everything in the wheel (> cur) and the overflow (beyond horizon).
+	// Ready events (at exactly now) precede the wheel (> now), which
+	// precedes the overflow (beyond the horizon).
 	if len(e.ready) > 0 {
 		return e.slab[e.ready[0]].at, true
 	}
-	// The lowest occupied level's lowest occupied slot: within one level,
-	// lower slot index means earlier time (all of a level's events share
-	// the cursor's higher-level window), and any occupied lower level
-	// precedes any occupied higher one. A level-0 slot holds one time.
-	for lvl := 0; lvl < wheelLevels; lvl++ {
-		if e.occ[lvl] == 0 {
-			continue
-		}
-		cur := e.slotHead[lvl*wheelSlots+bits.TrailingZeros64(e.occ[lvl])]
-		at = e.slab[cur-1].at
-		for cur = e.slab[cur-1].next; lvl > 0 && cur != 0; cur = e.slab[cur-1].next {
-			at = min(at, e.slab[cur-1].at)
-		}
-		return at, true
+	if lvl, pos := e.lowestSlot(); lvl < wheelLevels {
+		return e.slab[e.slotMin(e.slotHead[pos])].at, true
 	}
-	// Overflow heap last: everything there is beyond the wheel horizon,
-	// hence after every wheel event.
 	if len(e.ovfl) > 0 {
 		return e.slab[e.ovfl[0]].at, true
 	}
 	return 0, false
 }
 
-// advanceTo moves the wheel cursor to T, the earliest pending event's
-// time, re-placing T's slot at the divergence level and the overflow
-// events that fall inside the new horizon. When the cursor leaves the
-// whole horizon, T came from the overflow heap and the wheel is empty.
-func (e *Engine) advanceTo(T Time) {
-	if T <= e.cur {
-		return
-	}
-	e.scratch = e.scratch[:0]
-	if hl := (bits.Len64(uint64(e.cur)^uint64(T)) - 1) / wheelBits; hl < wheelLevels {
-		slot := int(uint64(T)>>(uint(hl)*wheelBits)) & wheelMask
-		pos := hl*wheelSlots + slot
-		for cur := e.slotHead[pos]; cur != 0; cur = e.slab[cur-1].next {
-			e.scratch = append(e.scratch, cur-1)
+// advance is Step with nothing ready: it moves the clock to T, the
+// earliest pending time, and returns the record to fire there (ok is
+// false when nothing is pending). That record is the lowest occupied
+// slot's minimum; the slot's other records re-place against the new
+// clock, and a lone record fires with no ready-heap push or pop. An empty
+// wheel fires the overflow head and migrates the overflow records inside
+// T's window; the heap order keeps the rest beyond it.
+func (e *Engine) advance() (idx uint32, ok bool) {
+	lvl, pos := e.lowestSlot()
+	if lvl == wheelLevels {
+		if len(e.ovfl) == 0 {
+			return 0, false
 		}
-		e.slotHead[pos] = 0
-		e.occ[hl] &^= 1 << uint(slot)
-	}
-	// Overflow migration: events now within T's horizon re-place; the
-	// heap order guarantees everything staying put is still beyond it.
-	for len(e.ovfl) > 0 && (uint64(e.slab[e.ovfl[0]].at)^uint64(T))>>horizonBits == 0 {
-		var idx uint32
 		e.ovfl, idx = e.heapPopFrom(e.ovfl)
-		e.scratch = append(e.scratch, idx)
+		e.now = e.slab[idx].at
+		for len(e.ovfl) > 0 && (uint64(e.slab[e.ovfl[0]].at)^uint64(e.now))>>horizonBits == 0 {
+			var m uint32
+			e.ovfl, m = e.heapPopFrom(e.ovfl)
+			e.place(m, e.slab[m].at)
+		}
+		return idx, true
 	}
-	e.cur = T
-	for _, idx := range e.scratch {
-		e.place(idx, e.slab[idx].at)
+	head := e.slotHead[pos]
+	e.slotHead[pos] = 0
+	e.occ[lvl] &^= 1 << uint(pos&wheelMask)
+	if idx = head - 1; e.slab[idx].next == 0 {
+		e.now = e.slab[idx].at
+		return idx, true
 	}
+	idx = e.slotMin(head)
+	e.now = e.slab[idx].at
+	for cur := head; cur != 0; {
+		r := cur - 1
+		if cur = e.slab[r].next; r != idx {
+			e.place(r, e.slab[r].at)
+		}
+	}
+	return idx, true
 }
 
 // --- 4-ary min-heaps over slab indices --------------------------------

@@ -103,6 +103,21 @@ func TestScheduleStepZeroAllocs(t *testing.T) {
 	}); avg != 0 {
 		t.Fatalf("ScheduleEvent+NextAt+Step allocates %v/op in steady state, want 0", avg)
 	}
+	// A record alone in its slot fires straight from it; two records at
+	// one time share a slot, so firing one cascades its twin to the
+	// ready heap (and a later record in that slot a level down).
+	if avg := testing.AllocsPerRun(1000, func() {
+		e.ScheduleEvent(5*Microsecond, sink, 9)
+		e.Step()
+		for _, d := range []Duration{197 * Nanosecond, 197 * Nanosecond, 200 * Nanosecond} {
+			e.ScheduleEvent(d, sink, 9)
+		}
+		for i := 0; i < 3; i++ {
+			e.Step()
+		}
+	}); avg != 0 {
+		t.Fatalf("direct-fire and cascade Steps allocate %v/op in steady state, want 0", avg)
+	}
 	// A deeper queue (many pending events) must not change the story.
 	if avg := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 64; i++ {

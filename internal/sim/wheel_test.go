@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/bits"
 	"testing"
 )
 
@@ -102,5 +103,156 @@ func TestStepOnWheelBoundaries(t *testing.T) {
 	}
 	if e.Step() || e.Pending() != 0 {
 		t.Fatalf("pending=%d after the boundary sweep", e.Pending())
+	}
+}
+
+// firedLog records which named events fired, and when.
+type firedLog struct {
+	names []string
+	times []Time
+}
+
+func (l *firedLog) sink(name string) funcSink {
+	return func(_ *Engine, now Time) {
+		l.names = append(l.names, name)
+		l.times = append(l.times, now)
+	}
+}
+
+func (l *firedLog) check(t *testing.T, want ...string) {
+	t.Helper()
+	if len(l.names) != len(want) {
+		t.Fatalf("fired %v, want %v", l.names, want)
+	}
+	for i := range want {
+		if l.names[i] != want[i] {
+			t.Fatalf("fired %v, want %v", l.names, want)
+		}
+	}
+}
+
+// TestWheelLoneRecordBesideOverflow: a record alone in a level-3 slot
+// fires straight from its slot, without a ready-heap round trip, while
+// an overflow record stays beyond the horizon until its own turn.
+func TestWheelLoneRecordBesideOverflow(t *testing.T) {
+	e := NewEngine()
+	var log firedLog
+	const far = Time(1<<horizonBits + 5)
+	scheduleAt(e, far, log.sink("far"))
+	scheduleAt(e, Time(5*Microsecond), log.sink("lone")) // diverges at bit 22: level 3
+	if e.occ[3] == 0 || len(e.ovfl) != 1 {
+		t.Fatalf("setup: occ[3]=%#x, %d overflow records; want a level-3 slot and one overflow record", e.occ[3], len(e.ovfl))
+	}
+	if !e.Step() || e.Now() != Time(5*Microsecond) {
+		t.Fatalf("first Step: clock %v, fired %v", e.Now(), log.names)
+	}
+	log.check(t, "lone")
+	if len(e.ready) != 0 || len(e.ovfl) != 1 || e.Pending() != 1 {
+		t.Fatalf("after the lone fire: %d ready, %d overflow, %d pending; want 0, 1, 1",
+			len(e.ready), len(e.ovfl), e.Pending())
+	}
+	if at, ok := e.NextAt(); !ok || at != far {
+		t.Fatalf("NextAt = %v, %v; want the overflow record at %v", at, ok, far)
+	}
+	e.Run()
+	log.check(t, "lone", "far")
+	if e.Now() != far {
+		t.Fatalf("clock %v after drain, want %v", e.Now(), far)
+	}
+}
+
+// TestWheelOverflowHeadMigrates: the overflow heap migrates only when the
+// wheel is empty (while the wheel holds anything, every overflow record
+// lies outside the clock's 2^48 ps window), so the direct fire that
+// migrates is the overflow head's own. Firing it must pull the next
+// overflow record inside the new window into the wheel at once: a
+// schedule made afterwards, later than that record, must not overtake
+// it, and a record in the window after that one stays in overflow.
+func TestWheelOverflowHeadMigrates(t *testing.T) {
+	e := NewEngine()
+	var log firedLog
+	const head = Time(1<<horizonBits + 100)
+	scheduleAt(e, 2<<horizonBits, log.sink("next-window"))
+	scheduleAt(e, head+Time(5*Microsecond), log.sink("migrant"))
+	scheduleAt(e, head, log.sink("head"))
+	if len(e.ovfl) != 3 {
+		t.Fatalf("setup: %d overflow records, want 3", len(e.ovfl))
+	}
+	if !e.Step() || e.Now() != head {
+		t.Fatalf("first Step: clock %v, fired %v", e.Now(), log.names)
+	}
+	log.check(t, "head")
+	if len(e.ovfl) != 1 || e.occ[3] == 0 || len(e.ready) != 0 {
+		t.Fatalf("after the head fire: %d overflow, occ[3]=%#x, %d ready; want the migrant in level 3 and one overflow record",
+			len(e.ovfl), e.occ[3], len(e.ready))
+	}
+	schedule(e, 10*Microsecond, log.sink("later"))
+	if at, ok := e.NextAt(); !ok || at != head+Time(5*Microsecond) {
+		t.Fatalf("NextAt = %v, %v; want the migrant at %v", at, ok, head+Time(5*Microsecond))
+	}
+	e.Run()
+	log.check(t, "head", "migrant", "later", "next-window")
+}
+
+// TestWheelSharedSlotSeqOrder: one level-2 slot holds two records at T
+// and a later one. Firing takes the slot's (at, seq) minimum — not its
+// list head, which is the last record scheduled — and cascades the
+// other two: the T twin to the ready heap, the later one a level down.
+func TestWheelSharedSlotSeqOrder(t *testing.T) {
+	e := NewEngine()
+	var log firedLog
+	const T = Time(197 * Nanosecond)
+	scheduleAt(e, T, log.sink("first"))
+	scheduleAt(e, T, log.sink("second"))
+	scheduleAt(e, Time(200*Nanosecond), log.sink("later"))
+	occupied := 0
+	for lvl, occ := range e.occ {
+		if occ != 0 {
+			occupied += bits.OnesCount64(occ)
+			if lvl != 2 {
+				t.Fatalf("setup: level %d occupied, want level 2 only", lvl)
+			}
+		}
+	}
+	if occupied != 1 {
+		t.Fatalf("setup: %d occupied slots, want the three records in one", occupied)
+	}
+	if !e.Step() || e.Now() != T {
+		t.Fatalf("first Step: clock %v, fired %v", e.Now(), log.names)
+	}
+	log.check(t, "first")
+	if len(e.ready) != 1 || e.Pending() != 2 {
+		t.Fatalf("after the first fire: %d ready, %d pending; want the T twin ready and 2 pending", len(e.ready), e.Pending())
+	}
+	e.Run()
+	log.check(t, "first", "second", "later")
+	if log.times[1] != T || log.times[2] != Time(200*Nanosecond) {
+		t.Fatalf("fire times %v", log.times)
+	}
+}
+
+// TestScheduleAtNowAfterDirectFire: a handler fired straight from its
+// slot schedules at its own instant. The new events go through the ready
+// heap and fire at the same time, in schedule order, before anything
+// later.
+func TestScheduleAtNowAfterDirectFire(t *testing.T) {
+	e := NewEngine()
+	var log firedLog
+	const T = Time(5 * Microsecond)
+	scheduleAt(e, T, func(e *Engine, now Time) {
+		log.sink("lone")(e, now)
+		schedule(e, 0, func(e *Engine, now Time) {
+			log.sink("now-1")(e, now)
+			schedule(e, 0, log.sink("now-3"))
+		})
+		schedule(e, 0, log.sink("now-2"))
+	})
+	scheduleAt(e, 2*T, log.sink("later"))
+	e.Run()
+	log.check(t, "lone", "now-1", "now-2", "now-3", "later")
+	for i, at := range log.times[:4] {
+		if at != T {
+			t.Fatalf("%s fired at %v, want %v", log.names[i], at, T)
+		}
 	}
 }
