@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test golden mem-guard race race-obs race-fault race-scenario scenario-lint cover cover-check fuzz-smoke vet lint bench-quick bench-obs bench-smoke bench-vet bench-compare smoke loc ci clean
+.PHONY: all build test golden mem-guard race race-obs race-fault race-scenario scenario-lint cover cover-check fuzz-smoke vet lint bench-quick bench-obs bench-smoke bench-vet bench-test bench-compare smoke loc ci clean
 
 all: build
 
@@ -125,6 +125,11 @@ bench-smoke:
 bench-vet:
 	cd bench && GOWORK=off $(GO) vet ./...
 
+# hyperbench's own unit tests (structure extraction, trace decoder,
+# compare) plus its smoke run of every workload at reduced size (~5 s).
+bench-test:
+	cd bench && GOWORK=off $(GO) test ./...
+
 # Performance gate: hyperbench (bench/run.sh) runs every workload of
 # BENCHMARK.json three times for 5 s at seed 42, checking each replay's
 # Result against the committed digest, into a fresh results set under
@@ -155,7 +160,7 @@ loc:
 	@printf 'non-test Go lines outside bench/: '; find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' -exec cat {} + | wc -l
 	@printf 'non-test Go lines in bench/:      '; find ./bench -name '*.go' -not -name '*_test.go' -exec cat {} + | wc -l
 
-ci: build lint test golden mem-guard race race-obs race-fault race-scenario scenario-lint cover-check fuzz-smoke bench-smoke bench-vet bench-compare smoke
+ci: build lint test golden mem-guard race race-obs race-fault race-scenario scenario-lint cover-check fuzz-smoke bench-smoke bench-vet bench-test bench-compare smoke
 
 clean:
 	rm -rf results-smoke cover.out

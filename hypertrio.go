@@ -146,9 +146,9 @@ type System = core.System
 func NewSystem(cfg Config, tr *Trace) (*System, error) { return core.NewSystem(cfg, tr) }
 
 // NewSystemSource builds a simulation over any packet Source. Online
-// sources keep the run's memory O(tenants); configurations that need the
-// whole sequence ahead of time (the Oracle replacement policy) are
-// rejected with a clear error unless the source is materialized.
+// sources keep the run's memory O(tenants). A configuration that needs
+// the whole sequence ahead of time (the Oracle replacement policy) reads
+// the source's keys once and rewinds it before the run.
 func NewSystemSource(cfg Config, src Source) (*System, error) {
 	return core.NewSystemSource(cfg, src)
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"hypertrio/internal/fault"
 	"hypertrio/internal/obs"
 	"hypertrio/internal/sim"
 	"hypertrio/internal/trace"
@@ -153,40 +154,97 @@ func TestSamplerSeries(t *testing.T) {
 	}
 }
 
-// TestRegistryNamesComponents checks that the registry names every
-// layer's cells and that its counters agree with the Result view.
+// TestRegistryNamesComponents pins each registry counter to the Result
+// or FaultStats field it reports, on Base, HyperTRIO and HyperTRIO under
+// tenant churn. Counters derived at read time (a cache's misses, the
+// prefetch unit's served and installed counts, the served counts in
+// core.*) must name the same value as the field, and a stage's counters
+// are registered exactly when the stage is composed.
 func TestRegistryNamesComponents(t *testing.T) {
-	tr := makeTrace(t, workload.Mediastream, 2, trace.RR1, 0.002)
-	s, err := NewSystem(HyperTRIOConfig(), tr)
-	if err != nil {
-		t.Fatal(err)
+	counters := []struct {
+		name string
+		want func(Result, fault.Stats) uint64
+	}{
+		{"core.packets", func(r Result, _ fault.Stats) uint64 { return r.Packets }},
+		{"core.drops", func(r Result, _ fault.Stats) uint64 { return r.Drops }},
+		{"core.bytes", func(r Result, _ fault.Stats) uint64 { return r.Bytes }},
+		{"core.requests", func(r Result, _ fault.Stats) uint64 { return r.Requests }},
+		{"core.devtlb_served", func(r Result, _ fault.Stats) uint64 { return r.DevTLBServed }},
+		{"core.prefetch_served", func(r Result, _ fault.Stats) uint64 { return r.PrefetchServed }},
+		{"devtlb.lookups", func(r Result, _ fault.Stats) uint64 { return r.DevTLB.Lookups }},
+		{"devtlb.hits", func(r Result, _ fault.Stats) uint64 { return r.DevTLB.Hits }},
+		{"devtlb.misses", func(r Result, _ fault.Stats) uint64 { return r.DevTLB.Misses }},
+		{"devtlb.invalidates", func(r Result, _ fault.Stats) uint64 { return r.DevTLB.Invalidates }},
+		{"ptb.allocs", func(r Result, _ fault.Stats) uint64 { return r.PTB.Allocs }},
+		{"ptb.rejected", func(r Result, _ fault.Stats) uint64 { return r.PTB.Rejected }},
+		{"prefetch.issued", func(r Result, _ fault.Stats) uint64 { return r.Prefetch.Issued }},
+		{"prefetch.served", func(r Result, _ fault.Stats) uint64 { return r.Prefetch.Served }},
+		{"prefetch.installed", func(r Result, _ fault.Stats) uint64 { return r.Prefetch.Installed }},
+		{"prefetch.suppressed", func(r Result, _ fault.Stats) uint64 { return r.Prefetch.Suppressed }},
+		{"prefetch.buffer.hits", func(r Result, _ fault.Stats) uint64 { return r.Prefetch.Buffer.Hits }},
+		{"prefetch.buffer.misses", func(r Result, _ fault.Stats) uint64 { return r.Prefetch.Buffer.Misses }},
+		{"prefetch.predictor.predictions", func(r Result, _ fault.Stats) uint64 { return r.Prefetch.Predictor.Predictions }},
+		{"iommu.translations", func(r Result, _ fault.Stats) uint64 { return r.IOMMU.Translations }},
+		{"iommu.walks", func(r Result, _ fault.Stats) uint64 { return r.IOMMU.Walks }},
+		{"iommu.mem_accesses", func(r Result, _ fault.Stats) uint64 { return r.IOMMU.MemAccesses }},
+		{"iommu.cc.misses", func(r Result, _ fault.Stats) uint64 { return r.IOMMU.ContextCache.Misses }},
+		{"iommu.l2pwc.lookups", func(r Result, _ fault.Stats) uint64 { return r.IOMMU.L2PWC.Lookups }},
+		{"iommu.l3pwc.lookups", func(r Result, _ fault.Stats) uint64 { return r.IOMMU.L3PWC.Lookups }},
+		{"fault.applied", func(_ Result, f fault.Stats) uint64 { return f.Applied }},
+		{"fault.dropped", func(_ Result, f fault.Stats) uint64 { return f.Dropped }},
+		{"fault.page_invalidates", func(_ Result, f fault.Stats) uint64 { return f.PageInvs }},
+		{"fault.tenant_invalidates", func(_ Result, f fault.Stats) uint64 { return f.TenantInvs }},
+		{"fault.flushes", func(_ Result, f fault.Stats) uint64 { return f.Flushes }},
+		{"fault.remaps", func(_ Result, f fault.Stats) uint64 { return f.Remaps }},
+		{"fault.walker_faults", func(_ Result, f fault.Stats) uint64 { return f.WalkerFaults }},
+		{"fault.fault_retries", func(_ Result, f fault.Stats) uint64 { return f.FaultRetries }},
+		{"fault.rewalks", func(_ Result, f fault.Stats) uint64 { return f.Rewalks }},
+		{"fault.stale_hits", func(_ Result, f fault.Stats) uint64 { return f.StaleHits }},
+		{"fault.detaches", func(_ Result, f fault.Stats) uint64 { return f.Detaches }},
+		{"fault.attaches", func(_ Result, f fault.Stats) uint64 { return f.Attaches }},
 	}
-	r, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := s.Registry()
-	for _, name := range []string{
-		"core.packets", "core.drops", "core.requests",
-		"devtlb.hits", "devtlb.misses",
-		"ptb.allocs", "ptb.rejected",
-		"prefetch.issued", "prefetch.buffer.hits", "prefetch.predictor.predictions",
-		"iommu.translations", "iommu.walks", "iommu.mem_accesses",
-		"iommu.cc.lookups", "iommu.l2pwc.lookups", "iommu.l3pwc.lookups",
+	// 32 websearch tenants overflow the DevTLB enough that the Prefetch
+	// Buffer serves about a third of its lookups.
+	tr := makeTrace(t, workload.Websearch, 32, trace.RR1, 0.002)
+	horizon := horizonOf(t, tr)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"base", BaseConfig()},
+		{"hypertrio", HyperTRIOConfig()},
+		{"churn", faultConfig(fault.ChurnPlan(5, 32, horizon/12, horizon/48, horizon))},
 	} {
-		if _, ok := reg.CounterValue(name); !ok {
-			t.Fatalf("metric %q not registered (have %v)", name, reg.Names())
-		}
-	}
-	if v, _ := reg.CounterValue("core.packets"); v != r.Packets {
-		t.Fatalf("core.packets = %d, Result.Packets = %d", v, r.Packets)
-	}
-	if v, _ := reg.CounterValue("devtlb.hits"); v != r.DevTLB.Hits {
-		t.Fatalf("devtlb.hits = %d, Result %d", v, r.DevTLB.Hits)
-	}
-	snap := reg.Snapshot()
-	if snap.Histograms["core.miss_latency"].Count != r.IOMMU.Walks+0 && snap.Histograms["core.miss_latency"].Count == 0 {
-		t.Fatal("miss latency histogram empty on a missing run")
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := NewSystem(tc.cfg, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := s.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs, _ := s.FaultStats()
+			reg := s.Registry()
+			for _, c := range counters {
+				composed := true
+				switch {
+				case strings.HasPrefix(c.name, "prefetch."):
+					composed = tc.cfg.Prefetch != nil
+				case strings.HasPrefix(c.name, "fault."):
+					composed = tc.cfg.Fault != nil
+				}
+				got, ok := reg.CounterValue(c.name)
+				if ok != composed {
+					t.Errorf("%s registered = %v, want %v", c.name, ok, composed)
+				} else if want := c.want(r, fs); got != want {
+					t.Errorf("%s = %d, want %d", c.name, got, want)
+				}
+			}
+			if snap := reg.Snapshot(); snap.Histograms["core.miss_latency"].Count == 0 {
+				t.Error("miss latency histogram empty on a missing run")
+			}
+		})
 	}
 }
 

@@ -83,18 +83,22 @@ func (c ClassResult) DropRate() float64 {
 	return float64(c.Drops) / float64(attempts)
 }
 
-// result assembles the Result view from the metric cells and the chain's
-// stage statistics at end of run.
+// result assembles the Result from the System's counts and the chain's
+// stage statistics at end of run. The served counts are the probe
+// stages' hits: each hit answers one demand request.
 func (s *System) result() Result {
 	r := Result{
-		Packets:        s.packets.Value(),
-		Drops:          s.drops.Value(),
-		Bytes:          s.bytes.Value(),
-		Elapsed:        sim.Duration(s.lastCompletion),
-		Requests:       s.requests.Value(),
-		DevTLBServed:   s.chain.DevTLBServed().Value(),
-		PrefetchServed: s.chain.PrefetchServed().Value(),
+		Packets:  s.packets,
+		Drops:    s.drops,
+		Bytes:    s.bytes,
+		Elapsed:  sim.Duration(s.lastCompletion),
+		Requests: s.requests,
+		DevTLB:   s.chain.DevTLBStats(),
+		PTB:      s.chain.PTBStats(),
+		Prefetch: s.chain.PrefetchStats(),
+		IOMMU:    s.chain.IOMMUStats(),
 	}
+	r.DevTLBServed, r.PrefetchServed = r.DevTLB.Hits, r.Prefetch.Served
 	if s.sampler != nil {
 		r.Series = s.sampler.series
 	}
@@ -102,8 +106,8 @@ func (s *System) result() Result {
 		r.AchievedGbps = float64(r.Bytes*8) / sim.Duration(s.lastCompletion).Seconds() / 1e9
 		r.Utilization = r.AchievedGbps / s.cfg.Params.LinkGbps
 	}
-	if n := s.missCount.Value(); n > 0 {
-		r.AvgMissLatency = sim.Duration(s.missLatencySum.Value()) / sim.Duration(n)
+	if s.missCount > 0 {
+		r.AvgMissLatency = sim.Duration(s.missLatencySum) / sim.Duration(s.missCount)
 	}
 	// tenantLat is SID-indexed, so walking it front to back is already
 	// the deterministic ascending-SID order the floating-point
@@ -176,18 +180,16 @@ func (s *System) result() Result {
 			lo += cl.Tenants
 		}
 	}
-	r.DevTLB = s.chain.DevTLBStats()
-	r.PTB = s.chain.PTBStats()
-	r.Prefetch = s.chain.PrefetchStats()
-	r.IOMMU = s.chain.IOMMUStats()
 	return r
 }
 
 // checkConservation asserts the run's accounting identities after the
-// drain, from the counts the PTB and System keep anyway: every packet
+// drain, from the counts the stages and System keep anyway: every packet
 // issued its three requests, and with admission every PTB slot was
 // released, every admission is a packet and every rejection a drop. The
-// native path admits everything, so it never drops.
+// native path admits everything, so it never drops. Every request
+// probes the DevTLB, every DevTLB miss probes the Prefetch Buffer, and
+// every request neither serves reaches the chipset once.
 func (s *System) checkConservation(r Result) error {
 	if want := r.Packets * workload.RequestsPerPacket; r.Requests != want {
 		return fmt.Errorf("core: conservation violated: %d requests != %d packets x %d",
@@ -205,6 +207,18 @@ func (s *System) checkConservation(r Result) error {
 	if r.PTB.Allocs != r.Packets || r.PTB.Rejected != r.Drops {
 		return fmt.Errorf("core: conservation violated: PTB allocs/rejected %d/%d != packets/drops %d/%d",
 			r.PTB.Allocs, r.PTB.Rejected, r.Packets, r.Drops)
+	}
+	if s.cfg.DevTLB.Sets > 0 && r.DevTLB.Lookups != r.Requests {
+		return fmt.Errorf("core: conservation violated: %d DevTLB lookups != %d requests",
+			r.DevTLB.Lookups, r.Requests)
+	}
+	if want := r.Requests - r.DevTLB.Hits; s.cfg.Prefetch != nil && r.Prefetch.Buffer.Lookups != want {
+		return fmt.Errorf("core: conservation violated: %d Prefetch Buffer lookups != %d requests - %d DevTLB hits",
+			r.Prefetch.Buffer.Lookups, r.Requests, r.DevTLB.Hits)
+	}
+	if want := r.Requests - r.DevTLBServed - r.PrefetchServed; s.missCount != want {
+		return fmt.Errorf("core: conservation violated: %d chipset completions != %d requests - %d DevTLB - %d prefetch served",
+			s.missCount, r.Requests, r.DevTLBServed, r.PrefetchServed)
 	}
 	return nil
 }

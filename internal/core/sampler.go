@@ -14,7 +14,7 @@ import (
 type sampler struct {
 	every     sim.Duration
 	series    *obs.Series
-	bytes     *obs.Counter
+	bytes     *uint64
 	chain     *pipeline.Chain
 	walkerCap int // configured walker-pool size, for the utilization rate
 
@@ -28,7 +28,7 @@ type sampler struct {
 	prevPBLookups  uint64
 }
 
-func newSampler(every sim.Duration, bytes *obs.Counter, chain *pipeline.Chain, walkerCap int) *sampler {
+func newSampler(every sim.Duration, bytes *uint64, chain *pipeline.Chain, walkerCap int) *sampler {
 	return &sampler{
 		every: every, series: &obs.Series{Interval: every},
 		bytes: bytes, chain: chain, walkerCap: walkerCap,
@@ -36,7 +36,7 @@ func newSampler(every sim.Duration, bytes *obs.Counter, chain *pipeline.Chain, w
 }
 
 // start schedules the first tick.
-func (sp *sampler) start(e *sim.Engine) { e.ScheduleEventLabeled(sp.every, "sample", sp, 0) }
+func (sp *sampler) start(e *sim.Engine) { e.ScheduleEvent(sp.every, sp, 0) }
 
 // HandleEvent records one sample and reschedules only while model events
 // remain pending, so the sampler never keeps a drained engine alive.
@@ -44,7 +44,7 @@ func (sp *sampler) start(e *sim.Engine) { e.ScheduleEventLabeled(sp.every, "samp
 func (sp *sampler) HandleEvent(e *sim.Engine, now sim.Time, _ uint64) {
 	sp.record(now)
 	if e.Pending() > 0 {
-		e.ScheduleEventLabeled(sp.every, "sample", sp, 0)
+		e.ScheduleEvent(sp.every, sp, 0)
 	}
 }
 
@@ -64,7 +64,7 @@ func (sp *sampler) record(now sim.Time) {
 		return
 	}
 	p := obs.Point{T: int64(now)}
-	bytes := sp.bytes.Value()
+	bytes := *sp.bytes
 	p.Gbps = float64((bytes-sp.prevBytes)*8) / window.Seconds() / 1e9
 	sp.prevBytes = bytes
 	p.PTBInUse = sp.chain.PTBInUse()

@@ -59,16 +59,16 @@ type System struct {
 	pkts     []packetCtx
 	freePkts []uint32
 
-	// Metric cells. The registry (see Registry) names these for export;
-	// Result is a view assembled from the same cells, so there is no
-	// second accounting path to drift out of sync. Per-stage cells live
-	// in the chain's stages.
-	packets        obs.Counter
-	drops          obs.Counter
-	bytes          obs.Counter
-	requests       obs.Counter
-	missLatencySum obs.Counter // picoseconds
-	missCount      obs.Counter
+	// Packet-level counts. The registry (see Registry) reads these for
+	// export and result copies them, so there is no second accounting
+	// path to drift out of sync. Per-stage counts live in the chain's
+	// stages.
+	packets        uint64
+	drops          uint64
+	bytes          uint64
+	requests       uint64
+	missLatencySum uint64        // picoseconds
+	missCount      uint64        // chipset completions
 	missHist       obs.Histogram // chipset round-trip latency, ps
 	lastCompletion sim.Time
 	// tenantLat is indexed by SID (1..Tenants; slot 0 unused): tenant IDs
@@ -256,10 +256,10 @@ func NewSystemSource(cfg Config, src trace.Source) (*System, error) {
 func (s *System) Chain() *pipeline.Chain { return s.chain }
 
 // Registry returns the system's metrics registry, building it on first
-// use: every stage's counter cells and occupancy gauges published under
+// use: every stage's counts and occupancy gauges published under
 // stable dotted names (core.*, devtlb.*, ptb.*, prefetch.*, iommu.*).
-// The registry is a name directory over the cells the model updates
-// anyway, so calling it costs nothing on the simulation path.
+// The registry reads the counts the model keeps anyway, so calling it
+// costs nothing on the simulation path.
 func (s *System) Registry() *obs.Registry {
 	if s.registry == nil {
 		s.registry = obs.NewRegistry()
@@ -269,14 +269,14 @@ func (s *System) Registry() *obs.Registry {
 }
 
 func (s *System) register(r *obs.Registry) {
-	r.Counter("core.packets", &s.packets)
-	r.Counter("core.drops", &s.drops)
-	r.Counter("core.bytes", &s.bytes)
-	r.Counter("core.requests", &s.requests)
-	r.Counter("core.devtlb_served", s.chain.DevTLBServed())
-	r.Counter("core.prefetch_served", s.chain.PrefetchServed())
-	r.Counter("core.miss_latency_ps", &s.missLatencySum)
-	r.Counter("core.misses", &s.missCount)
+	r.Counter("core.packets", func() uint64 { return s.packets })
+	r.Counter("core.drops", func() uint64 { return s.drops })
+	r.Counter("core.bytes", func() uint64 { return s.bytes })
+	r.Counter("core.requests", func() uint64 { return s.requests })
+	r.Counter("core.devtlb_served", func() uint64 { return s.chain.DevTLBStats().Hits })
+	r.Counter("core.prefetch_served", func() uint64 { return s.chain.PrefetchStats().Served })
+	r.Counter("core.miss_latency_ps", func() uint64 { return s.missLatencySum })
+	r.Counter("core.misses", func() uint64 { return s.missCount })
 	r.Histogram("core.miss_latency", &s.missHist)
 	r.Gauge("core.walkers_busy", func() float64 { return float64(s.chain.WalkersBusy()) })
 	r.Gauge("core.walk_queue", func() float64 { return float64(s.chain.WalkQueue()) })
@@ -464,7 +464,7 @@ func (s *System) arrival(e *sim.Engine, now sim.Time) {
 	var misses [workload.RequestsPerPacket]pipeline.Request
 	nMiss := 0
 	for _, rq := range packetRequests(pkt) {
-		s.requests.Inc()
+		s.requests++
 		if s.chain.Lookup(e, rq) {
 			continue
 		}
@@ -496,7 +496,7 @@ func (s *System) acceptNative(e *sim.Engine, now sim.Time, pkt workload.Packet) 
 	s.consumed++
 	s.unmapApplied = false
 	s.haveAttempt = false
-	s.requests.Add(workload.RequestsPerPacket)
+	s.requests += workload.RequestsPerPacket
 	idx := s.allocPkt()
 	ctx := &s.pkts[idx]
 	ctx.sid, ctx.started = pkt.SID, now
@@ -504,8 +504,8 @@ func (s *System) acceptNative(e *sim.Engine, now sim.Time, pkt workload.Packet) 
 }
 
 func (s *System) finishPacket(now sim.Time) {
-	s.packets.Inc()
-	s.bytes.Add(uint64(s.cfg.Params.PacketBytes))
+	s.packets++
+	s.bytes += uint64(s.cfg.Params.PacketBytes)
 	s.chain.ReleaseSlot()
 	if now > s.lastCompletion {
 		s.lastCompletion = now
@@ -556,8 +556,8 @@ func (s *System) Complete(e *sim.Engine, done sim.Time, ctxWord uint64) {
 	idx := uint32(ctxWord)
 	ctx := &s.pkts[idx]
 	d := done.Sub(ctx.issued)
-	s.missLatencySum.Add(uint64(d))
-	s.missCount.Inc()
+	s.missLatencySum += uint64(d)
+	s.missCount++
 	s.missHist.Observe(uint64(d))
 	ctx.outstanding--
 	if ctx.qhead < ctx.qlen {
@@ -612,7 +612,7 @@ func (s *System) drop(e *sim.Engine, now sim.Time, sid mem.SID) {
 		n++
 	}
 	s.chain.RejectN(n - 1)
-	s.drops.Add(n)
+	s.drops += n
 	if s.tenantDrops != nil {
 		s.tenantDrops[sid] += n
 	}

@@ -28,8 +28,9 @@ type SIDPredictor struct {
 
 	historyLen int
 
-	predictions obs.Counter
-	unknowns    obs.Counter
+	// stats holds the live Predictions and Unknowns counts; Stats fills
+	// in the rest.
+	stats PredictorStats
 }
 
 // successorSlot is one slot of the successor table: the SID learned to follow
@@ -108,11 +109,11 @@ func (p *SIDPredictor) Hops() int {
 // returning the SID expected to be active about historyLen requests in
 // the future. ok is false when the chain has a gap (not yet learned).
 func (p *SIDPredictor) Predict(current mem.SID) (mem.SID, bool) {
-	p.predictions.Inc()
+	p.stats.Predictions++
 	sid := current
 	for hops := p.Hops(); hops > 0; hops-- {
 		if int(sid) >= len(p.successor) || !p.successor[sid].learned {
-			p.unknowns.Inc()
+			p.stats.Unknowns++
 			return 0, false
 		}
 		sid = p.successor[sid].next
@@ -147,18 +148,15 @@ type PredictorStats struct {
 
 // Stats returns a snapshot of the counters.
 func (p *SIDPredictor) Stats() PredictorStats {
-	return PredictorStats{
-		Predictions: p.predictions.Value(),
-		Unknowns:    p.unknowns.Value(),
-		Entries:     p.entries,
-		BurstEWMA:   p.burstEWMA,
-	}
+	s := p.stats
+	s.Entries, s.BurstEWMA = p.entries, p.burstEWMA
+	return s
 }
 
 // Register publishes the predictor's metrics into a registry under prefix.
 func (p *SIDPredictor) Register(r *obs.Registry, prefix string) {
-	r.Counter(prefix+".predictions", &p.predictions)
-	r.Counter(prefix+".unknowns", &p.unknowns)
+	r.Counter(prefix+".predictions", func() uint64 { return p.stats.Predictions })
+	r.Counter(prefix+".unknowns", func() uint64 { return p.stats.Unknowns })
 	r.Gauge(prefix+".entries", func() float64 { return float64(p.entries) })
 	r.Gauge(prefix+".burst_ewma", func() float64 { return p.burstEWMA })
 	r.Gauge(prefix+".history_len", func() float64 { return float64(p.historyLen) })

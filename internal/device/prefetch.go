@@ -43,10 +43,9 @@ type PrefetchUnit struct {
 
 	inflight map[mem.SID]bool
 
-	issued     obs.Counter // prefetch requests sent to the chipset
-	served     obs.Counter // demand requests answered from the buffer
-	installed  obs.Counter // translations installed into the buffer
-	suppressed obs.Counter // prefetches skipped (in flight or already buffered)
+	// stats holds the live Issued and Suppressed counts; Stats derives
+	// the rest from the buffer and the predictor.
+	stats PrefetchStats
 }
 
 // NewPrefetchUnit builds the unit.
@@ -77,11 +76,7 @@ func (u *PrefetchUnit) Predictor() *SIDPredictor { return u.predictor }
 // Lookup consults the Prefetch Buffer for a demand request; it is checked
 // concurrently with the DevTLB.
 func (u *PrefetchUnit) Lookup(key tlb.Key) (tlb.Entry, bool) {
-	e, ok := u.buffer.Lookup(key)
-	if ok {
-		u.served.Inc()
-	}
-	return e, ok
+	return u.buffer.Lookup(key)
 }
 
 // ShouldPrefetch decides, on a demand miss by current, whether to issue a
@@ -93,11 +88,11 @@ func (u *PrefetchUnit) ShouldPrefetch(current mem.SID) (mem.SID, bool) {
 		return 0, false
 	}
 	if u.inflight[target] {
-		u.suppressed.Inc()
+		u.stats.Suppressed++
 		return 0, false
 	}
 	u.inflight[target] = true
-	u.issued.Inc()
+	u.stats.Issued++
 	return target, true
 }
 
@@ -115,7 +110,6 @@ func (u *PrefetchUnit) Complete(target mem.SID, entries []tlb.Entry, latencyRequ
 	delete(u.inflight, target)
 	for _, e := range entries {
 		u.buffer.Insert(e)
-		u.installed.Inc()
 	}
 	if u.cfg.AdaptiveHistory && latencyRequests > 0 {
 		// EWMA toward the observed latency plus slack.
@@ -153,33 +147,29 @@ func (u *PrefetchUnit) FlushAll() int { return u.buffer.Flush() }
 
 // PrefetchStats reports the unit's effectiveness.
 type PrefetchStats struct {
-	Issued     uint64
-	Served     uint64
-	Installed  uint64
-	Suppressed uint64
+	Issued     uint64 // prefetch requests sent to the chipset
+	Served     uint64 // demand requests answered from the buffer (its hits)
+	Installed  uint64 // translations installed into the buffer (its insertions)
+	Suppressed uint64 // prefetches skipped (one already in flight)
 	Buffer     tlb.Stats
 	Predictor  PredictorStats
 }
 
 // Stats returns a snapshot of the counters.
 func (u *PrefetchUnit) Stats() PrefetchStats {
-	return PrefetchStats{
-		Issued:     u.issued.Value(),
-		Served:     u.served.Value(),
-		Installed:  u.installed.Value(),
-		Suppressed: u.suppressed.Value(),
-		Buffer:     u.buffer.Stats(),
-		Predictor:  u.predictor.Stats(),
-	}
+	s := u.stats
+	s.Buffer, s.Predictor = u.buffer.Stats(), u.predictor.Stats()
+	s.Served, s.Installed = s.Buffer.Hits, s.Buffer.Insertions
+	return s
 }
 
 // Register publishes the unit's counters, its buffer's cache traffic
 // and the predictor's metrics into a registry under prefix.
 func (u *PrefetchUnit) Register(r *obs.Registry, prefix string) {
-	r.Counter(prefix+".issued", &u.issued)
-	r.Counter(prefix+".served", &u.served)
-	r.Counter(prefix+".installed", &u.installed)
-	r.Counter(prefix+".suppressed", &u.suppressed)
+	r.Counter(prefix+".issued", func() uint64 { return u.stats.Issued })
+	r.Counter(prefix+".served", func() uint64 { return u.Stats().Served })
+	r.Counter(prefix+".installed", func() uint64 { return u.Stats().Installed })
+	r.Counter(prefix+".suppressed", func() uint64 { return u.stats.Suppressed })
 	r.Gauge(prefix+".inflight", func() float64 { return float64(len(u.inflight)) })
 	u.buffer.Register(r, prefix+".buffer")
 	u.predictor.Register(r, prefix+".predictor")

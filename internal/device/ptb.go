@@ -22,9 +22,7 @@ type PTB struct {
 	capacity int
 	inUse    int
 
-	allocs   obs.Counter
-	rejected obs.Counter
-	peak     int
+	stats PTBStats
 }
 
 // NewPTB creates a buffer with the given number of slots.
@@ -47,13 +45,13 @@ func (p *PTB) Free() int { return p.capacity - p.inUse }
 // Alloc takes one slot, reporting whether one was available.
 func (p *PTB) Alloc() bool {
 	if p.inUse >= p.capacity {
-		p.rejected.Inc()
+		p.stats.Rejected++
 		return false
 	}
 	p.inUse++
-	p.allocs.Inc()
-	if p.inUse > p.peak {
-		p.peak = p.inUse
+	p.stats.Allocs++
+	if p.inUse > p.stats.Peak {
+		p.stats.Peak = p.inUse
 	}
 	return true
 }
@@ -75,18 +73,16 @@ type PTBStats struct {
 }
 
 // Stats returns a snapshot of the counters.
-func (p *PTB) Stats() PTBStats {
-	return PTBStats{Allocs: p.allocs.Value(), Rejected: p.rejected.Value(), Peak: p.peak}
-}
+func (p *PTB) Stats() PTBStats { return p.stats }
 
 // Register publishes the buffer's counters and occupancy into a metrics
 // registry under prefix. The in_use gauge is what the time-series
 // sampler reads to plot PTB occupancy over a run.
 func (p *PTB) Register(r *obs.Registry, prefix string) {
-	r.Counter(prefix+".allocs", &p.allocs)
-	r.Counter(prefix+".rejected", &p.rejected)
+	r.Counter(prefix+".allocs", func() uint64 { return p.stats.Allocs })
+	r.Counter(prefix+".rejected", func() uint64 { return p.stats.Rejected })
 	r.Gauge(prefix+".in_use", func() float64 { return float64(p.inUse) })
-	r.Gauge(prefix+".peak", func() float64 { return float64(p.peak) })
+	r.Gauge(prefix+".peak", func() float64 { return float64(p.stats.Peak) })
 	r.Gauge(prefix+".capacity", func() float64 { return float64(p.capacity) })
 }
 
@@ -97,5 +93,5 @@ func (p *PTB) RejectN(n uint64) {
 	if p.inUse < p.capacity {
 		panic(fmt.Sprintf("device: PTB rejects %d attempts with %d of %d slots in use", n, p.inUse, p.capacity))
 	}
-	p.rejected.Add(n)
+	p.stats.Rejected += n
 }

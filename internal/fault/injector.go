@@ -65,19 +65,8 @@ type Injector struct {
 
 	err error // first apply error (e.g. remapping an unmapped page), sticky
 
-	// Counters (obs cells; Stats assembles the snapshot view).
-	applied      obs.Counter // scripted events fired
-	dropped      obs.Counter // cache entries dropped by invalidations
-	pageInvs     obs.Counter // page-scoped invalidation commands
-	tenantInvs   obs.Counter // tenant-scoped invalidation commands
-	flushes      obs.Counter // broadcast flushes
-	remaps       obs.Counter // mid-flight page-table updates applied
-	walkerFaults obs.Counter // walker-fault arm events
-	faultRetries obs.Counter // walk attempts that faulted and backed off
-	rewalks      obs.Counter // forced re-walks observed
-	staleHits    obs.Counter // probe hits inside a stale window
-	detaches     obs.Counter
-	attaches     obs.Counter
+	// stats holds the live counts; Stats fills in the pending sets.
+	stats Stats
 }
 
 // NewInjector binds a validated plan to a target. The tracer may be nil.
@@ -132,20 +121,20 @@ func (in *Injector) emit(now sim.Time, ev string, sid mem.SID, iova uint64, shif
 
 // apply executes one scripted event against the target at time now.
 func (in *Injector) apply(now sim.Time, ev Event) {
-	in.applied.Inc()
+	in.stats.Applied++
 	switch ev.Kind {
 	case InvalidatePage:
 		in.invalidatePage(now, ev.SID, ev.IOVA, ev.Shift)
 	case InvalidateTenant:
 		n := in.target.InvalidateTenant(ev.SID)
-		in.tenantInvs.Inc()
-		in.dropped.Add(uint64(n))
+		in.stats.TenantInvs++
+		in.stats.Dropped += uint64(n)
 		in.clearStaleSID(ev.SID)
 		in.emit(now, "invalidate", ev.SID, 0, 0, n, 0)
 	case FlushAll:
 		n := in.target.FlushAll()
-		in.flushes.Inc()
-		in.dropped.Add(uint64(n))
+		in.stats.Flushes++
+		in.stats.Dropped += uint64(n)
 		clear(in.stale)
 		in.emit(now, "invalidate", 0, 0, 0, n, 0)
 	case Remap:
@@ -155,7 +144,7 @@ func (in *Injector) apply(now sim.Time, ev Event) {
 			}
 			return
 		}
-		in.remaps.Inc()
+		in.stats.Remaps++
 		in.emit(now, "remap", ev.SID, ev.IOVA, ev.Shift, 0, 0)
 		if ev.Silent {
 			// No invalidation: the device may keep serving the old frame
@@ -165,7 +154,7 @@ func (in *Injector) apply(now sim.Time, ev Event) {
 			in.invalidatePage(now, ev.SID, ev.IOVA, ev.Shift)
 		}
 	case WalkerFault:
-		in.walkerFaults.Inc()
+		in.stats.WalkerFaults++
 		if ev.Dur > 0 {
 			if until := now.Add(ev.Dur); until > in.faultUntil {
 				in.faultUntil = until
@@ -180,12 +169,12 @@ func (in *Injector) apply(now sim.Time, ev Event) {
 		in.emit(now, "walker_fault", ev.SID, 0, 0, ev.N, ev.Dur)
 	case Detach:
 		n := in.target.InvalidateTenant(ev.SID)
-		in.detaches.Inc()
-		in.dropped.Add(uint64(n))
+		in.stats.Detaches++
+		in.stats.Dropped += uint64(n)
 		in.clearStaleSID(ev.SID)
 		in.emit(now, "detach", ev.SID, 0, 0, n, 0)
 	case Attach:
-		in.attaches.Inc()
+		in.stats.Attaches++
 		in.emit(now, "attach", ev.SID, 0, 0, 0, 0)
 	}
 }
@@ -194,7 +183,7 @@ func (in *Injector) apply(now sim.Time, ev Event) {
 // stale window for the page and marks its next walk a forced re-walk.
 func (in *Injector) invalidatePage(now sim.Time, sid mem.SID, iova uint64, shift uint8) {
 	in.target.InvalidatePage(sid, iova, shift)
-	in.pageInvs.Inc()
+	in.stats.PageInvs++
 	k := keyOf(sid, iova, shift)
 	delete(in.stale, k)
 	in.rewalk[k] = struct{}{}
@@ -221,7 +210,7 @@ func (in *Injector) WalkAttempt(now sim.Time, sid mem.SID, attempt int) (sim.Dur
 	} else if now >= in.faultUntil {
 		return 0, false
 	}
-	in.faultRetries.Inc()
+	in.stats.FaultRetries++
 	d := in.retry.Backoff << uint(attempt)
 	if d > in.retry.BackoffMax {
 		d = in.retry.BackoffMax
@@ -237,7 +226,7 @@ func (in *Injector) OnWalk(now sim.Time, sid mem.SID, iova uint64, shift uint8) 
 		return
 	}
 	delete(in.rewalk, k)
-	in.rewalks.Inc()
+	in.stats.Rewalks++
 	in.emit(now, "rewalk", sid, iova, shift, 0, 0)
 }
 
@@ -250,7 +239,7 @@ func (in *Injector) OnProbeHit(now sim.Time, sid mem.SID, iova uint64, shift uin
 	if _, ok := in.stale[keyOf(sid, iova, shift)]; !ok {
 		return
 	}
-	in.staleHits.Inc()
+	in.stats.StaleHits++
 	in.emit(now, "stale_hit", sid, iova, shift, 0, 0)
 }
 
@@ -278,35 +267,23 @@ type Stats struct {
 
 // Stats returns a snapshot of the counters.
 func (in *Injector) Stats() Stats {
-	return Stats{
-		Applied:      in.applied.Value(),
-		Dropped:      in.dropped.Value(),
-		PageInvs:     in.pageInvs.Value(),
-		TenantInvs:   in.tenantInvs.Value(),
-		Flushes:      in.flushes.Value(),
-		Remaps:       in.remaps.Value(),
-		WalkerFaults: in.walkerFaults.Value(),
-		FaultRetries: in.faultRetries.Value(),
-		Rewalks:      in.rewalks.Value(),
-		StaleHits:    in.staleHits.Value(),
-		Detaches:     in.detaches.Value(),
-		Attaches:     in.attaches.Value(),
-		StalePending: len(in.stale), RewalkPending: len(in.rewalk),
-	}
+	s := in.stats
+	s.StalePending, s.RewalkPending = len(in.stale), len(in.rewalk)
+	return s
 }
 
 // Register publishes the injector's counters under prefix ("fault.*").
 func (in *Injector) Register(r *obs.Registry, prefix string) {
-	r.Counter(prefix+".applied", &in.applied)
-	r.Counter(prefix+".dropped", &in.dropped)
-	r.Counter(prefix+".page_invalidates", &in.pageInvs)
-	r.Counter(prefix+".tenant_invalidates", &in.tenantInvs)
-	r.Counter(prefix+".flushes", &in.flushes)
-	r.Counter(prefix+".remaps", &in.remaps)
-	r.Counter(prefix+".walker_faults", &in.walkerFaults)
-	r.Counter(prefix+".fault_retries", &in.faultRetries)
-	r.Counter(prefix+".rewalks", &in.rewalks)
-	r.Counter(prefix+".stale_hits", &in.staleHits)
-	r.Counter(prefix+".detaches", &in.detaches)
-	r.Counter(prefix+".attaches", &in.attaches)
+	r.Counter(prefix+".applied", func() uint64 { return in.stats.Applied })
+	r.Counter(prefix+".dropped", func() uint64 { return in.stats.Dropped })
+	r.Counter(prefix+".page_invalidates", func() uint64 { return in.stats.PageInvs })
+	r.Counter(prefix+".tenant_invalidates", func() uint64 { return in.stats.TenantInvs })
+	r.Counter(prefix+".flushes", func() uint64 { return in.stats.Flushes })
+	r.Counter(prefix+".remaps", func() uint64 { return in.stats.Remaps })
+	r.Counter(prefix+".walker_faults", func() uint64 { return in.stats.WalkerFaults })
+	r.Counter(prefix+".fault_retries", func() uint64 { return in.stats.FaultRetries })
+	r.Counter(prefix+".rewalks", func() uint64 { return in.stats.Rewalks })
+	r.Counter(prefix+".stale_hits", func() uint64 { return in.stats.StaleHits })
+	r.Counter(prefix+".detaches", func() uint64 { return in.stats.Detaches })
+	r.Counter(prefix+".attaches", func() uint64 { return in.stats.Attaches })
 }

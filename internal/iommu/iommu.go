@@ -77,10 +77,9 @@ type IOMMU struct {
 	// recycled and a warm translation performs no allocation.
 	walkBuf []mem.NestedAccess
 
-	// Counters (observability cells; Stats assembles the snapshot view).
-	translations obs.Counter
-	walks        obs.Counter
-	memAccesses  obs.Counter
+	// stats holds the live Translations, Walks and MemAccesses counts;
+	// Stats adds each cache's traffic.
+	stats Stats
 }
 
 // New builds the IOMMU. tenants maps every SID that will translate to
@@ -137,7 +136,7 @@ func granuleKey(sid mem.SID, iova uint64, shift uint) tlb.Key {
 // reads must not).
 func (u *IOMMU) Translate(sid mem.SID, iova uint64, pageShift uint8, recordHistory bool) (Result, error) {
 	var res Result
-	u.translations.Inc()
+	u.stats.Translations++
 
 	nt := u.tenants.Get(sid)
 	if nt == nil {
@@ -163,7 +162,7 @@ func (u *IOMMU) Translate(sid mem.SID, iova uint64, pageShift uint8, recordHisto
 		if e, ok := u.iotlb.Lookup(iotlbKey); ok {
 			res.IOTLBHit = true
 			res.HPA = e.Value | iova&(uint64(1)<<pageShift-1)
-			u.memAccesses.Add(uint64(res.MemAccesses))
+			u.stats.MemAccesses += uint64(res.MemAccesses)
 			return res, nil
 		}
 	}
@@ -176,7 +175,7 @@ func (u *IOMMU) Translate(sid mem.SID, iova uint64, pageShift uint8, recordHisto
 	// an L2 miss. The PWC lookups run before the memoization check
 	// because they mutate replacement state — a memoized translation
 	// must touch the cache model exactly as the real walk would.
-	u.walks.Inc()
+	u.stats.Walks++
 	startLevel := 0 // 0 = full walk
 	var resume mem.Addr
 	if pageShift == mem.PageShift {
@@ -218,7 +217,7 @@ func (u *IOMMU) Translate(sid mem.SID, iova uint64, pageShift uint8, recordHisto
 		rp = resumePointsOf(iova, walk.Accesses)
 		ent = u.memo.fill(nt, iova, startLevel, rp, len(walk.Accesses), walk.HPA)
 	}
-	u.memAccesses.Add(uint64(res.MemAccesses))
+	u.stats.MemAccesses += uint64(res.MemAccesses)
 	if startLevel == 1 {
 		u.finishL2Resume(sid, iova, nt, ent, &rp)
 	}
@@ -317,14 +316,8 @@ type Stats struct {
 
 // Stats returns a snapshot of the counters.
 func (u *IOMMU) Stats() Stats {
-	s := Stats{
-		Translations: u.translations.Value(),
-		Walks:        u.walks.Value(),
-		MemAccesses:  u.memAccesses.Value(),
-		ContextCache: u.cc.Stats(),
-		L2PWC:        u.l2pwc.Stats(),
-		L3PWC:        u.l3pwc.Stats(),
-	}
+	s := u.stats
+	s.ContextCache, s.L2PWC, s.L3PWC = u.cc.Stats(), u.l2pwc.Stats(), u.l3pwc.Stats()
 	if u.iotlb != nil {
 		s.IOTLB = u.iotlb.Stats()
 	}
@@ -334,9 +327,9 @@ func (u *IOMMU) Stats() Stats {
 // Register publishes the chipset's counters and every cache's traffic
 // into a metrics registry under prefix.
 func (u *IOMMU) Register(r *obs.Registry, prefix string) {
-	r.Counter(prefix+".translations", &u.translations)
-	r.Counter(prefix+".walks", &u.walks)
-	r.Counter(prefix+".mem_accesses", &u.memAccesses)
+	r.Counter(prefix+".translations", func() uint64 { return u.stats.Translations })
+	r.Counter(prefix+".walks", func() uint64 { return u.stats.Walks })
+	r.Counter(prefix+".mem_accesses", func() uint64 { return u.stats.MemAccesses })
 	u.cc.Register(r, prefix+".cc")
 	if u.iotlb != nil {
 		u.iotlb.Register(r, prefix+".iotlb")

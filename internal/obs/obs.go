@@ -7,16 +7,18 @@
 //
 // Design rules:
 //
-//   - Zero cost when disabled. Components own their metric cells
-//     (Counter, Histogram) as plain struct fields; incrementing one is
-//     an ordinary integer add whether or not a Registry has named it.
-//     Trace points are nil-guarded at every call site, and the sampler
-//     schedules no events unless enabled.
+//   - Zero cost when disabled. Each component counts into plain uint64
+//     fields of its own Stats struct (histograms are Histogram cells);
+//     incrementing one is an ordinary integer add whether or not a
+//     Registry has named it. Trace points are nil-guarded at every call
+//     site, and the sampler schedules no events unless enabled.
 //   - Determinism is preserved. Observability only reads model state;
 //     simulation outcomes are byte-identical with it on or off
 //     (internal/core pins this with a regression test).
-//   - The registry is the single source of truth: the public
-//     Result/Stats snapshot types are views assembled from these cells.
+//   - One count per event, kept in one place: a component's Stats()
+//     returns a copy of its counts with the derived fields (a cache's
+//     misses, the prefetch unit's served count) filled in, and the
+//     registry reads the same counts by name.
 package obs
 
 import "hypertrio/internal/sim"

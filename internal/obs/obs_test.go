@@ -9,22 +9,6 @@ import (
 	"hypertrio/internal/sim"
 )
 
-func TestCounterBasics(t *testing.T) {
-	var c Counter
-	if c.Value() != 0 {
-		t.Fatalf("zero counter = %d", c.Value())
-	}
-	c.Inc()
-	c.Add(41)
-	if c.Value() != 42 {
-		t.Fatalf("counter = %d, want 42", c.Value())
-	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Fatalf("reset counter = %d", c.Value())
-	}
-}
-
 func TestHistogramBuckets(t *testing.T) {
 	var h Histogram
 	for _, v := range []uint64{0, 1, 1, 7, 8, 1 << 40} {
@@ -54,8 +38,7 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestRegistryNilSafe(t *testing.T) {
 	var r *Registry
-	var c Counter
-	r.Counter("a", &c) // must not panic
+	r.Counter("a", func() uint64 { return 1 }) // must not panic
 	r.Gauge("b", func() float64 { return 1 })
 	r.Histogram("c", &Histogram{})
 	if names := r.Names(); names != nil {
@@ -72,8 +55,7 @@ func TestRegistryNilSafe(t *testing.T) {
 
 func TestRegistryDuplicatePanics(t *testing.T) {
 	r := NewRegistry()
-	var c Counter
-	r.Counter("x", &c)
+	r.Counter("x", func() uint64 { return 0 })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate name did not panic")
@@ -84,11 +66,10 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 
 func TestRegistrySnapshot(t *testing.T) {
 	r := NewRegistry()
-	var c Counter
-	c.Add(7)
+	c := uint64(7)
 	var h Histogram
 	h.Observe(3)
-	r.Counter("z.count", &c)
+	r.Counter("z.count", func() uint64 { return c })
 	r.Gauge("a.gauge", func() float64 { return 2.5 })
 	r.Histogram("m.hist", &h)
 
@@ -98,7 +79,7 @@ func TestRegistrySnapshot(t *testing.T) {
 	if v, ok := r.CounterValue("z.count"); !ok || v != 7 {
 		t.Fatalf("CounterValue = %d,%v", v, ok)
 	}
-	c.Inc() // registry reads the live cell, not a copy
+	c++ // registry reads the live count, not a copy
 	snap := r.Snapshot()
 	if snap.Counters["z.count"] != 8 {
 		t.Fatalf("snapshot counter = %d, want 8", snap.Counters["z.count"])
@@ -183,12 +164,10 @@ func TestSeriesNilCSVHeaderOnly(t *testing.T) {
 // TestMetricsExportGoldenJSON pins the hypertrio-metrics/1 document
 // shape. If this test needs updating, bump MetricsSchema.
 func TestMetricsExportGoldenJSON(t *testing.T) {
-	var c Counter
-	c.Add(12)
 	var h Histogram
 	h.Observe(5)
 	r := NewRegistry()
-	r.Counter("ptb.allocs", &c)
+	r.Counter("ptb.allocs", func() uint64 { return 12 })
 	r.Gauge("ptb.in_use", func() float64 { return 4 })
 	r.Histogram("core.miss_latency", &h)
 	series := &Series{Interval: 10 * sim.Microsecond, Points: []Point{
@@ -264,8 +243,8 @@ func TestEngineProbeEmits(t *testing.T) {
 	tr := NewTracer(&buf)
 	e := sim.NewEngine()
 	e.SetProbe(EngineProbe{T: tr})
-	e.ScheduleEventLabeled(5, "a", nopSink{}, 0)
-	e.ScheduleEventLabeled(7, "b", nopSink{}, 0)
+	e.ScheduleEvent(5, nopSink{}, 0)
+	e.ScheduleEvent(7, nopSink{}, 0)
 	e.Run()
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)

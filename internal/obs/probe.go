@@ -12,11 +12,11 @@ type EngineProbe struct{ T *Tracer }
 var _ sim.Probe = EngineProbe{}
 
 // OnSchedule records an event entering the queue for time at.
-func (p EngineProbe) OnSchedule(at sim.Time, seq uint64, label string) {
-	p.T.Emit(Event{T: int64(at), Ev: "sched", Seq: seq, Label: label})
+func (p EngineProbe) OnSchedule(at sim.Time, seq uint64) {
+	p.T.Emit(Event{T: int64(at), Ev: "sched", Seq: seq})
 }
 
 // OnFire records an event beginning execution.
-func (p EngineProbe) OnFire(at sim.Time, seq uint64, label string) {
-	p.T.Emit(Event{T: int64(at), Ev: "fire", Seq: seq, Label: label})
+func (p EngineProbe) OnFire(at sim.Time, seq uint64) {
+	p.T.Emit(Event{T: int64(at), Ev: "fire", Seq: seq})
 }

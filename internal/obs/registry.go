@@ -6,24 +6,6 @@ import (
 	"sort"
 )
 
-// Counter is a monotonically increasing metric cell. Components embed
-// Counter by value and bump it on their hot paths; a Registry merely
-// names the cell for export, so the increment cost is identical whether
-// or not observability is enabled. The zero value is ready to use.
-type Counter struct{ v uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v++ }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v += n }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v }
-
-// Reset zeroes the counter (warmup/measurement phase splits).
-func (c *Counter) Reset() { c.v = 0 }
-
 // Histogram is a power-of-two-bucketed distribution: a value v lands in
 // the bucket with inclusive upper bound 2^bits.Len64(v)-1. The zero
 // value is ready to use; Observe is one shift-count plus two adds.
@@ -76,16 +58,17 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Registry is a name directory over metric cells owned by the model's
-// components. It does not store values itself — cells live in the
-// structures that update them — which is what lets Result/Stats remain
-// cheap views while the registry provides uniform export.
+// Registry is a name directory over counts owned by the model's
+// components. It stores no values itself: a counter or gauge is a
+// function that reads the count where the component keeps it (a plain
+// field of the component's Stats), and a histogram is the component's
+// own cell, so registering costs nothing on the simulation path.
 //
 // All methods are nil-safe no-ops on a nil *Registry, so components can
 // register unconditionally. A Registry is not safe for concurrent use;
 // each simulation owns its own.
 type Registry struct {
-	counters map[string]*Counter
+	counters map[string]func() uint64
 	gauges   map[string]func() float64
 	hists    map[string]*Histogram
 }
@@ -93,7 +76,7 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[string]*Counter),
+		counters: make(map[string]func() uint64),
 		gauges:   make(map[string]func() float64),
 		hists:    make(map[string]*Histogram),
 	}
@@ -111,15 +94,15 @@ func (r *Registry) checkNew(name string) {
 	}
 }
 
-// Counter registers an existing counter cell under name. Registering a
-// duplicate name panics: metric names are a fixed schema, so a clash is
-// a programming error.
-func (r *Registry) Counter(name string, c *Counter) {
+// Counter registers a monotonically increasing count under name; read
+// is called at snapshot time. Registering a duplicate name panics:
+// metric names are a fixed schema, so a clash is a programming error.
+func (r *Registry) Counter(name string, read func() uint64) {
 	if r == nil {
 		return
 	}
 	r.checkNew(name)
-	r.counters[name] = c
+	r.counters[name] = read
 }
 
 // Gauge registers a derived instantaneous value under name (e.g. PTB
@@ -165,11 +148,11 @@ func (r *Registry) CounterValue(name string) (uint64, bool) {
 	if r == nil {
 		return 0, false
 	}
-	c, ok := r.counters[name]
+	read, ok := r.counters[name]
 	if !ok {
 		return 0, false
 	}
-	return c.Value(), true
+	return read(), true
 }
 
 // Snapshot is a point-in-time export of every registered metric. Maps
@@ -180,7 +163,7 @@ type Snapshot struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
 
-// Snapshot reads every cell and derived gauge.
+// Snapshot reads every counter, gauge and histogram.
 func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
 	if r == nil {
@@ -188,8 +171,8 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	if len(r.counters) > 0 {
 		s.Counters = make(map[string]uint64, len(r.counters))
-		for n, c := range r.counters {
-			s.Counters[n] = c.Value()
+		for n, read := range r.counters {
+			s.Counters[n] = read()
 		}
 	}
 	if len(r.gauges) > 0 {

@@ -40,7 +40,7 @@ type Event struct {
 	DurPs int64  `json:"dur_ps,omitempty"`
 	N     int    `json:"n,omitempty"`
 	Seq   uint64 `json:"seq,omitempty"`
-	Label string `json:"label,omitempty"`
+	Label string `json:"label,omitempty"` // the schema header's schema name
 }
 
 // Hex renders an address for Event.IOVA.

@@ -40,10 +40,6 @@ type Chain struct {
 	// faults is the fault injector's hook (nil in every fault-free run;
 	// all uses are nil-guarded so the hot path is untouched without it).
 	faults FaultHook
-
-	// Demand requests answered by each device-side probe stage.
-	devtlbServed   obs.Counter
-	prefetchServed obs.Counter
 }
 
 // New composes the datapath cfg describes into env: admission, the
@@ -97,16 +93,16 @@ func (c *Chain) Observe(sid mem.SID) {
 }
 
 // Lookup probes the device-side stages in datapath order: the DevTLB,
-// then the Prefetch Buffer. A hit bumps the serving stage's counter and
-// emits its hit event; a full miss emits the miss event and returns
+// then the Prefetch Buffer. A hit is counted by the serving stage's
+// cache and emits its hit event; a full miss emits the miss event and returns
 // false — the caller then resolves via Resolve.
 func (c *Chain) Lookup(e *sim.Engine, rq Request) bool {
 	if c.devtlb != nil && c.devtlb.Lookup(rq) {
-		c.hit(e, rq, &c.devtlbServed, c.devtlb.hitEvent)
+		c.hit(e, rq, c.devtlb.hitEvent)
 		return true
 	}
 	if c.pb != nil && c.pb.Lookup(rq) {
-		c.hit(e, rq, &c.prefetchServed, prefetchHitEvent)
+		c.hit(e, rq, prefetchHitEvent)
 		return true
 	}
 	if c.tracer != nil {
@@ -116,9 +112,8 @@ func (c *Chain) Lookup(e *sim.Engine, rq Request) bool {
 	return false
 }
 
-// hit accounts one device-side probe hit.
-func (c *Chain) hit(e *sim.Engine, rq Request, served *obs.Counter, ev string) {
-	served.Inc()
+// hit traces one device-side probe hit and reports it to the fault hook.
+func (c *Chain) hit(e *sim.Engine, rq Request, ev string) {
 	if c.tracer != nil {
 		c.tracer.Emit(obs.Event{T: int64(e.Now()), Ev: ev,
 			SID: uint32(rq.SID), IOVA: obs.Hex(rq.IOVA), Shift: rq.Shift})
@@ -190,7 +185,7 @@ func (c *Chain) FlushAll() int {
 	return n
 }
 
-// Register publishes every stage's cells under its stage name.
+// Register publishes every stage's metrics under its stage name.
 func (c *Chain) Register(r *obs.Registry) {
 	for _, st := range c.stages {
 		st.Register(r, st.Name())
@@ -199,13 +194,6 @@ func (c *Chain) Register(r *obs.Registry) {
 
 // Stages returns the composed stages in datapath order.
 func (c *Chain) Stages() []Stage { return c.stages }
-
-// DevTLBServed counts demand requests answered by the DevTLB (zero,
-// never incremented, without one).
-func (c *Chain) DevTLBServed() *obs.Counter { return &c.devtlbServed }
-
-// PrefetchServed counts demand requests answered by the Prefetch Buffer.
-func (c *Chain) PrefetchServed() *obs.Counter { return &c.prefetchServed }
 
 // WalkersBusy returns how many chipset walkers are currently held.
 func (c *Chain) WalkersBusy() int { return c.pool.Busy() }

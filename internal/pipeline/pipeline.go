@@ -37,7 +37,7 @@ type Stage interface {
 	// Name identifies the stage: its metrics prefix in the registry and
 	// its label in Describe output.
 	Name() string
-	// Register publishes the stage's metric cells under prefix.
+	// Register publishes the stage's counts and gauges under prefix.
 	Register(r *obs.Registry, prefix string)
 	// Describe returns a one-line human summary of the stage's
 	// configuration (geometry, policies).

@@ -144,7 +144,7 @@ func TestEmptyChainIsTotal(t *testing.T) {
 	if got := c.Describe(); !strings.Contains(got, "translation off") {
 		t.Fatalf("empty chain describe: %q", got)
 	}
-	if c.DevTLBServed().Value() != 0 {
+	if c.PrefetchStats().Served != 0 {
 		t.Fatal("served counter non-zero")
 	}
 }
@@ -232,10 +232,10 @@ func TestServedCountsPerStage(t *testing.T) {
 	if !c.Lookup(e, Request{SID: 1, IOVA: 0x3000, Shift: 12}) {
 		t.Fatal("prefetched page not served")
 	}
-	if got := c.PrefetchServed().Value(); got != 1 {
+	if got := c.PrefetchStats().Served; got != 1 {
 		t.Fatalf("prefetch served = %d, want 1", got)
 	}
-	if got := c.DevTLBServed().Value(); got != 0 {
+	if got := c.DevTLBStats().Hits; got != 0 {
 		t.Fatalf("devtlb served = %d, want 0", got)
 	}
 }

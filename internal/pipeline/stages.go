@@ -344,7 +344,7 @@ func (st *HistoryReaderStage) release(idx uint32) {
 
 func (st *HistoryReaderStage) Name() string { return "history-reader" }
 
-// Register is a no-op: the prefetch unit's cells (including the
+// Register is a no-op: the prefetch unit's metrics (including the
 // predictor this stage drives) are published by the PrefetchBufferStage
 // under "prefetch", and double registration would panic the registry.
 func (st *HistoryReaderStage) Register(*obs.Registry, string) {}

@@ -24,19 +24,17 @@ type eventRec struct {
 	seq     uint64 // schedule order, breaks timestamp ties deterministically
 	sink    EventSink
 	payload uint64
-	label   string
 	next    uint32
 }
 
 // Probe observes the engine's lifecycle: every event entering the queue
-// and firing, with its timestamp, deterministic sequence number, and
-// optional debug label. Probes must only observe — a probe that mutates
-// model state would break the determinism contract. Both hooks are
-// nil-guarded, so an engine without a probe pays one predictable branch
-// per operation.
+// and firing, with its timestamp and deterministic sequence number.
+// Probes must only observe — a probe that mutates model state would
+// break the determinism contract. Both hooks are nil-guarded, so an
+// engine without a probe pays one predictable branch per operation.
 type Probe interface {
-	OnSchedule(at Time, seq uint64, label string)
-	OnFire(at Time, seq uint64, label string)
+	OnSchedule(at Time, seq uint64)
+	OnFire(at Time, seq uint64)
 }
 
 // Timing-wheel geometry: wheelLevels levels of wheelSlots slots each,
@@ -106,19 +104,14 @@ func (e *Engine) SetProbe(p Probe) { e.probe = p }
 // with the payload word. A negative delay panics: the model must never
 // travel backwards in time. Steady-state scheduling allocates nothing.
 func (e *Engine) ScheduleEvent(delay Duration, sink EventSink, payload uint64) {
-	e.ScheduleEventLabeled(delay, "", sink, payload)
-}
-
-// ScheduleEventLabeled is ScheduleEvent with a debug label attached.
-func (e *Engine) ScheduleEventLabeled(delay Duration, label string, sink EventSink, payload uint64) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d ps", int64(delay)))
 	}
 	at, idx := e.now.Add(delay), e.allocRec()
-	e.slab[idx] = eventRec{at: at, seq: e.nextSeq, sink: sink, payload: payload, label: label}
+	e.slab[idx] = eventRec{at: at, seq: e.nextSeq, sink: sink, payload: payload}
 	e.place(idx, at)
 	if e.probe != nil {
-		e.probe.OnSchedule(at, e.nextSeq, label)
+		e.probe.OnSchedule(at, e.nextSeq)
 	}
 	e.nextSeq++
 }
@@ -144,14 +137,14 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	rec := &e.slab[idx]
-	seq, sink, payload, label := rec.seq, rec.sink, rec.payload, rec.label
+	seq, sink, payload := rec.seq, rec.sink, rec.payload
 	// Recycle before firing (the handler may schedule into this very
-	// slot); clearing the references releases the sink for GC.
-	rec.sink, rec.label = nil, ""
+	// slot); clearing the reference releases the sink for GC.
+	rec.sink = nil
 	e.free = append(e.free, idx)
 	e.fired++
 	if e.probe != nil {
-		e.probe.OnFire(e.now, seq, label)
+		e.probe.OnFire(e.now, seq)
 	}
 	sink.HandleEvent(e, e.now, payload)
 	return true

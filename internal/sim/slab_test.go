@@ -48,22 +48,6 @@ func TestScheduleEventNegativeDelayPanics(t *testing.T) {
 	NewEngine().ScheduleEvent(-1, &recordingSink{}, 0)
 }
 
-func TestScheduleEventLabeled(t *testing.T) {
-	e := NewEngine()
-	sink := &recordingSink{}
-	e.ScheduleEventLabeled(5*Nanosecond, "sample", sink, 3)
-	e.Run()
-	if len(sink.fired) != 1 || sink.fired[0] != 3 {
-		t.Fatalf("fired = %v, want [3]", sink.fired)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative labeled typed delay did not panic")
-		}
-	}()
-	e.ScheduleEventLabeled(-1, "bad", sink, 0)
-}
-
 // --- allocation pins ---------------------------------------------------
 
 // drainSink is an EventSink whose records schedule nothing; used to

@@ -97,9 +97,8 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Stats counts cache traffic. It is a snapshot view assembled from the
-// cache's obs.Counter cells — the metrics registry is the single source
-// of truth; Stats exists for the established reporting API.
+// Stats counts cache traffic. The cache counts into its own Stats;
+// Misses is derived (Lookups − Hits) when Stats() takes the copy.
 type Stats struct {
 	Lookups     uint64
 	Hits        uint64
@@ -153,13 +152,8 @@ type Cache struct {
 	index indexFunc
 	repl  replacer
 
-	// Traffic counters as observability cells (see Stats / Register).
-	lookups     obs.Counter
-	hits        obs.Counter
-	misses      obs.Counter
-	insertions  obs.Counter
-	evictions   obs.Counter
-	invalidates obs.Counter
+	// Traffic counts (Misses stays zero here; see Stats / Register).
+	stats Stats
 }
 
 // New builds a cache from cfg. It panics on invalid configuration, which
@@ -183,36 +177,20 @@ func (c *Cache) Config() Config { return c.cfg }
 
 // Stats returns a copy of the traffic counters.
 func (c *Cache) Stats() Stats {
-	return Stats{
-		Lookups:     c.lookups.Value(),
-		Hits:        c.hits.Value(),
-		Misses:      c.misses.Value(),
-		Insertions:  c.insertions.Value(),
-		Evictions:   c.evictions.Value(),
-		Invalidates: c.invalidates.Value(),
-	}
-}
-
-// ResetStats zeroes the traffic counters (used between warmup and
-// measurement phases).
-func (c *Cache) ResetStats() {
-	c.lookups.Reset()
-	c.hits.Reset()
-	c.misses.Reset()
-	c.insertions.Reset()
-	c.evictions.Reset()
-	c.invalidates.Reset()
+	s := c.stats
+	s.Misses = s.Lookups - s.Hits
+	return s
 }
 
 // Register publishes the cache's counters and occupancy into a metrics
 // registry under prefix (e.g. "devtlb.hits"). Nil-safe on r.
 func (c *Cache) Register(r *obs.Registry, prefix string) {
-	r.Counter(prefix+".lookups", &c.lookups)
-	r.Counter(prefix+".hits", &c.hits)
-	r.Counter(prefix+".misses", &c.misses)
-	r.Counter(prefix+".insertions", &c.insertions)
-	r.Counter(prefix+".evictions", &c.evictions)
-	r.Counter(prefix+".invalidates", &c.invalidates)
+	r.Counter(prefix+".lookups", func() uint64 { return c.stats.Lookups })
+	r.Counter(prefix+".hits", func() uint64 { return c.stats.Hits })
+	r.Counter(prefix+".misses", func() uint64 { return c.Stats().Misses })
+	r.Counter(prefix+".insertions", func() uint64 { return c.stats.Insertions })
+	r.Counter(prefix+".evictions", func() uint64 { return c.stats.Evictions })
+	r.Counter(prefix+".invalidates", func() uint64 { return c.stats.Invalidates })
 	r.Gauge(prefix+".entries", func() float64 { return float64(c.Len()) })
 }
 
@@ -227,14 +205,14 @@ func (c *Cache) setIndex(k Key) int { return c.index(k, c.cfg.Sets) }
 // go through Lookup.
 func (c *Cache) Lookup(key Key) (Entry, bool) {
 	c.tick++
-	c.lookups.Inc()
+	c.stats.Lookups++
 	c.repl.onLookup(key)
 	si := c.setIndex(key)
 	set := c.sets[si]
 	for i := range set {
 		s := &set[i]
 		if s.valid && s.entry.Key == key {
-			c.hits.Inc()
+			c.stats.Hits++
 			s.lastUse = c.tick
 			if s.freq < lfuMax {
 				s.freq++
@@ -243,7 +221,6 @@ func (c *Cache) Lookup(key Key) (Entry, bool) {
 			return s.entry, true
 		}
 	}
-	c.misses.Inc()
 	return Entry{}, false
 }
 
@@ -262,7 +239,7 @@ func (c *Cache) Peek(key Key) (Entry, bool) {
 // Inserting an already-present key refreshes its value in place.
 func (c *Cache) Insert(e Entry) {
 	c.tick++
-	c.insertions.Inc()
+	c.stats.Insertions++
 	si := c.setIndex(e.Key)
 	set := c.sets[si]
 	// Refresh in place if present.
@@ -283,7 +260,7 @@ func (c *Cache) Insert(e Entry) {
 		}
 	}
 	victim := c.repl.victim(si, set)
-	c.evictions.Inc()
+	c.stats.Evictions++
 	set[victim] = slot{valid: true, entry: e, lastUse: c.tick, inserted: c.tick, freq: 1}
 	c.repl.onInsert(si, set, victim)
 }
@@ -294,7 +271,7 @@ func (c *Cache) Invalidate(key Key) bool {
 	for i := range set {
 		if set[i].valid && set[i].entry.Key == key {
 			set[i] = slot{}
-			c.invalidates.Inc()
+			c.stats.Invalidates++
 			return true
 		}
 	}
@@ -314,7 +291,7 @@ func (c *Cache) InvalidateSID(sid uint32) int {
 			}
 		}
 	}
-	c.invalidates.Add(uint64(n))
+	c.stats.Invalidates += uint64(n)
 	return n
 }
 
@@ -330,7 +307,7 @@ func (c *Cache) Flush() int {
 			c.sets[si][wi] = slot{}
 		}
 	}
-	c.invalidates.Add(uint64(n))
+	c.stats.Invalidates += uint64(n)
 	return n
 }
 

@@ -468,17 +468,3 @@ func TestIndexModeStrings(t *testing.T) {
 		t.Fatal("policy strings wrong")
 	}
 }
-
-func TestResetStats(t *testing.T) {
-	c := New(Config{Name: "t", Sets: 1, Ways: 1, Policy: LRU})
-	c.Insert(e(1, 1, 1))
-	c.Lookup(k(1, 1))
-	c.ResetStats()
-	if s := c.Stats(); s != (Stats{}) {
-		t.Fatalf("stats not reset: %+v", s)
-	}
-	// Contents survive a stats reset.
-	if _, ok := c.Peek(k(1, 1)); !ok {
-		t.Fatal("ResetStats dropped entries")
-	}
-}
