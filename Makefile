@@ -59,7 +59,8 @@ cover-check:
 # Fuzz smoke: five seconds of coverage-guided fuzzing on each target
 # (the hardened binary-trace and HLOG run-log decoders, the SID
 # predictor, the timing-wheel-vs-reference-heap scheduler equivalence,
-# and the scenario and fault-plan JSON codec round-trips). The committed
+# the scenario and fault-plan JSON codec round-trips, and the
+# translation cache against its linear-scan reference model). The committed
 # seed corpora under testdata/fuzz/ also replay in every ordinary
 # `go test` run.
 fuzz-smoke:
@@ -69,6 +70,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEngineMatchesHeapRef -fuzztime 5s
 	$(GO) test ./internal/scenario -run '^$$' -fuzz FuzzScenarioCodec -fuzztime 5s
 	$(GO) test ./internal/fault -run '^$$' -fuzz FuzzFaultPlanCodec -fuzztime 5s
+	$(GO) test ./internal/tlb -run '^$$' -fuzz FuzzCacheMatchesRef -fuzztime 5s
 
 vet:
 	$(GO) vet ./...

@@ -113,7 +113,7 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 	fs.Float64Var(&o.linkGbps, "link", 200, "I/O link bandwidth in Gb/s")
 	fs.IntVar(&o.ptb, "ptb", 0, "override PTB entries (0 = design default)")
 	fs.IntVar(&o.devtlbSize, "devtlb-entries", 0, "override DevTLB entries, 8-way (0 = design default)")
-	fs.StringVar(&o.policy, "policy", "", "override DevTLB replacement policy: lru, lfu, fifo, rand, oracle, plru")
+	fs.StringVar(&o.policy, "policy", "", "override DevTLB replacement policy: lru, lfu, oracle")
 	fs.IntVar(&o.chipsetIOTLB, "chipset-iotlb", 0, "enable a shared (unpartitioned) chipset IOTLB with this many entries, 8-way LRU")
 	fs.BoolVar(&o.noPrefetch, "no-prefetch", false, "disable the Prefetch Unit")
 	fs.BoolVar(&o.serial, "serial", false, "serialize a packet's translations (legacy device)")

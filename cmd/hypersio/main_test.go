@@ -69,30 +69,35 @@ func TestRunErrors(t *testing.T) {
 	cases := []struct {
 		name string
 		mut  func(*options)
+		want string // a substring of the error, when set
 	}{
-		{"bad benchmark", func(o *options) { o.benchmark = "nope" }},
-		{"bad interleave", func(o *options) { o.interleave = "XX" }},
-		{"bad design", func(o *options) { o.design = "fancy" }},
-		{"bad policy", func(o *options) { o.policy = "bogus" }},
-		{"zero tenants", func(o *options) { o.tenants = 0 }},
-		{"negative tenants", func(o *options) { o.tenants = -3 }},
-		{"zero scale", func(o *options) { o.scale = 0 }},
-		{"scale above one", func(o *options) { o.scale = 1.5 }},
-		{"negative link", func(o *options) { o.linkGbps = -1 }},
-		{"negative ptb", func(o *options) { o.ptb = -1 }},
-		{"negative devtlb", func(o *options) { o.devtlbSize = -8 }},
-		{"indivisible devtlb", func(o *options) { o.devtlbSize = 100 }},
-		{"negative sample interval", func(o *options) { o.sampleUs = -1 }},
-		{"engine trace without trace file", func(o *options) { o.engineEvents = true }},
-		{"missing replay file", func(o *options) { o.replayFile = "/nonexistent.hsio" }},
-		{"tenants above cap", func(o *options) { o.tenants = 1_000_001; o.compactRNG = true }},
-		{"huge standard-RNG population", func(o *options) { o.tenants = 200_000 }},
+		{"bad benchmark", func(o *options) { o.benchmark = "nope" }, ""},
+		{"bad interleave", func(o *options) { o.interleave = "XX" }, ""},
+		{"bad design", func(o *options) { o.design = "fancy" }, ""},
+		{"bad policy", func(o *options) { o.policy = "bogus" }, "lru"},
+		{"removed policy", func(o *options) { o.policy = "fifo" }, "lru"},
+		{"zero tenants", func(o *options) { o.tenants = 0 }, ""},
+		{"negative tenants", func(o *options) { o.tenants = -3 }, ""},
+		{"zero scale", func(o *options) { o.scale = 0 }, ""},
+		{"scale above one", func(o *options) { o.scale = 1.5 }, ""},
+		{"negative link", func(o *options) { o.linkGbps = -1 }, ""},
+		{"negative ptb", func(o *options) { o.ptb = -1 }, ""},
+		{"negative devtlb", func(o *options) { o.devtlbSize = -8 }, ""},
+		{"indivisible devtlb", func(o *options) { o.devtlbSize = 100 }, ""},
+		{"negative sample interval", func(o *options) { o.sampleUs = -1 }, ""},
+		{"engine trace without trace file", func(o *options) { o.engineEvents = true }, ""},
+		{"missing replay file", func(o *options) { o.replayFile = "/nonexistent.hsio" }, ""},
+		{"tenants above cap", func(o *options) { o.tenants = 1_000_001; o.compactRNG = true }, ""},
+		{"huge standard-RNG population", func(o *options) { o.tenants = 200_000 }, ""},
 	}
 	for _, c := range cases {
 		o := base()
 		c.mut(&o)
-		if err := run(o, io.Discard); err == nil {
+		err := run(o, io.Discard)
+		if err == nil {
 			t.Errorf("%s: expected error", c.name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not name %q", c.name, err, c.want)
 		}
 	}
 }

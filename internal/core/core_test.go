@@ -137,9 +137,7 @@ func TestConfigRejectsBadCacheGeometry(t *testing.T) {
 		{"iotlb disabled", func(c *Config) { c.IOMMU.IOTLB = tlb.Config{} }, true},
 		{"context cache empty", func(c *Config) { c.IOMMU.ContextCache.Sets = 0 }, false},
 		{"l2pwc sets not a power of two", func(c *Config) { c.IOMMU.L2PWC.Sets = 24 }, false},
-		{"l3pwc PLRU with odd ways", func(c *Config) {
-			c.IOMMU.L3PWC.Policy, c.IOMMU.L3PWC.Ways = tlb.PLRU, 3
-		}, false},
+		{"l3pwc unknown policy", func(c *Config) { c.IOMMU.L3PWC.Policy = tlb.Oracle + 1 }, false},
 	}
 	tr := makeTrace(t, workload.Iperf3, 2, trace.RR1, 0.002)
 	for _, tc := range cases {

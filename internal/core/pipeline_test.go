@@ -70,13 +70,14 @@ func TestDescribePipeline(t *testing.T) {
 	}
 }
 
-// TestNewPoliciesRunEndToEnd proves the configuration seam: a pseudo-LRU
-// DevTLB and a shared (hashed, unpartitioned) chipset IOTLB run through
-// the full simulation purely as configuration — no new code path.
+// TestNewPoliciesRunEndToEnd proves the configuration seam: an LRU
+// DevTLB (Base's default is LFU) and a shared (hashed, unpartitioned)
+// chipset IOTLB run through the full simulation purely as configuration
+// — no new code path.
 func TestNewPoliciesRunEndToEnd(t *testing.T) {
 	tr := makeTrace(t, workload.Websearch, 16, trace.RR1, 0.002)
 	cfg := BaseConfig()
-	cfg.DevTLB.Policy = tlb.PLRU // 8 ways: power of two, tree fits
+	cfg.DevTLB.Policy = tlb.LRU
 	cfg.IOMMU.IOTLB = tlb.Config{
 		Name: "iotlb", Sets: 16, Ways: 8, Policy: tlb.LRU, Index: tlb.Hashed,
 	}
@@ -85,7 +86,7 @@ func TestNewPoliciesRunEndToEnd(t *testing.T) {
 		t.Fatalf("processed %d of %d packets", r.Packets, len(tr.Packets))
 	}
 	if r.DevTLB.Lookups == 0 || r.DevTLB.Hits == 0 {
-		t.Fatalf("PLRU DevTLB saw no traffic: %+v", r.DevTLB)
+		t.Fatalf("LRU DevTLB saw no traffic: %+v", r.DevTLB)
 	}
 	if r.IOMMU.IOTLB.Lookups == 0 {
 		t.Fatalf("shared IOTLB saw no traffic: %+v", r.IOMMU.IOTLB)

@@ -20,7 +20,7 @@ func randomConfig(rng *rand.Rand) Config {
 	sets := []int{1, 2, 4, 8, 16}[rng.Intn(5)]
 	ways := []int{1, 2, 4, 8}[rng.Intn(4)]
 	cfg.DevTLB.Sets, cfg.DevTLB.Ways = sets, ways
-	cfg.DevTLB.Policy = tlb.PolicyKind(rng.Intn(4)) // skip oracle: needs Future wiring here
+	cfg.DevTLB.Policy = tlb.PolicyKind(rng.Intn(2)) // skip oracle: needs Future wiring here
 	cfg.DevTLB.Index = tlb.IndexMode(rng.Intn(3))
 	cfg.PTBEntries = 1 + rng.Intn(48)
 	if rng.Intn(3) == 0 {

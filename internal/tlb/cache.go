@@ -1,8 +1,8 @@
 // Package tlb implements the translation caching structures of the
 // HyperTRIO design space: set-associative and fully-associative caches
-// with LRU, LFU, FIFO, random and Belady-oracle replacement, optional
-// SID-based partitioning (the paper's PTag-per-row scheme), and
-// per-structure statistics.
+// with LRU, LFU and Belady-oracle replacement (the three policies of the
+// paper's Fig. 11b), optional SID-based partitioning (the paper's
+// PTag-per-row scheme), and per-structure statistics.
 //
 // The same Cache type backs every caching structure in the model — the
 // on-device DevTLB and Prefetch Buffer, and the chipset's IOTLB and
@@ -67,7 +67,6 @@ type Config struct {
 	Ways   int
 	Policy PolicyKind
 	Index  IndexMode
-	Seed   int64 // used by the Random policy only
 }
 
 // Entries returns the total capacity.
@@ -88,11 +87,8 @@ func (c Config) Validate() error {
 	if c.Sets > MaxEntries/c.Ways {
 		return fmt.Errorf("tlb: %s: %d sets × %d ways exceeds the %d-entry cap", c.Name, c.Sets, c.Ways, MaxEntries)
 	}
-	if c.Policy < LRU || c.Policy > PLRU {
+	if c.Policy > Oracle {
 		return fmt.Errorf("tlb: %s: unknown policy %d", c.Name, c.Policy)
-	}
-	if c.Policy == PLRU && (c.Ways&(c.Ways-1) != 0 || c.Ways > 64) {
-		return fmt.Errorf("tlb: %s: PLRU needs a power-of-two way count <= 64, got %d", c.Name, c.Ways)
 	}
 	return nil
 }
@@ -126,11 +122,10 @@ func (s Stats) MissRate() float64 {
 
 // slot is one way of one set.
 type slot struct {
-	valid    bool
-	entry    Entry
-	lastUse  uint64 // tick of last hit or insertion
-	inserted uint64 // tick of insertion
-	freq     uint8  // LFU 4-bit access counter
+	valid   bool
+	entry   Entry
+	lastUse uint64 // tick of last hit or insertion
+	freq    uint8  // LFU 4-bit access counter
 }
 
 // lfuMax is the saturation value of the 4-bit LFU counter; when any
@@ -145,12 +140,6 @@ type Cache struct {
 	sets   [][]slot
 	tick   uint64
 	future *Future
-
-	// Policy values resolved from the configuration: how a key picks its
-	// set (partitioning) and how a full set picks its victim
-	// (replacement). See policy.go for the implementations.
-	index indexFunc
-	repl  replacer
 
 	// Traffic counts (Misses stays zero here; see Stats / Register).
 	stats Stats
@@ -167,8 +156,6 @@ func New(cfg Config) *Cache {
 	for i := range c.sets {
 		c.sets[i] = make([]slot, cfg.Ways)
 	}
-	c.index = newIndexFunc(cfg.Index)
-	c.repl = newReplacer(cfg, c)
 	return c
 }
 
@@ -198,7 +185,19 @@ func (c *Cache) Register(r *obs.Registry, prefix string) {
 // access when Policy == Oracle.
 func (c *Cache) SetFuture(f *Future) { c.future = f }
 
-func (c *Cache) setIndex(k Key) int { return c.index(k, c.cfg.Sets) }
+// setIndex maps a key to its set (the cache's partitioning policy).
+func (c *Cache) setIndex(k Key) int {
+	mask := uint64(c.cfg.Sets - 1)
+	switch c.cfg.Index {
+	case BySID:
+		return int(uint64(k.SID) & mask)
+	case Hashed:
+		// Fibonacci-style mix of tag and SID.
+		h := (k.Tag ^ uint64(k.SID)*0x9E3779B1) * 0x9E3779B97F4A7C15 >> 33
+		return int(h & mask)
+	}
+	return int(k.Tag & mask)
+}
 
 // Lookup searches for key. On a hit it updates replacement metadata and
 // returns the entry. Every access that the oracle should know about must
@@ -206,9 +205,10 @@ func (c *Cache) setIndex(k Key) int { return c.index(k, c.cfg.Sets) }
 func (c *Cache) Lookup(key Key) (Entry, bool) {
 	c.tick++
 	c.stats.Lookups++
-	c.repl.onLookup(key)
-	si := c.setIndex(key)
-	set := c.sets[si]
+	if c.cfg.Policy == Oracle && c.future != nil {
+		c.future.Observe(key)
+	}
+	set := c.sets[c.setIndex(key)]
 	for i := range set {
 		s := &set[i]
 		if s.valid && s.entry.Key == key {
@@ -217,7 +217,12 @@ func (c *Cache) Lookup(key Key) (Entry, bool) {
 			if s.freq < lfuMax {
 				s.freq++
 			}
-			c.repl.onHit(si, set, i)
+			// LFU ages the row in the hit that saturates the counter.
+			if s.freq == lfuMax && c.cfg.Policy == LFU {
+				for j := range set {
+					set[j].freq /= 2
+				}
+			}
 			return s.entry, true
 		}
 	}
@@ -240,29 +245,26 @@ func (c *Cache) Peek(key Key) (Entry, bool) {
 func (c *Cache) Insert(e Entry) {
 	c.tick++
 	c.stats.Insertions++
-	si := c.setIndex(e.Key)
-	set := c.sets[si]
+	set := c.sets[c.setIndex(e.Key)]
 	// Refresh in place if present.
 	for i := range set {
 		if set[i].valid && set[i].entry.Key == e.Key {
 			set[i].entry = e
 			set[i].lastUse = c.tick
-			c.repl.onInsert(si, set, i)
 			return
 		}
 	}
+	fill := slot{valid: true, entry: e, lastUse: c.tick, freq: 1}
 	// Free slot?
 	for i := range set {
 		if !set[i].valid {
-			set[i] = slot{valid: true, entry: e, lastUse: c.tick, inserted: c.tick, freq: 1}
-			c.repl.onInsert(si, set, i)
+			set[i] = fill
 			return
 		}
 	}
-	victim := c.repl.victim(si, set)
+	victim := c.victim(set)
 	c.stats.Evictions++
-	set[victim] = slot{valid: true, entry: e, lastUse: c.tick, inserted: c.tick, freq: 1}
-	c.repl.onInsert(si, set, victim)
+	set[victim] = fill
 }
 
 // Invalidate removes the entry for key if present, returning whether it was.

@@ -1,9 +1,6 @@
 package tlb
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // PolicyKind selects a replacement policy.
 type PolicyKind uint8
@@ -16,18 +13,9 @@ const (
 	// saturates — the scheme the paper motivates from the single-tenant
 	// access-frequency analysis (§IV-D, §V-C).
 	LFU
-	// FIFO evicts the oldest insertion.
-	FIFO
-	// Random evicts a uniformly random way (deterministic per seed).
-	Random
 	// Oracle evicts the way whose next use lies furthest in the future
 	// (Belady's MIN); it requires future knowledge via SetFuture.
 	Oracle
-	// PLRU is tree pseudo-LRU: one bit per internal node of a binary
-	// tree over the ways, flipped away from each touched way — the
-	// hardware-cheap LRU approximation most real TLBs implement.
-	// Requires a power-of-two way count of at most 64.
-	PLRU
 )
 
 // String returns the policy's conventional name.
@@ -37,14 +25,8 @@ func (p PolicyKind) String() string {
 		return "LRU"
 	case LFU:
 		return "LFU"
-	case FIFO:
-		return "FIFO"
-	case Random:
-		return "RAND"
 	case Oracle:
 		return "oracle"
-	case PLRU:
-		return "PLRU"
 	}
 	return fmt.Sprintf("PolicyKind(%d)", uint8(p))
 }
@@ -56,185 +38,42 @@ func ParsePolicy(s string) (PolicyKind, error) {
 		return LRU, nil
 	case "lfu", "LFU":
 		return LFU, nil
-	case "fifo", "FIFO":
-		return FIFO, nil
-	case "rand", "random", "RAND":
-		return Random, nil
 	case "oracle", "belady", "min":
 		return Oracle, nil
-	case "plru", "pseudo-lru", "PLRU":
-		return PLRU, nil
 	}
-	return 0, fmt.Errorf("tlb: unknown policy %q", s)
+	return 0, fmt.Errorf("tlb: unknown policy %q (want lru, lfu or oracle)", s)
 }
 
-// replacer is a replacement policy held by the cache as a value. The
-// cache maintains the generic per-slot metadata (lastUse, inserted,
-// freq) on every access; a replacer adds policy-specific bookkeeping via
-// the hooks and picks eviction victims. Adding a policy means adding a
-// PolicyKind constant and a case in newReplacer — the cache itself never
-// switches on the policy again.
-type replacer interface {
-	// onLookup observes every demand access, before the set is scanned
-	// (the Belady oracle consumes the access stream here).
-	onLookup(key Key)
-	// onHit runs after the cache refreshed the generic metadata of a
-	// demand hit on way wi of set si.
-	onHit(si int, set []slot, wi int)
-	// onInsert runs after a fill landed in way wi of set si (a fresh
-	// insertion, an eviction refill, or an in-place refresh).
-	onInsert(si int, set []slot, wi int)
-	// victim picks the way to evict; called only on full sets.
-	victim(si int, set []slot) int
-}
-
-// newReplacer builds the policy value for a validated configuration.
-// The cache pointer lets the oracle reach the future attached later via
-// SetFuture.
-func newReplacer(cfg Config, c *Cache) replacer {
-	switch cfg.Policy {
+// victim picks the way of a full set to evict: the least recently used
+// way under LRU, the least frequently used under LFU (the less recently
+// used of equals), and under the oracle the way whose next use lies
+// furthest ahead. A tie keeps the lowest way.
+func (c *Cache) victim(set []slot) int {
+	best := 0
+	switch c.cfg.Policy {
 	case LRU:
-		return lruReplacer{}
+		for i := 1; i < len(set); i++ {
+			if set[i].lastUse < set[best].lastUse {
+				best = i
+			}
+		}
 	case LFU:
-		return lfuReplacer{}
-	case FIFO:
-		return fifoReplacer{}
-	case Random:
-		return &randomReplacer{rng: rand.New(rand.NewSource(cfg.Seed))}
+		for i := 1; i < len(set); i++ {
+			if set[i].freq < set[best].freq ||
+				(set[i].freq == set[best].freq && set[i].lastUse < set[best].lastUse) {
+				best = i
+			}
+		}
 	case Oracle:
-		return &oracleReplacer{c: c}
-	case PLRU:
-		return &plruReplacer{ways: cfg.Ways, bits: make([]uint64, cfg.Sets)}
-	}
-	panic(fmt.Sprintf("tlb: unreachable policy %d", cfg.Policy))
-}
-
-// noHooks provides the empty hook set; policies embed it and override
-// what they need.
-type noHooks struct{}
-
-func (noHooks) onLookup(Key)              {}
-func (noHooks) onHit(int, []slot, int)    {}
-func (noHooks) onInsert(int, []slot, int) {}
-
-type lruReplacer struct{ noHooks }
-
-func (lruReplacer) victim(_ int, set []slot) int {
-	best := 0
-	for i := 1; i < len(set); i++ {
-		if set[i].lastUse < set[best].lastUse {
-			best = i
+		if c.future == nil {
+			panic("tlb: oracle cache used without SetFuture")
+		}
+		bestNext := c.future.Next(set[0].entry.Key)
+		for i := 1; i < len(set); i++ {
+			if n := c.future.Next(set[i].entry.Key); n > bestNext {
+				best, bestNext = i, n
+			}
 		}
 	}
 	return best
-}
-
-type lfuReplacer struct{ noHooks }
-
-// onHit ages the row: when a 4-bit counter saturates, every counter in
-// the row is halved (the RRIP-style scheme the paper adopts).
-func (lfuReplacer) onHit(_ int, set []slot, wi int) {
-	if set[wi].freq == lfuMax {
-		for j := range set {
-			set[j].freq /= 2
-		}
-	}
-}
-
-func (lfuReplacer) victim(_ int, set []slot) int {
-	best := 0
-	for i := 1; i < len(set); i++ {
-		if set[i].freq < set[best].freq ||
-			(set[i].freq == set[best].freq && set[i].lastUse < set[best].lastUse) {
-			best = i
-		}
-	}
-	return best
-}
-
-type fifoReplacer struct{ noHooks }
-
-func (fifoReplacer) victim(_ int, set []slot) int {
-	best := 0
-	for i := 1; i < len(set); i++ {
-		if set[i].inserted < set[best].inserted {
-			best = i
-		}
-	}
-	return best
-}
-
-type randomReplacer struct {
-	noHooks
-	rng *rand.Rand
-}
-
-func (r *randomReplacer) victim(_ int, set []slot) int { return r.rng.Intn(len(set)) }
-
-type oracleReplacer struct {
-	noHooks
-	c *Cache
-}
-
-func (o *oracleReplacer) onLookup(key Key) {
-	if o.c.future != nil {
-		o.c.future.Observe(key)
-	}
-}
-
-func (o *oracleReplacer) victim(_ int, set []slot) int {
-	if o.c.future == nil {
-		panic("tlb: oracle cache used without SetFuture")
-	}
-	best, bestNext := 0, o.c.future.Next(set[0].entry.Key)
-	for i := 1; i < len(set); i++ {
-		n := o.c.future.Next(set[i].entry.Key)
-		if n > bestNext {
-			best, bestNext = i, n
-		}
-	}
-	return best
-}
-
-// plruReplacer is tree pseudo-LRU: per set, one bit per internal node of
-// a binary tree over the ways. Touching a way flips the bits on its
-// root-to-leaf path to point away from it; the victim walk follows the
-// bits to the leaf they point at.
-type plruReplacer struct {
-	noHooks
-	ways int
-	bits []uint64 // one tree per set, heap-ordered, node n at bit n-1
-}
-
-func (p *plruReplacer) onHit(si int, _ []slot, wi int)    { p.touch(si, wi) }
-func (p *plruReplacer) onInsert(si int, _ []slot, wi int) { p.touch(si, wi) }
-
-func (p *plruReplacer) touch(si, wi int) {
-	node := 1
-	for span := p.ways; span > 1; span /= 2 {
-		half := span / 2
-		bit := uint64(1) << (node - 1)
-		if wi < half {
-			p.bits[si] |= bit // victim search goes right
-			node = node * 2
-		} else {
-			p.bits[si] &^= bit // victim search goes left
-			node = node*2 + 1
-			wi -= half
-		}
-	}
-}
-
-func (p *plruReplacer) victim(si int, _ []slot) int {
-	node, lo := 1, 0
-	for span := p.ways; span > 1; span /= 2 {
-		half := span / 2
-		if p.bits[si]&(1<<(node-1)) != 0 {
-			lo += half
-			node = node*2 + 1
-		} else {
-			node = node * 2
-		}
-	}
-	return lo
 }
