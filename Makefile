@@ -48,7 +48,7 @@ cover:
 # Coverage gate: the repo-wide statement coverage must not fall below
 # the floor measured when the gate was added. Raise the floor as
 # coverage grows; never lower it to make a change pass.
-COVER_FLOOR ?= 83
+COVER_FLOOR ?= 88
 cover-check:
 	@$(GO) test -coverprofile=cover.out ./... > /dev/null
 	@total=$$($(GO) tool cover -func=cover.out | awk '/^total:/ {sub(/%/, "", $$NF); print $$NF}'); \

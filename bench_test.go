@@ -390,25 +390,3 @@ func BenchmarkAblation(b *testing.B) {
 		})
 	}
 }
-
-// Example-style sanity output for go test -bench=. -v runs.
-func ExampleRun() {
-	tr, err := hypertrio.ConstructTrace(hypertrio.TraceConfig{
-		Benchmark:  hypertrio.Iperf3,
-		Tenants:    1,
-		Interleave: hypertrio.RR1,
-		Seed:       1,
-		Scale:      0.02,
-	})
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	res, err := hypertrio.Run(hypertrio.HyperTRIOConfig(), tr)
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	fmt.Println(res.Utilization > 0.9)
-	// Output: true
-}

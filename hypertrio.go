@@ -16,18 +16,8 @@
 //     achieved bandwidth, drop rates and per-structure statistics in the
 //     Result.
 //
-// Minimal example:
-//
-//	tr, err := hypertrio.ConstructTrace(hypertrio.TraceConfig{
-//		Benchmark:  hypertrio.Websearch,
-//		Tenants:    1024,
-//		Interleave: hypertrio.RR1,
-//		Seed:       42,
-//		Scale:      0.01,
-//	})
-//	if err != nil { ... }
-//	res, err := hypertrio.Run(hypertrio.HyperTRIOConfig(), tr)
-//	fmt.Println(res) // e.g. "198.40 Gb/s (99.2% of link), ..."
+// ExampleRun, Example_kvstore and Example_prefetchTuning (example_test.go)
+// are runnable examples whose output go test checks.
 package hypertrio
 
 import (

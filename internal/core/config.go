@@ -182,6 +182,11 @@ func (c Config) Validate() error {
 			return fmt.Errorf("core: %w", err)
 		}
 	}
+	if c.Prefetch != nil {
+		if err := c.Prefetch.Validate(); err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+	}
 	// Only the DevTLB is handed the future access sequence an Oracle
 	// cache replaces by; a chipset cache would panic at its first
 	// eviction.

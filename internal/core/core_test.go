@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"hypertrio/internal/device"
 	"hypertrio/internal/mem"
 	"hypertrio/internal/obs"
 	"hypertrio/internal/sim"
@@ -121,7 +122,9 @@ func TestConfigValidation(t *testing.T) {
 // TestConfigRejectsBadCacheGeometry pins geometry validation at config
 // level: a cache the model cannot build is an error from Validate (and
 // so from NewSystem and DescribePipeline), never a panic inside the
-// cache constructor. Disabled caches (Sets == 0) are not checked.
+// cache constructor. Disabled caches (Sets == 0) are not checked. The
+// Prefetch Unit's settings are checked the same way; a zero setting
+// takes its default.
 func TestConfigRejectsBadCacheGeometry(t *testing.T) {
 	cases := []struct {
 		name string
@@ -138,6 +141,11 @@ func TestConfigRejectsBadCacheGeometry(t *testing.T) {
 		{"context cache empty", func(c *Config) { c.IOMMU.ContextCache.Sets = 0 }, false},
 		{"l2pwc sets not a power of two", func(c *Config) { c.IOMMU.L2PWC.Sets = 24 }, false},
 		{"l3pwc unknown policy", func(c *Config) { c.IOMMU.L3PWC.Policy = tlb.Oracle + 1 }, false},
+		{"devtlb unknown index mode", func(c *Config) { c.DevTLB.Index = tlb.IndexMode(7) }, false},
+		{"prefetch buffer over the entry cap", func(c *Config) { c.Prefetch.BufferEntries = 1 << 21 }, false},
+		{"prefetch negative history", func(c *Config) { c.Prefetch.HistoryLen = -1 }, false},
+		{"prefetch negative degree", func(c *Config) { c.Prefetch.Degree = -1 }, false},
+		{"prefetch zero fields take the defaults", func(c *Config) { *c.Prefetch = device.PrefetchConfig{} }, true},
 	}
 	tr := makeTrace(t, workload.Iperf3, 2, trace.RR1, 0.002)
 	for _, tc := range cases {

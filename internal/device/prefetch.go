@@ -1,6 +1,8 @@
 package device
 
 import (
+	"fmt"
+
 	"hypertrio/internal/iommu"
 	"hypertrio/internal/mem"
 	"hypertrio/internal/obs"
@@ -33,6 +35,24 @@ func DefaultPrefetchConfig() PrefetchConfig {
 	return PrefetchConfig{BufferEntries: 8, HistoryLen: 48, Degree: 2, AdaptiveHistory: true}
 }
 
+// Validate reports a setting the unit cannot be built with. A zero
+// field takes its Table IV default, as NewPrefetchUnit does.
+func (c PrefetchConfig) Validate() error {
+	if c.HistoryLen < 0 || c.Degree < 0 {
+		return fmt.Errorf("device: prefetch history length and degree must not be negative, got %d and %d", c.HistoryLen, c.Degree)
+	}
+	if c.BufferEntries != 0 {
+		return bufferConfig(c.BufferEntries).Validate()
+	}
+	return nil
+}
+
+// bufferConfig is the Prefetch Buffer's geometry: one fully associative
+// LRU set.
+func bufferConfig(entries int) tlb.Config {
+	return tlb.Config{Name: "prefetch-buffer", Sets: 1, Ways: entries, Policy: tlb.LRU}
+}
+
 // PrefetchUnit is the on-device prefetcher: a small fully-associative
 // Prefetch Buffer holding prefetched gIOVA->hPA translations, the
 // SID-predictor, and bookkeeping for in-flight prefetch requests.
@@ -57,10 +77,8 @@ func NewPrefetchUnit(cfg PrefetchConfig) *PrefetchUnit {
 		cfg.Degree = 2
 	}
 	return &PrefetchUnit{
-		cfg: cfg,
-		buffer: tlb.New(tlb.Config{
-			Name: "prefetch-buffer", Sets: 1, Ways: cfg.BufferEntries, Policy: tlb.LRU,
-		}),
+		cfg:       cfg,
+		buffer:    tlb.New(bufferConfig(cfg.BufferEntries)),
 		predictor: NewSIDPredictor(cfg.HistoryLen),
 		inflight:  make(map[mem.SID]bool),
 	}

@@ -77,31 +77,3 @@ func TestCount(t *testing.T) {
 		}
 	}
 }
-
-func TestChart(t *testing.T) {
-	c := NewChart("bw", " Gb/s", "base", "hypertrio")
-	c.SetWidth(10)
-	c.AddPoint("4", 100, 200)
-	c.AddPoint("1024", 5)
-	out := c.String()
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 5 { // title + 2 points x 2 series
-		t.Fatalf("got %d lines:\n%s", len(lines), out)
-	}
-	if !strings.Contains(lines[2], strings.Repeat("#", 10)) {
-		t.Fatalf("max bar not full width: %q", lines[2])
-	}
-	if !strings.Contains(lines[1], "#####") || strings.Contains(lines[1], "######") {
-		t.Fatalf("half bar wrong: %q", lines[1])
-	}
-	// Missing second value renders as zero-width bar.
-	if !strings.Contains(lines[4], "0.00 Gb/s") {
-		t.Fatalf("missing value not zeroed: %q", lines[4])
-	}
-	// Zero-max chart must not divide by zero.
-	z := NewChart("", "", "s")
-	z.AddPoint("x", 0)
-	if !strings.Contains(z.String(), "0.00") {
-		t.Fatal("zero chart broken")
-	}
-}

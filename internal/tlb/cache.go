@@ -90,6 +90,9 @@ func (c Config) Validate() error {
 	if c.Policy > Oracle {
 		return fmt.Errorf("tlb: %s: unknown policy %d", c.Name, c.Policy)
 	}
+	if c.Index > Hashed {
+		return fmt.Errorf("tlb: %s: unknown index mode %d", c.Name, c.Index)
+	}
 	return nil
 }
 

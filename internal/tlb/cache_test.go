@@ -20,6 +20,7 @@ func TestConfigValidation(t *testing.T) {
 		{Name: "w", Sets: 4, Ways: 0, Policy: LRU},
 		{Name: "p", Sets: 4, Ways: 1, Policy: PolicyKind(99)},
 		{Name: "past oracle", Sets: 4, Ways: 1, Policy: Oracle + 1},
+		{Name: "index", Sets: 4, Ways: 1, Policy: LRU, Index: IndexMode(7)},
 	}
 	for _, cfg := range bad {
 		func() {
