@@ -7,10 +7,12 @@ package hypertrio_test
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
 	"hypertrio"
+	"hypertrio/internal/core"
 	"hypertrio/internal/experiments"
 	"hypertrio/internal/iommu"
 	"hypertrio/internal/mem"
@@ -241,16 +243,34 @@ func BenchmarkNestedWalk(b *testing.B) {
 	}
 }
 
-func BenchmarkDevTLB(b *testing.B) {
-	for _, mode := range []struct {
-		name  string
-		index tlb.IndexMode
-	}{{"by-address", tlb.ByAddress}, {"partitioned", tlb.BySID}} {
-		b.Run(mode.name, func(b *testing.B) {
-			c := tlb.New(tlb.Config{Name: "devtlb", Sets: 8, Ways: 8, Policy: tlb.LFU, Index: mode.index})
+// BenchmarkCache times one access (Lookup, then Insert on a miss) to
+// each committed cache geometry of Table IV: the context cache, the
+// DevTLB under both index modes, both page-walk caches and the Prefetch
+// Buffer. Keys are drawn uniformly from four times the capacity, so
+// about three accesses in four miss, fill and evict.
+func BenchmarkCache(b *testing.B) {
+	base, ht := core.BaseConfig(), core.HyperTRIOConfig()
+	for _, cfg := range []tlb.Config{
+		ht.IOMMU.ContextCache,
+		base.DevTLB,
+		ht.DevTLB,
+		ht.IOMMU.L2PWC,
+		ht.IOMMU.L3PWC,
+		{Name: "prefetch-buffer", Sets: 1, Ways: ht.Prefetch.BufferEntries, Policy: tlb.LRU},
+	} {
+		name := fmt.Sprintf("%s-%dx%d-%s-%s", cfg.Name, cfg.Sets, cfg.Ways, cfg.Policy, cfg.Index)
+		b.Run(name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			keys := make([]tlb.Key, 1<<16)
+			for i := range keys {
+				j := rng.Intn(4 * cfg.Entries())
+				keys[i] = tlb.Key{SID: uint32(j), Tag: uint64(j)}
+			}
+			c := tlb.New(cfg)
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				key := tlb.Key{SID: uint32(i % 64), Tag: uint64(i % 8)}
+				key := keys[i%len(keys)]
 				if _, ok := c.Lookup(key); !ok {
 					c.Insert(tlb.Entry{Key: key, Value: uint64(i)})
 				}

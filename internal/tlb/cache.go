@@ -11,7 +11,9 @@
 package tlb
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"hypertrio/internal/obs"
 )
@@ -123,14 +125,6 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Lookups)
 }
 
-// slot is one way of one set.
-type slot struct {
-	valid   bool
-	entry   Entry
-	lastUse uint64 // tick of last hit or insertion
-	freq    uint8  // LFU 4-bit access counter
-}
-
 // lfuMax is the saturation value of the 4-bit LFU counter; when any
 // counter in a row reaches it, all counters in the row are halved
 // (the aging scheme the paper adopts from RRIP-style designs).
@@ -138,11 +132,20 @@ const lfuMax = 15
 
 // Cache is a single-level translation cache. It is not safe for
 // concurrent use; the simulation is single-threaded.
+//
+// Ways are stored set-major in four columns, way w of set s at index
+// s×Ways+w. A way's tag byte is 0 when the way is free and otherwise
+// tagOf its key, so find matches eight ways per word and compares full
+// keys only where the tag agrees. A free way also has lastUse and freq
+// 0, which victim relies on.
 type Cache struct {
-	cfg    Config
-	sets   [][]slot
-	tick   uint64
-	future *Future
+	cfg     Config
+	tags    []byte   // Sets×Ways tags, then 7 zero bytes for find's last word load
+	entries []Entry  // valid where the tag is non-zero
+	lastUse []uint64 // tick of the last hit, fill or refresh
+	freq    []uint8  // LFU 4-bit access counter
+	tick    uint64
+	future  *Future
 
 	// Traffic counts (Misses stays zero here; see Stats / Register).
 	stats Stats
@@ -155,11 +158,14 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	c := &Cache{cfg: cfg, sets: make([][]slot, cfg.Sets)}
-	for i := range c.sets {
-		c.sets[i] = make([]slot, cfg.Ways)
+	n := cfg.Entries()
+	return &Cache{
+		cfg:     cfg,
+		tags:    make([]byte, n+7),
+		entries: make([]Entry, n),
+		lastUse: make([]uint64, n),
+		freq:    make([]uint8, n),
 	}
-	return c
 }
 
 // Config returns the cache's configuration.
@@ -188,18 +194,58 @@ func (c *Cache) Register(r *obs.Registry, prefix string) {
 // access when Policy == Oracle.
 func (c *Cache) SetFuture(f *Future) { c.future = f }
 
-// setIndex maps a key to its set (the cache's partitioning policy).
-func (c *Cache) setIndex(k Key) int {
+// setBase maps a key to the index of its set's first way (the cache's
+// partitioning policy).
+func (c *Cache) setBase(k Key) int {
 	mask := uint64(c.cfg.Sets - 1)
+	var set uint64
 	switch c.cfg.Index {
 	case BySID:
-		return int(uint64(k.SID) & mask)
+		set = uint64(k.SID) & mask
 	case Hashed:
 		// Fibonacci-style mix of tag and SID.
-		h := (k.Tag ^ uint64(k.SID)*0x9E3779B1) * 0x9E3779B97F4A7C15 >> 33
-		return int(h & mask)
+		set = (k.Tag ^ uint64(k.SID)*0x9E3779B1) * 0x9E3779B97F4A7C15 >> 33 & mask
+	default:
+		set = k.Tag & mask
 	}
-	return int(k.Tag & mask)
+	return int(set) * c.cfg.Ways
+}
+
+// tagOf is the tag byte of a filled way holding k: 0x80 | a 7-bit hash
+// of the whole key. The hash takes a product's top bits, which every
+// bit of k moves, so keys that share a set still spread over 128 tags.
+func tagOf(k Key) byte {
+	h := k.Tag*0x9E3779B97F4A7C15 ^ uint64(k.SID)*0xC2B2AE3D27D4EB4F
+	return byte(h>>57) | 0x80
+}
+
+const (
+	lanes01 = 0x0101010101010101
+	lanes80 = 0x8080808080808080
+)
+
+// find returns the index of the way of the set at base that holds key,
+// whose tag is t, or -1. It loads eight tags per word: x is zero in the
+// lanes whose tag equals t, and (x−0x01…)&^x&0x80… marks every zero lane
+// (and, rarely, a lane above one, which the key compare rejects). Lanes
+// past the set's last way, in the next set or the padding, are masked
+// off.
+func (c *Cache) find(base int, key Key, t byte) int {
+	ways := c.cfg.Ways
+	pat := uint64(t) * lanes01
+	for w := 0; w < ways; w += 8 {
+		x := binary.LittleEndian.Uint64(c.tags[base+w:]) ^ pat
+		m := (x - lanes01) &^ x & lanes80
+		if n := ways - w; n < 8 {
+			m &= 1<<(8*n) - 1
+		}
+		for ; m != 0; m &= m - 1 {
+			if i := base + w + bits.TrailingZeros64(m)>>3; c.entries[i].Key == key {
+				return i
+			}
+		}
+	}
+	return -1
 }
 
 // Lookup searches for key. On a hit it updates replacement metadata and
@@ -211,34 +257,30 @@ func (c *Cache) Lookup(key Key) (Entry, bool) {
 	if c.cfg.Policy == Oracle && c.future != nil {
 		c.future.Observe(key)
 	}
-	set := c.sets[c.setIndex(key)]
-	for i := range set {
-		s := &set[i]
-		if s.valid && s.entry.Key == key {
-			c.stats.Hits++
-			s.lastUse = c.tick
-			if s.freq < lfuMax {
-				s.freq++
-			}
-			// LFU ages the row in the hit that saturates the counter.
-			if s.freq == lfuMax && c.cfg.Policy == LFU {
-				for j := range set {
-					set[j].freq /= 2
-				}
-			}
-			return s.entry, true
+	base := c.setBase(key)
+	i := c.find(base, key, tagOf(key))
+	if i < 0 {
+		return Entry{}, false
+	}
+	c.stats.Hits++
+	c.lastUse[i] = c.tick
+	if c.freq[i] < lfuMax {
+		c.freq[i]++
+	}
+	// LFU ages the row in the hit that saturates the counter.
+	if c.freq[i] == lfuMax && c.cfg.Policy == LFU {
+		row := c.freq[base : base+c.cfg.Ways]
+		for j := range row {
+			row[j] /= 2
 		}
 	}
-	return Entry{}, false
+	return c.entries[i], true
 }
 
 // Peek searches without touching statistics or replacement state.
 func (c *Cache) Peek(key Key) (Entry, bool) {
-	set := c.sets[c.setIndex(key)]
-	for i := range set {
-		if set[i].valid && set[i].entry.Key == key {
-			return set[i].entry, true
-		}
+	if i := c.find(c.setBase(key), key, tagOf(key)); i >= 0 {
+		return c.entries[i], true
 	}
 	return Entry{}, false
 }
@@ -248,52 +290,43 @@ func (c *Cache) Peek(key Key) (Entry, bool) {
 func (c *Cache) Insert(e Entry) {
 	c.tick++
 	c.stats.Insertions++
-	set := c.sets[c.setIndex(e.Key)]
-	// Refresh in place if present.
-	for i := range set {
-		if set[i].valid && set[i].entry.Key == e.Key {
-			set[i].entry = e
-			set[i].lastUse = c.tick
-			return
-		}
+	base, t := c.setBase(e.Key), tagOf(e.Key)
+	if i := c.find(base, e.Key, t); i >= 0 {
+		c.entries[i] = e
+		c.lastUse[i] = c.tick
+		return
 	}
-	fill := slot{valid: true, entry: e, lastUse: c.tick, freq: 1}
-	// Free slot?
-	for i := range set {
-		if !set[i].valid {
-			set[i] = fill
-			return
-		}
+	i := base + c.victim(base)
+	if c.tags[i] != 0 {
+		c.stats.Evictions++
 	}
-	victim := c.victim(set)
-	c.stats.Evictions++
-	set[victim] = fill
+	c.tags[i], c.entries[i], c.lastUse[i], c.freq[i] = t, e, c.tick, 1
+}
+
+// free marks way i free.
+func (c *Cache) free(i int) {
+	c.tags[i], c.lastUse[i], c.freq[i] = 0, 0, 0
 }
 
 // Invalidate removes the entry for key if present, returning whether it was.
 func (c *Cache) Invalidate(key Key) bool {
-	set := c.sets[c.setIndex(key)]
-	for i := range set {
-		if set[i].valid && set[i].entry.Key == key {
-			set[i] = slot{}
-			c.stats.Invalidates++
-			return true
-		}
+	i := c.find(c.setBase(key), key, tagOf(key))
+	if i < 0 {
+		return false
 	}
-	return false
+	c.free(i)
+	c.stats.Invalidates++
+	return true
 }
 
 // InvalidateSID removes every entry belonging to sid (device detach /
 // domain flush) and returns how many were dropped.
 func (c *Cache) InvalidateSID(sid uint32) int {
 	n := 0
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			s := &c.sets[si][wi]
-			if s.valid && s.entry.Key.SID == sid {
-				*s = slot{}
-				n++
-			}
+	for i := range c.entries {
+		if c.tags[i] != 0 && c.entries[i].Key.SID == sid {
+			c.free(i)
+			n++
 		}
 	}
 	c.stats.Invalidates += uint64(n)
@@ -303,15 +336,10 @@ func (c *Cache) InvalidateSID(sid uint32) int {
 // Flush empties the cache (a broadcast invalidation), counting the
 // dropped entries as invalidates and returning how many there were.
 func (c *Cache) Flush() int {
-	n := 0
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			if c.sets[si][wi].valid {
-				n++
-			}
-			c.sets[si][wi] = slot{}
-		}
-	}
+	n := c.Len()
+	clear(c.tags)
+	clear(c.lastUse)
+	clear(c.freq)
 	c.stats.Invalidates += uint64(n)
 	return n
 }
@@ -319,11 +347,9 @@ func (c *Cache) Flush() int {
 // Len reports the number of valid entries.
 func (c *Cache) Len() int {
 	n := 0
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			if c.sets[si][wi].valid {
-				n++
-			}
+	for _, t := range c.tags {
+		if t != 0 {
+			n++
 		}
 	}
 	return n
@@ -332,11 +358,9 @@ func (c *Cache) Len() int {
 // Entries returns all valid entries (unspecified order); for tests.
 func (c *Cache) Entries() []Entry {
 	out := make([]Entry, 0, c.Len())
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			if c.sets[si][wi].valid {
-				out = append(out, c.sets[si][wi].entry)
-			}
+	for i, e := range c.entries {
+		if c.tags[i] != 0 {
+			out = append(out, e)
 		}
 	}
 	return out

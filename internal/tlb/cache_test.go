@@ -2,6 +2,8 @@ package tlb
 
 import (
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -62,6 +64,29 @@ func TestConfigValidateEntryCap(t *testing.T) {
 				t.Errorf("error %q does not name the cache", err)
 			}
 		})
+	}
+}
+
+// New allocates the ways as columns: at most 56 bytes per way in five
+// allocations, whatever the geometry — one set of 64 ways, the DevTLB's
+// 8×8, the L3 page-walk cache's 64×16, or a million one-way sets. The
+// collector is off while New runs, so its own allocations stay out of
+// the count.
+func TestNewAllocatesColumns(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, g := range []struct{ sets, ways int }{{1, 64}, {8, 8}, {64, 16}, {MaxEntries, 1}} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c := New(Config{Name: "t", Sets: g.sets, Ways: g.ways, Policy: LFU})
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(c)
+		ways := uint64(g.sets * g.ways)
+		if bytes := after.TotalAlloc - before.TotalAlloc; bytes > 56*ways {
+			t.Errorf("%d×%d: New allocated %d bytes, %.1f per way; want at most 56", g.sets, g.ways, bytes, float64(bytes)/float64(ways))
+		}
+		if n := after.Mallocs - before.Mallocs; n > 5 {
+			t.Errorf("%d×%d: New made %d allocations, want at most 5", g.sets, g.ways, n)
+		}
 	}
 }
 
@@ -139,21 +164,31 @@ func TestLFUKeepsHotEntry(t *testing.T) {
 	}
 }
 
+// The hit that saturates a counter halves the whole row, which shows in
+// the next eviction: B (3 accesses) and C (2) both halve to 1, so the
+// tie goes to B, the less recently used. One hit short of saturation
+// the row keeps its counts and C, the less frequently used, goes.
 func TestLFUSaturationHalvesRow(t *testing.T) {
-	c := New(Config{Name: "t", Sets: 1, Ways: 2, Policy: LFU})
-	c.Insert(e(1, 1, 0)) // freq 1
-	c.Insert(e(1, 2, 0)) // freq 1
-	// Exactly saturate entry 1's counter: 14 hits take it 1 -> 15,
-	// triggering the row halving in the same access.
-	for i := 0; i < 14; i++ {
-		c.Lookup(k(1, 1))
-	}
-	set := c.sets[0]
-	if set[0].freq != lfuMax/2 {
-		t.Fatalf("saturated way freq=%d, want %d", set[0].freq, lfuMax/2)
-	}
-	if set[1].freq != 0 {
-		t.Fatalf("cold way freq=%d, want 0 (halved from 1)", set[1].freq)
+	for _, tc := range []struct {
+		hotHits int
+		evicted uint64
+	}{{13, 3}, {14, 2}} {
+		c := New(Config{Name: "t", Sets: 1, Ways: 3, Policy: LFU})
+		c.Insert(e(1, 1, 0)) // A: freq 1
+		c.Insert(e(1, 2, 0)) // B
+		c.Lookup(k(1, 2))
+		c.Lookup(k(1, 2))    // B: freq 3
+		c.Insert(e(1, 3, 0)) // C
+		c.Lookup(k(1, 3))    // C: freq 2, used after B
+		for i := 0; i < tc.hotHits; i++ {
+			c.Lookup(k(1, 1)) // 14 hits take A from 1 to 15
+		}
+		c.Insert(e(1, 4, 0))
+		for tag := uint64(1); tag <= 4; tag++ {
+			if _, ok := c.Peek(k(1, tag)); ok == (tag == tc.evicted) {
+				t.Errorf("%d hits on A: tag %d present=%v, want tag %d evicted", tc.hotHits, tag, ok, tc.evicted)
+			}
+		}
 	}
 }
 

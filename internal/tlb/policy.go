@@ -1,6 +1,10 @@
 package tlb
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+	"slices"
+)
 
 // PolicyKind selects a replacement policy.
 type PolicyKind uint8
@@ -44,35 +48,48 @@ func ParsePolicy(s string) (PolicyKind, error) {
 	return 0, fmt.Errorf("tlb: unknown policy %q (want lru, lfu or oracle)", s)
 }
 
-// victim picks the way of a full set to evict: the least recently used
-// way under LRU, the least frequently used under LFU (the less recently
-// used of equals), and under the oracle the way whose next use lies
-// furthest ahead. A tie keeps the lowest way.
-func (c *Cache) victim(set []slot) int {
-	best := 0
+// victim picks the way of the set at base to fill: the lowest free way,
+// else the least recently used way under LRU, the least frequently used
+// under LFU (the less recently used of equals), and under the oracle the
+// way whose next use lies furthest ahead. A tie keeps the lowest way.
+//
+// LRU and LFU rank the ways, by lastUse or by freq<<56 | lastUse, and
+// take the lowest way of minimum rank. A free way ranks 0. A filled
+// way's lastUse is the tick of its last hit, fill or refresh: at least
+// 1, below 2⁵⁶, and its own, since each tick touches one way. So while
+// the set has a free way, the lowest one is the minimum. LRU finds the
+// minimum lastUse with branch-free min, then the first way holding it;
+// that beats tracking the argmin on the 64-way context cache.
+func (c *Cache) victim(base int) int {
+	ways := c.cfg.Ways
+	use := c.lastUse[base : base+ways]
 	switch c.cfg.Policy {
 	case LRU:
-		for i := 1; i < len(set); i++ {
-			if set[i].lastUse < set[best].lastUse {
-				best = i
-			}
+		low := use[0]
+		for _, u := range use[1:] {
+			low = min(low, u)
 		}
+		return slices.Index(use, low)
 	case LFU:
-		for i := 1; i < len(set); i++ {
-			if set[i].freq < set[best].freq ||
-				(set[i].freq == set[best].freq && set[i].lastUse < set[best].lastUse) {
-				best = i
+		freq := c.freq[base : base+ways]
+		best, low := 0, uint64(freq[0])<<56|use[0]
+		for i := 1; i < ways; i++ {
+			if r := uint64(freq[i])<<56 | use[i]; r < low {
+				best, low = i, r
 			}
 		}
-	case Oracle:
-		if c.future == nil {
-			panic("tlb: oracle cache used without SetFuture")
-		}
-		bestNext := c.future.Next(set[0].entry.Key)
-		for i := 1; i < len(set); i++ {
-			if n := c.future.Next(set[i].entry.Key); n > bestNext {
-				best, bestNext = i, n
-			}
+		return best
+	}
+	if i := bytes.IndexByte(c.tags[base:base+ways], 0); i >= 0 {
+		return i
+	}
+	if c.future == nil {
+		panic("tlb: oracle cache used without SetFuture")
+	}
+	best, bestNext := 0, c.future.Next(c.entries[base].Key)
+	for i := 1; i < ways; i++ {
+		if n := c.future.Next(c.entries[base+i].Key); n > bestNext {
+			best, bestNext = i, n
 		}
 	}
 	return best

@@ -3,6 +3,7 @@ package tlb
 import (
 	"bytes"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"testing"
@@ -173,45 +174,83 @@ func sortedEntries(es []Entry) []Entry {
 	return es
 }
 
+// fuzzWays are the way counts FuzzCacheMatchesRef builds: 1–4, then
+// one and two full tag words (8, 16), each with a masked one-way tail
+// (9, 17), and the 64-way context cache.
+var fuzzWays = [...]int{1, 2, 3, 4, 8, 9, 16, 17, 64}
+
+// fuzzKey decodes an op's key: SID from bits 3–4 of the op byte, tag
+// from the arg byte. 1,024 keys over 128 tag values make equal tags in
+// one set common.
+func fuzzKey(op, arg byte) Key { return Key{SID: uint32(op>>3) & 3, Tag: uint64(arg)} }
+
 // FuzzCacheMatchesRef drives Cache and refCache through the same
 // byte-decoded operation stream and requires the same hit or miss, the
 // same returned entry, the same invalidation counts, the same Stats and
 // the same entries after every operation.
 //
-// Input: byte 0 picks the geometry (1, 2 or 4 sets; 1 to 4 ways), byte 1
-// the policy (LRU, LFU or oracle) and the index mode. Then each op is a
-// pair (op, arg); arg names the key SID (arg>>3)&3, tag arg&7.
+// Input: byte 0 picks the geometry (1, 2, 4 or 8 sets; ways from
+// fuzzWays), byte 1 the policy (LRU, LFU or oracle) and the index mode.
+// Then each op is a pair (op, arg) naming the key fuzzKey(op, arg):
 //
 //	op%8 0-3: access (Lookup, then Insert on a miss)
 //	op%8 4:   Lookup
 //	op%8 5:   Insert (a refresh when the key is present)
 //	op%8 6:   Invalidate
-//	op%8 7:   Flush if arg >= 224, else InvalidateSID
+//	op%8 7:   Flush if op >= 224, else InvalidateSID
 //
 // The oracle's future is the stream of every key the ops look up.
 func FuzzCacheMatchesRef(f *testing.F) {
-	access := func(args ...byte) []byte {
-		var ops []byte
-		for _, a := range args {
-			ops = append(ops, 0, a)
+	geometry := func(sets, ways int) byte {
+		return byte(slices.Index(fuzzWays[:], ways)*4 + bits.TrailingZeros(uint(sets)))
+	}
+	// ops encodes one op per key, the inverse of fuzzKey.
+	ops := func(code byte, keys ...Key) []byte {
+		var out []byte
+		for _, key := range keys {
+			out = append(out, byte(key.SID)<<3|code, byte(key.Tag))
 		}
-		return ops
+		return out
+	}
+	tags := func(tags ...uint64) []Key {
+		var out []Key
+		for _, t := range tags {
+			out = append(out, Key{Tag: t})
+		}
+		return out
+	}
+	seed := func(sets, ways int, policy byte, parts ...[]byte) {
+		f.Add(append([]byte{geometry(sets, ways), policy}, slices.Concat(parts...)...))
 	}
 	// LFU, one 2-way set: saturate A's counter (the row halves to A=7,
 	// B=0), give B nine hits, then fill C: A is the victim.
-	lfu := append([]byte{3, 1}, access(0, 1)...)
-	lfu = append(lfu, access(bytes.Repeat([]byte{0}, 14)...)...)
-	lfu = append(lfu, access(bytes.Repeat([]byte{1}, 9)...)...)
-	lfu = append(lfu, access(2, 0, 1)...)
-	f.Add(lfu)
+	seed(1, 2, 1, ops(0, tags(0, 1)...), bytes.Repeat(ops(0, Key{Tag: 0}), 14),
+		bytes.Repeat(ops(0, Key{Tag: 1}), 9), ops(0, tags(2, 0, 1)...))
 	// Oracle, one 2-way set: blind fills of keys never looked up tie at
 	// infinite reuse, and the lowest way goes.
-	f.Add([]byte{3, 2, 5, 2, 5, 3, 5, 5, 0, 1, 0, 4, 0, 1})
+	seed(1, 2, 2, ops(5, tags(2, 3, 5)...), ops(0, tags(1, 4, 1)...))
 	// LRU, hashed, 4 sets × 1 way: one tag from four tenants.
-	f.Add(append([]byte{2, 6}, access(0, 8, 16, 24, 0, 8, 16, 24)...))
+	sids := []Key{{SID: 0}, {SID: 1}, {SID: 2}, {SID: 3}}
+	seed(4, 1, 6, ops(0, sids...), ops(0, sids...))
 	// LFU by SID, 2 sets × 2 ways: churn, then a tenant flush and a
 	// broadcast flush.
-	f.Add([]byte{4, 4, 0, 1, 0, 9, 0, 17, 0, 1, 4, 9, 6, 17, 0, 25, 7, 8, 0, 2, 7, 255, 0, 2})
+	seed(2, 2, 4, ops(0, Key{0, 1}, Key{1, 1}, Key{2, 1}, Key{0, 1}), ops(4, Key{1, 1}),
+		ops(6, Key{2, 1}), ops(0, Key{3, 1}), ops(7, Key{1, 0}), ops(0, Key{0, 2}), []byte{255, 0}, ops(0, Key{0, 2}))
+	// LRU, one 4-way set holding two keys with equal tags: each hits
+	// only itself, and invalidating one leaves the other.
+	a, b := equalTagKeys()
+	seed(1, 4, 0, ops(0, a, Key{Tag: 7}, b), ops(4, a, b), ops(6, a), ops(4, b, a), ops(5, a), ops(6, b), ops(4, a, b))
+	// LFU, one 9-way set: fill the last way, the one lane of the second
+	// tag word, then hit, evict and invalidate around it.
+	nine := tags(0, 1, 2, 3, 4, 5, 6, 7, 8)
+	seed(1, 9, 1, ops(0, nine...), ops(0, nine[8], nine[8], Key{Tag: 9}, Key{Tag: 10}), ops(6, nine[8]), ops(0, Key{Tag: 11}, nine[8]))
+	// LRU, 1 set × 64 ways (the context cache): 65 tenants in turn, so
+	// the 65th evicts the first, which then misses and evicts the second.
+	var tenants []Key
+	for t := uint64(0); t < 65; t++ {
+		tenants = append(tenants, Key{SID: uint32(t & 3), Tag: t})
+	}
+	seed(1, 64, 0, ops(0, tenants...), ops(0, tenants[0], tenants[1], tenants[64]))
 
 	policies := []PolicyKind{LRU, LFU, Oracle}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -220,17 +259,16 @@ func FuzzCacheMatchesRef(f *testing.F) {
 		}
 		cfg := Config{
 			Name:   "fuzz",
-			Sets:   1 << (data[0] % 3),
-			Ways:   1 + int(data[0]/3%4),
+			Sets:   1 << (data[0] % 4),
+			Ways:   fuzzWays[data[0]/4%byte(len(fuzzWays))],
 			Policy: policies[data[1]%3],
 			Index:  IndexMode(data[1] / 3 % 3),
 		}
 		ops := data[2:]
-		keyOf := func(arg byte) Key { return Key{SID: uint32(arg>>3) & 3, Tag: uint64(arg & 7)} }
 		var future []Key
 		for i := 0; i+1 < len(ops); i += 2 {
 			if ops[i]%8 <= 4 {
-				future = append(future, keyOf(ops[i+1]))
+				future = append(future, fuzzKey(ops[i], ops[i+1]))
 			}
 		}
 		c := New(cfg)
@@ -248,26 +286,26 @@ func FuzzCacheMatchesRef(f *testing.F) {
 			return hit
 		}
 		for i := 0; i+1 < len(ops); i += 2 {
-			op, arg, step := ops[i]%8, ops[i+1], i/2
-			key := keyOf(arg)
+			op, step := ops[i], i/2
+			key := fuzzKey(op, ops[i+1])
 			fill := Entry{Key: key, Value: uint64(step), PageShift: 12}
-			switch {
-			case op <= 3:
+			switch code := op % 8; {
+			case code <= 3:
 				if !lookup(step, key) {
 					c.Insert(fill)
 					ref.insert(fill)
 				}
-			case op == 4:
+			case code == 4:
 				lookup(step, key)
-			case op == 5:
+			case code == 5:
 				c.Insert(fill)
 				ref.insert(fill)
-			case op == 6:
+			case code == 6:
 				got := c.Invalidate(key)
 				if want := ref.drop(func(k Key) bool { return k == key }) == 1; got != want {
 					t.Fatalf("op %d: Invalidate(%v) = %v, reference %v", step, key, got, want)
 				}
-			case arg >= 224:
+			case op >= 224:
 				if got, want := c.Flush(), ref.drop(func(Key) bool { return true }); got != want {
 					t.Fatalf("op %d: Flush() = %d, reference %d", step, got, want)
 				}
@@ -285,4 +323,18 @@ func FuzzCacheMatchesRef(f *testing.F) {
 			}
 		}
 	})
+}
+
+// equalTagKeys finds two keys of the fuzz key space with equal tag
+// bytes, so the seed that holds both exercises find's full-key compare.
+func equalTagKeys() (Key, Key) {
+	seen := map[byte]Key{}
+	for arg := 0; arg < 256; arg++ {
+		key := Key{Tag: uint64(arg)}
+		if prev, ok := seen[tagOf(key)]; ok {
+			return prev, key
+		}
+		seen[tagOf(key)] = key
+	}
+	panic("no two tags 0-255 share a tag byte")
 }
