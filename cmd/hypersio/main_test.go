@@ -410,6 +410,11 @@ func TestCLIExitCodes(t *testing.T) {
 	if err := os.WriteFile(clobberPlan, []byte(`{"schema":"hypertrio-faultplan/1","events":[{"at_ns":1000,"kind":"remap","sid":1,"iova":"0xf0000000","shift":21}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// The chipset counts a walk's faulted attempts in a uint8.
+	retryPlan := filepath.Join(t.TempDir(), "retry-256.json")
+	if err := os.WriteFile(retryPlan, []byte(`{"schema":"hypertrio-faultplan/1","retry":{"max_retries":256},"events":[]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	small := []string{"-tenants", "4", "-scale", "0.002"}
 	badSID := writeMutatedTrace(t, func(tr *trace.Trace) { tr.Packets[len(tr.Packets)/2].SID = 9 })
 	hugeTenants := writeMutatedTrace(t, func(tr *trace.Trace) { tr.Tenants = 1 << 30 })
@@ -458,6 +463,7 @@ func TestCLIExitCodes(t *testing.T) {
 		{"describe", []string{"-describe"}, 0},
 		{"faulted run", append(small, "-faults", plan), 0},
 		{"2 MB remap over 4 KB tables", append(small, "-faults", clobberPlan), 1},
+		{"256 retries", append(small, "-faults", retryPlan), 1},
 		{"bad cpuprofile path", append(small, "-cpuprofile", "/nonexistent/dir/cpu.pprof"), 1},
 		{"bad memprofile path", append(small, "-memprofile", "/nonexistent/dir/mem.pprof"), 1},
 		{"replay packet SID beyond tenants", []string{"-replay", badSID}, 1},
@@ -477,6 +483,10 @@ func TestCLIExitCodes(t *testing.T) {
 				t.Error("failure produced nothing on stderr")
 			}
 		})
+	}
+	var stdout, stderr strings.Builder
+	if cliMain(append(small, "-faults", retryPlan), &stdout, &stderr); !strings.Contains(stderr.String(), "max_retries") {
+		t.Errorf("256 retries: stderr %q does not name max_retries", stderr.String())
 	}
 }
 

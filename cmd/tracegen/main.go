@@ -1,14 +1,10 @@
-// Command tracegen drives the HyperSIO trace pipeline: it constructs
-// hyper-tenant traces directly (Trace Constructor), or reproduces the
-// paper's two-stage flow — emulated log-collection runs of at most 24
-// tenants each, written as per-run HLOG files, merged afterwards into one
-// HSIO trace. It also inspects existing trace files.
+// Command tracegen drives the HyperSIO Trace Constructor: it builds a
+// hyper-tenant trace from the synthetic per-tenant generators, writes it
+// as an HSIO file, and inspects existing trace files.
 //
 // Usage:
 //
 //	tracegen -benchmark websearch -tenants 1024 -interleave RR1 -scale 0.01 -o web1024.hsio
-//	tracegen -collect logs/ -benchmark iperf3 -tenants 50 -scale 0.01
-//	tracegen -merge logs/ -benchmark iperf3 -tenants 50 -interleave RR4 -scale 0.01 -o merged.hsio
 //	tracegen -inspect web1024.hsio -dump 20
 package main
 
@@ -17,11 +13,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"sort"
 
 	"hypertrio"
-	"hypertrio/internal/collector"
 	"hypertrio/internal/stats"
 	"hypertrio/internal/trace"
 	"hypertrio/internal/workload"
@@ -41,8 +34,6 @@ func cliMain(args []string, stderr io.Writer) int {
 		out        = fs.String("o", "", "output file for the binary trace (default: stdout summary only)")
 		inspect    = fs.String("inspect", "", "read and summarize an existing trace file")
 		dump       = fs.Int("dump", 0, "with -inspect: print the first N packets")
-		collect    = fs.String("collect", "", "emulate log-collection runs and write per-run HLOG files into this directory")
-		merge      = fs.String("merge", "", "merge per-run HLOG files from this directory into one trace")
 	)
 	if err := fs.Parse(args); err == flag.ErrHelp {
 		return 0 // -h prints usage and is not an error (matches flag.ExitOnError)
@@ -51,14 +42,9 @@ func cliMain(args []string, stderr io.Writer) int {
 	}
 
 	var err error
-	switch {
-	case *inspect != "":
+	if *inspect != "" {
 		err = inspectTrace(*inspect, *dump)
-	case *collect != "":
-		err = collectLogs(*collect, *benchmark, *tenants, *seed, *scale)
-	case *merge != "":
-		err = mergeLogs(*merge, *benchmark, *interleave, *out, *seed, *scale)
-	default:
+	} else {
 		err = generate(*benchmark, *interleave, *out, *tenants, *seed, *scale)
 	}
 	if err != nil {
@@ -157,96 +143,6 @@ func inspectTrace(path string, dump int) error {
 		}
 	}
 	return nil
-}
-
-func collectLogs(dir, benchmark string, tenants int, seed int64, scale float64) error {
-	if err := validateShape(tenants, scale); err != nil {
-		return err
-	}
-	kind, err := hypertrio.ParseBenchmark(benchmark)
-	if err != nil {
-		return err
-	}
-	c, err := collector.New(workload.ProfileFor(kind), seed, scale)
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	runs := collector.Runs(tenants)
-	fmt.Printf("collecting %d tenants over %d emulated runs (%d slots/run)...\n",
-		tenants, runs, collector.MaxSlotsPerRun)
-	for run := 0; run < runs; run++ {
-		slots := collector.MaxSlotsPerRun
-		if remaining := tenants - run*collector.MaxSlotsPerRun; remaining < slots {
-			slots = remaining
-		}
-		logs, err := c.CollectRun(run, slots)
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(dir, fmt.Sprintf("run%03d.hlog", run))
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := collector.WriteLogs(f, run, logs); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		pkts := 0
-		for _, l := range logs {
-			pkts += len(l.Packets)
-		}
-		fmt.Printf("  %s: %d tenants, %s packets\n", path, len(logs), stats.Count(uint64(pkts)))
-	}
-	return nil
-}
-
-func mergeLogs(dir, benchmark, interleave, out string, seed int64, scale float64) error {
-	if !(scale > 0 && scale <= 1) {
-		return fmt.Errorf("-scale must be in (0,1], got %g", scale)
-	}
-	kind, err := hypertrio.ParseBenchmark(benchmark)
-	if err != nil {
-		return err
-	}
-	iv, err := hypertrio.ParseInterleave(interleave)
-	if err != nil {
-		return err
-	}
-	paths, err := filepath.Glob(filepath.Join(dir, "*.hlog"))
-	if err != nil {
-		return err
-	}
-	if len(paths) == 0 {
-		return fmt.Errorf("no .hlog files in %s", dir)
-	}
-	sort.Strings(paths)
-	var logs []collector.TenantLog
-	for _, path := range paths {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		_, runLogs, err := collector.ReadLogs(f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("reading %s: %w", path, err)
-		}
-		logs = append(logs, runLogs...)
-	}
-	sort.Slice(logs, func(i, j int) bool { return logs[i].SID < logs[j].SID })
-	tr, err := collector.Merge(logs, kind, workload.ProfileFor(kind), iv, seed, scale)
-	if err != nil {
-		return err
-	}
-	summarize(tr)
-	return writeTrace(out, tr)
 }
 
 func summarize(tr *trace.Trace) {

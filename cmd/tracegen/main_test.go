@@ -47,45 +47,6 @@ func TestInspectErrors(t *testing.T) {
 	}
 }
 
-func TestCollectAndMergePipeline(t *testing.T) {
-	dir := t.TempDir()
-	logs := filepath.Join(dir, "logs")
-	if err := collectLogs(logs, "iperf3", 30, 42, 0.002); err != nil {
-		t.Fatal(err)
-	}
-	files, err := filepath.Glob(filepath.Join(logs, "*.hlog"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != 2 { // 30 tenants = 2 runs
-		t.Fatalf("got %d log files, want 2", len(files))
-	}
-	out := filepath.Join(dir, "merged.hsio")
-	if err := mergeLogs(logs, "iperf3", "RR1", out, 42, 0.002); err != nil {
-		t.Fatal(err)
-	}
-	if err := inspectTrace(out, 0); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMergeErrors(t *testing.T) {
-	if err := mergeLogs(t.TempDir(), "iperf3", "RR1", "", 1, 0.01); err == nil {
-		t.Error("empty log dir accepted")
-	}
-	if err := mergeLogs(t.TempDir(), "bogus", "RR1", "", 1, 0.01); err == nil {
-		t.Error("bad benchmark accepted")
-	}
-	// One log declaring 2^31 packets and carrying none.
-	huge := t.TempDir()
-	if err := os.WriteFile(filepath.Join(huge, "run000.hlog"), []byte("HLOG\x01\x00\x01\x01\x01\x00\x80\x80\x80\x80\x08"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := mergeLogs(huge, "iperf3", "RR1", "", 1, 0.01); err == nil {
-		t.Error("log declaring 2^31 absent packets accepted")
-	}
-}
-
 // TestShapeValidation pins the upfront input validation: degenerate
 // tenant counts, scales and dump lengths must fail cleanly before any
 // file is produced.
@@ -101,16 +62,6 @@ func TestShapeValidation(t *testing.T) {
 	}
 	if err := generate("iperf3", "RR1", "", 4, 1, 1.01); err == nil {
 		t.Error("scale > 1 accepted")
-	}
-	dir := t.TempDir()
-	if err := collectLogs(dir, "iperf3", 0, 1, 0.01); err == nil {
-		t.Error("collect with zero tenants accepted")
-	}
-	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
-		t.Error("collect wrote files despite invalid inputs")
-	}
-	if err := mergeLogs(dir, "iperf3", "RR1", "", 1, -0.5); err == nil {
-		t.Error("merge with negative scale accepted")
 	}
 	out := filepath.Join(t.TempDir(), "x.hsio")
 	if err := generate("iperf3", "RR1", out, 0, 1, 0.01); err == nil {
@@ -129,7 +80,9 @@ func TestInspectNegativeDump(t *testing.T) {
 }
 
 // TestCLIExitCodes drives argv to exit code: 0 success, 1 runtime
-// failure, 2 flag misuse. A rejected shape must write no trace.
+// failure, 2 flag misuse. A rejected shape must write no trace. The
+// "collect" and "merge" rows pin that the retired two-stage flags are
+// unknown flags: HSIO traces come only from the Trace Constructor.
 func TestCLIExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	cases := []struct {
@@ -143,10 +96,10 @@ func TestCLIExitCodes(t *testing.T) {
 		{"generate", []string{"-tenants", "4", "-scale", "0.002", "-o", filepath.Join(dir, "ok.hsio")}, 0},
 		{"zero tenants", []string{"-tenants", "0", "-o", filepath.Join(dir, "zero.hsio")}, 1},
 		{"2^40 tenants", []string{"-tenants", "1099511627776", "-o", filepath.Join(dir, "huge.hsio")}, 1},
-		{"2^40 tenants collect", []string{"-collect", filepath.Join(dir, "huge-logs"), "-tenants", "1099511627776"}, 1},
+		{"2^40 tenants collect", []string{"-collect", filepath.Join(dir, "huge-logs"), "-tenants", "1099511627776"}, 2},
 		{"NaN scale", []string{"-tenants", "4", "-scale", "NaN", "-o", filepath.Join(dir, "nan.hsio")}, 1},
-		{"NaN scale collect", []string{"-collect", filepath.Join(dir, "logs"), "-tenants", "4", "-scale", "NaN"}, 1},
-		{"NaN scale merge", []string{"-merge", dir, "-tenants", "4", "-scale", "NaN"}, 1},
+		{"NaN scale collect", []string{"-collect", filepath.Join(dir, "logs"), "-tenants", "4", "-scale", "NaN"}, 2},
+		{"NaN scale merge", []string{"-merge", dir, "-tenants", "4", "-scale", "NaN"}, 2},
 		{"missing trace", []string{"-inspect", filepath.Join(dir, "absent.hsio")}, 1},
 		{"trace past the packet cap", []string{"-tenants", "2000", "-scale", "1", "-o", filepath.Join(dir, "long.hsio")}, 1},
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hypertrio/internal/fault"
@@ -262,5 +263,32 @@ func TestConfigRejectsInvalidPlan(t *testing.T) {
 	cfg.Fault = &fault.Plan{Events: []fault.Event{{At: -1, Kind: fault.FlushAll}}}
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("Validate accepted an invalid fault plan")
+	}
+}
+
+// TestLongRetryChainRuns replays a plan whose 46 retries per walk push
+// the doubling backoff past int64 (500 ns << 45): the backoff must
+// saturate at its cap, and the run must end in a Result whose
+// accounting balances, not in a negative-delay panic.
+func TestLongRetryChainRuns(t *testing.T) {
+	plan, err := fault.ReadPlan(strings.NewReader(`{"schema":"hypertrio-faultplan/1",
+		"retry":{"max_retries":46,"backoff_ns":500,"backoff_max_ns":10000},
+		"events":[{"at_ns":0,"kind":"walker_fault","n":1000000}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSystem(faultConfig(plan), makeTrace(t, workload.Iperf3, 4, trace.RR1, 0.002))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.checkConservation(r); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := s.FaultStats(); st.FaultRetries < 46 {
+		t.Errorf("fault retries = %d, want at least one full 46-retry chain", st.FaultRetries)
 	}
 }

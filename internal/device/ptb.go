@@ -1,7 +1,8 @@
 // Package device models the on-device half of the HyperTRIO design: the
-// DevTLB front-end configuration, the Pending Translation Buffer that
-// tracks in-flight translations with out-of-order completion, and the
-// Prefetch Unit (Prefetch Buffer + SID-predictor).
+// Pending Translation Buffer that tracks in-flight translations with
+// out-of-order completion, and the Prefetch Unit (Prefetch Buffer +
+// SID-predictor). The DevTLB itself is a tlb.Cache stage in
+// internal/pipeline.
 //
 // Like internal/iommu, this package is time-free: internal/core drives
 // these structures from the event kernel and charges latencies.

@@ -201,6 +201,8 @@ func (in *Injector) clearStaleSID(sid mem.SID) {
 // WalkAttempt implements pipeline.FaultHook: a walk attempt faults while
 // the injector is armed and the host has not yet serviced the fault
 // (attempt < MaxRetries); the backoff doubles per attempt up to the cap.
+// The cap is tested before the shift, so a long retry chain saturates at
+// BackoffMax instead of overflowing into a negative delay.
 func (in *Injector) WalkAttempt(now sim.Time, sid mem.SID, attempt int) (sim.Duration, bool) {
 	if attempt >= in.retry.MaxRetries {
 		return 0, false // host serviced the fault; the walk proceeds
@@ -211,9 +213,9 @@ func (in *Injector) WalkAttempt(now sim.Time, sid mem.SID, attempt int) (sim.Dur
 		return 0, false
 	}
 	in.stats.FaultRetries++
-	d := in.retry.Backoff << uint(attempt)
-	if d > in.retry.BackoffMax {
-		d = in.retry.BackoffMax
+	d := in.retry.BackoffMax
+	if in.retry.Backoff <= d>>uint(attempt) {
+		d = in.retry.Backoff << uint(attempt)
 	}
 	return d, true
 }

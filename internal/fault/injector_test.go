@@ -156,6 +156,29 @@ func TestWalkerFaultWindowAndTimeout(t *testing.T) {
 	}
 }
 
+// TestBackoffSaturates runs the longest retry chain a plan may ask for:
+// the doubling backoff must reach BackoffMax and stay there, never
+// overflowing into a negative delay (at attempt 45 for a 500 ns base).
+func TestBackoffSaturates(t *testing.T) {
+	p := &Plan{
+		Retry:  RetryPolicy{MaxRetries: maxRetries, Backoff: 500 * sim.Nanosecond, BackoffMax: 10 * sim.Microsecond},
+		Events: []Event{{At: 0, Kind: WalkerFault, N: maxRetries}},
+	}
+	in := newTestInjector(t, p, &fakeTarget{}, nil)
+	in.apply(0, p.Events[0])
+	want := 500 * sim.Nanosecond
+	for attempt := 0; attempt < maxRetries; attempt++ {
+		d, faulted := in.WalkAttempt(0, 1, attempt)
+		if !faulted || d != want {
+			t.Fatalf("attempt %d: (%v, %v), want (%v, true)", attempt, d, faulted, want)
+		}
+		want = min(2*want, 10*sim.Microsecond)
+	}
+	if _, faulted := in.WalkAttempt(0, 1, maxRetries); faulted {
+		t.Fatal("attempt past MaxRetries still faulted")
+	}
+}
+
 func TestStaleWindowAndRewalkTracking(t *testing.T) {
 	const (
 		sid   = mem.SID(4)

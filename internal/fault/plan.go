@@ -117,6 +117,11 @@ type RetryPolicy struct {
 	BackoffMax sim.Duration
 }
 
+// maxRetries bounds RetryPolicy.MaxRetries: the chipset counts a walk's
+// faulted attempts in a uint8 (pipeline.chipsetWalk), so a larger bound
+// could never be reached.
+const maxRetries = 255
+
 // DefaultRetryPolicy is used when a plan leaves the policy zero.
 func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{MaxRetries: 3, Backoff: 500 * sim.Nanosecond, BackoffMax: 10 * sim.Microsecond}
@@ -191,6 +196,9 @@ func (p *Plan) Validate() error {
 	}
 	if rp := p.Retry; rp.MaxRetries < 0 || rp.Backoff < 0 || rp.BackoffMax < 0 {
 		return fmt.Errorf("fault: retry policy fields must be non-negative: %+v", rp)
+	}
+	if p.Retry.MaxRetries > maxRetries {
+		return fmt.Errorf("fault: retry max_retries %d exceeds %d", p.Retry.MaxRetries, maxRetries)
 	}
 	return nil
 }

@@ -59,6 +59,7 @@ func TestReadPlanRejects(t *testing.T) {
 		"huge time":        `{"schema":"hypertrio-faultplan/1","events":[{"at_ns":4456320208626.653,"kind":"flush_all"}]}`,
 		"negative dur":     `{"schema":"hypertrio-faultplan/1","events":[{"at_ns":1,"kind":"detach","sid":1,"dur_ns":-1}]}`,
 		"negative backoff": `{"schema":"hypertrio-faultplan/1","retry":{"backoff_ns":-5},"events":[]}`,
+		"retries past 255": `{"schema":"hypertrio-faultplan/1","retry":{"max_retries":256},"events":[]}`,
 		"trailing junk":    `{"schema":"hypertrio-faultplan/1","events":[]} trailing junk`,
 		"two documents":    `{"schema":"hypertrio-faultplan/1","events":[]}{"schema":"hypertrio-faultplan/1","events":[]}`,
 	}

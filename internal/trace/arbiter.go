@@ -2,14 +2,14 @@ package trace
 
 import "math/rand"
 
-// Arbiter is the Trace Constructor's inter-tenant arbitration (§IV-B),
-// the one copy shared by Stream and the collector's Merge. It arbitrates
-// over tenant indices 0..n-1 laid out as contiguous class ranges, each
-// class with one weight. Round-robin visits tenants in index order and
-// gives a weight-w tenant w bursts per turn; random arbitration draws
-// each burst's tenant with probability proportional to its weight. It
-// keeps no per-tenant state: a draw walks the classes, not the tenants.
-type Arbiter struct {
+// arbiter is the Trace Constructor's inter-tenant arbitration (§IV-B)
+// behind every Stream. It arbitrates over tenant indices 0..n-1 laid out
+// as contiguous class ranges, each class with one weight. Round-robin
+// visits tenants in index order and gives a weight-w tenant w bursts per
+// turn; random arbitration draws each burst's tenant with probability
+// proportional to its weight. It keeps no per-tenant state: a draw walks
+// the classes, not the tenants.
+type arbiter struct {
 	iv    Interleave
 	seed  int64 // the interleave RNG's seed
 	spans []span
@@ -25,13 +25,8 @@ type Arbiter struct {
 // span's end), each of the same weight.
 type span struct{ end, weight int }
 
-// NewArbiter arbitrates among n weight-1 tenants.
-func NewArbiter(iv Interleave, seed int64, n int) *Arbiter {
-	return newArbiter(iv, seed, []ClassSpec{{Tenants: n}})
-}
-
-func newArbiter(iv Interleave, seed int64, classes []ClassSpec) *Arbiter {
-	a := &Arbiter{iv: iv, seed: seed ^ 0x7261_6e64}
+func newArbiter(iv Interleave, seed int64, classes []ClassSpec) *arbiter {
+	a := &arbiter{iv: iv, seed: seed ^ 0x7261_6e64}
 	a.rng = rand.New(rand.NewSource(a.seed))
 	end := 0
 	for _, cl := range classes {
@@ -44,13 +39,13 @@ func newArbiter(iv Interleave, seed int64, classes []ClassSpec) *Arbiter {
 }
 
 // reset rewinds to the start of the identical arbitration sequence.
-func (a *Arbiter) reset() {
+func (a *arbiter) reset() {
 	a.rng.Seed(a.seed)
 	a.cur, a.cls, a.left = 0, 0, 0
 }
 
 // Next returns the tenant index the next packet slot goes to.
-func (a *Arbiter) Next() int {
+func (a *arbiter) Next() int {
 	if a.left == 0 {
 		if a.iv.Kind == Random {
 			a.draw()
@@ -76,7 +71,7 @@ func (a *Arbiter) Next() int {
 // draw picks a random burst's tenant. Intn(sumW) indexes the tenants'
 // weight runs laid end to end, so tenant i is drawn with probability
 // weight(i)/sumW; the span walk finds the run in O(classes).
-func (a *Arbiter) draw() {
+func (a *arbiter) draw() {
 	d, start := a.rng.Intn(a.sumW), 0
 	for _, s := range a.spans {
 		w := (s.end - start) * s.weight

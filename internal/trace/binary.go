@@ -13,12 +13,12 @@ import (
 // Binary trace format ("HSIO"):
 //
 //	magic   [4]byte  "HSIO"
-//	version uint16
+//	version uvarint
 //	header: benchmark uint8, interleave kind uint8, burst varint,
 //	        tenants varint, seed varint (zigzag), scale float64,
 //	        packet count varint, tenant-stat count varint
 //	tenant stats: sid, budget, consumed, packets (varints)
-//	packets: sid varint, then the shared packet record (codec.go)
+//	packets: sid varint, then the packet record (codec.go)
 //
 // The format favours compactness (varints, per-field deltas) so that
 // paper-scale traces (~70M requests) remain practical on disk.
@@ -36,7 +36,7 @@ var ErrMalformed = errors.New("malformed trace")
 
 // Write serializes the trace to w.
 func Write(w io.Writer, t *Trace) error {
-	e := NewEncoder(w, magic, version)
+	e := newEncoder(w)
 	e.Byte(byte(t.Benchmark))
 	e.Byte(byte(t.Interleave.Kind))
 	e.Uvarint(uint64(t.Interleave.Burst))
@@ -78,7 +78,7 @@ func Write(w io.Writer, t *Trace) error {
 // describes no constructible trace fails with an error wrapping
 // ErrMalformed, so a replay never reaches the model with it.
 func Read(r io.Reader) (*Trace, error) {
-	d, err := NewDecoder(r, magic, version)
+	d, err := newDecoder(r)
 	if err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
@@ -119,10 +119,10 @@ func Read(r io.Reader) (*Trace, error) {
 	if nstats != tenants {
 		return nil, fmt.Errorf("trace: %w: %d tenant stats for %d tenants", ErrMalformed, nstats, tenants)
 	}
-	t.Stats = Records(d, nstats, func(d *Decoder) TenantStat {
+	t.Stats = records(d, nstats, func(d *decoder) TenantStat {
 		return TenantStat{SID: mem.SID(d.Uvarint()), Budget: int(d.Uvarint()), Consumed: int(d.Uvarint()), Packets: int(d.Uvarint())}
 	})
-	t.Packets = Records(d, npkts, func(d *Decoder) workload.Packet {
+	t.Packets = records(d, npkts, func(d *decoder) workload.Packet {
 		sid := d.Uvarint()
 		if d.err == nil && (sid == 0 || sid > tenants) {
 			d.err = fmt.Errorf("%w: packet SID %d outside 1..%d", ErrMalformed, sid, tenants)

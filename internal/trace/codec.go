@@ -10,53 +10,52 @@ import (
 	"hypertrio/internal/workload"
 )
 
-// The record codec shared by HSIO traces (Write/Read) and the
-// collector's HLOG run logs: a 4-byte magic, a uvarint version, then
-// varint fields. Both formats encode a packet the same way — ring offset
-// from workload.RingIOVA, data, unmap (all uvarints), then the unmap
+// The HSIO record codec behind Write and Read: the 4-byte magic, a
+// uvarint version, then varint fields. A packet record is its ring offset
+// from workload.RingIOVA, data and unmap (all uvarints), then the unmap
 // shift byte only when unmap != 0. The mailbox is never stored; the
 // decoder derives it from the ring page.
 
-// Encoder writes the shared record layout. Errors are sticky: after the
-// first failed write every call is a no-op and Flush reports the error.
-type Encoder struct {
+// encoder writes the record layout. Errors are sticky: after the first
+// failed write every call is a no-op and Flush reports the error.
+type encoder struct {
 	w   *bufio.Writer
 	buf [binary.MaxVarintLen64]byte
 	err error
 }
 
-// NewEncoder starts a stream with its magic and version.
-func NewEncoder(w io.Writer, magic string, version uint64) *Encoder {
-	e := &Encoder{w: bufio.NewWriter(w)}
+// newEncoder starts an HSIO stream with its magic and version.
+func newEncoder(w io.Writer) *encoder {
+	e := &encoder{w: bufio.NewWriter(w)}
 	_, e.err = e.w.WriteString(magic)
 	e.Uvarint(version)
 	return e
 }
 
-func (e *Encoder) write(b []byte) {
+func (e *encoder) write(b []byte) {
 	if e.err == nil {
 		_, e.err = e.w.Write(b)
 	}
 }
 
 // Uvarint writes an unsigned varint.
-func (e *Encoder) Uvarint(v uint64) { e.write(e.buf[:binary.PutUvarint(e.buf[:], v)]) }
+func (e *encoder) Uvarint(v uint64) { e.write(e.buf[:binary.PutUvarint(e.buf[:], v)]) }
 
 // Varint writes a zigzag varint.
-func (e *Encoder) Varint(v int64) { e.write(e.buf[:binary.PutVarint(e.buf[:], v)]) }
+func (e *encoder) Varint(v int64) { e.write(e.buf[:binary.PutVarint(e.buf[:], v)]) }
 
 // Byte writes one raw byte.
-func (e *Encoder) Byte(b byte) {
+func (e *encoder) Byte(b byte) {
 	if e.err == nil {
 		e.err = e.w.WriteByte(b)
 	}
 }
 
 // Fixed64 writes a little-endian uint64.
-func (e *Encoder) Fixed64(v uint64) { e.write(binary.LittleEndian.AppendUint64(e.buf[:0], v)) }
+func (e *encoder) Fixed64(v uint64) { e.write(binary.LittleEndian.AppendUint64(e.buf[:0], v)) }
 
 // Packet writes one packet record (its SID is the caller's to encode).
-func (e *Encoder) Packet(p workload.Packet) {
+func (e *encoder) Packet(p workload.Packet) {
 	e.Uvarint(p.Ring - workload.RingIOVA)
 	e.Uvarint(p.Data)
 	e.Uvarint(p.UnmapIOVA)
@@ -66,23 +65,23 @@ func (e *Encoder) Packet(p workload.Packet) {
 }
 
 // Flush writes out buffered records and returns the first error.
-func (e *Encoder) Flush() error {
+func (e *encoder) Flush() error {
 	if e.err != nil {
 		return e.err
 	}
 	return e.w.Flush()
 }
 
-// Decoder reads the shared record layout. Errors are sticky: after the
-// first failed read every call returns zero and Err reports the error.
-type Decoder struct {
+// decoder reads the record layout. Errors are sticky: after the first
+// failed read every call returns zero and Err reports the error.
+type decoder struct {
 	r   *bufio.Reader
 	err error
 }
 
-// NewDecoder checks a stream's magic and version.
-func NewDecoder(r io.Reader, magic string, version uint64) (*Decoder, error) {
-	d := &Decoder{r: bufio.NewReader(r)}
+// newDecoder checks an HSIO stream's magic and version.
+func newDecoder(r io.Reader) (*decoder, error) {
+	d := &decoder{r: bufio.NewReader(r)}
 	head := make([]byte, len(magic))
 	if _, err := io.ReadFull(d.r, head); err != nil {
 		return nil, fmt.Errorf("reading magic: %w", err)
@@ -99,10 +98,10 @@ func NewDecoder(r io.Reader, magic string, version uint64) (*Decoder, error) {
 }
 
 // Err returns the first read error.
-func (d *Decoder) Err() error { return d.err }
+func (d *decoder) Err() error { return d.err }
 
 // Uvarint reads an unsigned varint.
-func (d *Decoder) Uvarint() uint64 {
+func (d *decoder) Uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
@@ -112,7 +111,7 @@ func (d *Decoder) Uvarint() uint64 {
 }
 
 // Varint reads a zigzag varint.
-func (d *Decoder) Varint() int64 {
+func (d *decoder) Varint() int64 {
 	if d.err != nil {
 		return 0
 	}
@@ -122,7 +121,7 @@ func (d *Decoder) Varint() int64 {
 }
 
 // Byte reads one raw byte.
-func (d *Decoder) Byte() byte {
+func (d *decoder) Byte() byte {
 	if d.err != nil {
 		return 0
 	}
@@ -132,7 +131,7 @@ func (d *Decoder) Byte() byte {
 }
 
 // Fixed64 reads a little-endian uint64.
-func (d *Decoder) Fixed64() uint64 {
+func (d *decoder) Fixed64() uint64 {
 	var b [8]byte
 	if d.err == nil {
 		_, d.err = io.ReadFull(d.r, b[:])
@@ -141,7 +140,7 @@ func (d *Decoder) Fixed64() uint64 {
 }
 
 // Packet reads one packet record and stamps it with sid.
-func (d *Decoder) Packet(sid mem.SID) workload.Packet {
+func (d *decoder) Packet(sid mem.SID) workload.Packet {
 	ring := workload.RingIOVA + d.Uvarint()
 	p := workload.Packet{
 		SID:       sid,
@@ -156,12 +155,12 @@ func (d *Decoder) Packet(sid mem.SID) workload.Packet {
 	return p
 }
 
-// Records reads up to n records with read, stopping at the first error.
+// records reads up to n records with read, stopping at the first error.
 // The slice grows as records arrive rather than trusting n: a corrupt or
 // hostile header can declare 2^31 records while the body holds none,
 // and an up-front make() of that size would allocate gigabytes before
 // the first read error surfaces.
-func Records[T any](d *Decoder, n uint64, read func(*Decoder) T) []T {
+func records[T any](d *decoder, n uint64, read func(*decoder) T) []T {
 	out := make([]T, 0, min(n, 4096))
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		r := read(d)

@@ -26,7 +26,7 @@ type Stream struct {
 
 	gens  []*workload.Generator
 	stats []TenantStat
-	arb   *Arbiter
+	arb   *arbiter
 	done  bool
 }
 
