@@ -57,13 +57,13 @@ cover-check:
 	  || { echo "coverage $${total}% is below the $(COVER_FLOOR)% floor"; exit 1; }
 
 # Fuzz smoke: five seconds of coverage-guided fuzzing on each of six
-# targets (the hardened binary-trace decoder, the SID predictor, the
+# targets (the interleaving parser, the SID predictor, the
 # timing-wheel-vs-reference-heap scheduler equivalence, the scenario and
 # fault-plan JSON codec round-trips, and the translation cache against
 # its linear-scan reference model). The committed seed corpora under
 # testdata/fuzz/ also replay in every ordinary `go test` run.
 fuzz-smoke:
-	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReadBinary -fuzztime 5s
+	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzParseInterleave -fuzztime 5s
 	$(GO) test ./internal/device -run '^$$' -fuzz FuzzPredictor -fuzztime 5s
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEngineMatchesHeapRef -fuzztime 5s
 	$(GO) test ./internal/scenario -run '^$$' -fuzz FuzzScenarioCodec -fuzztime 5s

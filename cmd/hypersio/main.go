@@ -24,13 +24,13 @@
 // scenario by name, or any JSON scenario file. The scenario owns the
 // tenant population, the load envelope and the fault script, so
 // -benchmark/-tenants/-interleave/-scale/-seed/-compact-rng are
-// ignored and -replay/-faults are rejected; every design knob composes
-// as usual. The report gains a per-class breakdown.
+// ignored (though still validated) and -faults is rejected; every design
+// knob composes as usual. The report gains a per-class breakdown.
 //
-// Sources: a run materializes its trace (or reads -replay's file) unless
-// the trace would pass trace.MaxPackets packets; then it prints one line
-// and replays an online stream of the identical packets instead, in
-// O(tenants) memory.
+// Sources: every run builds its trace from the flags or the scenario. It
+// materializes the trace unless it would pass trace.MaxPackets packets;
+// then it prints one line and replays an online stream of the identical
+// packets instead, in O(tenants) memory.
 //
 // Observability: -trace FILE streams model events (arrivals, drops,
 // DevTLB hits/misses, page walks, prefetches) as NDJSON; -trace-engine
@@ -69,7 +69,6 @@ type options struct {
 	interleave   string
 	design       string
 	policy       string
-	replayFile   string
 	tenants      int
 	seed         int64
 	scale        float64
@@ -107,7 +106,6 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 	fs.StringVar(&o.design, "design", "hypertrio", "hardware design: base or hypertrio")
 	fs.Int64Var(&o.seed, "seed", 42, "trace construction seed")
 	fs.Float64Var(&o.scale, "scale", 0.01, "trace scale in (0,1]; 1.0 is paper scale (~70M requests at 1024 tenants)")
-	fs.StringVar(&o.replayFile, "replay", "", "replay a saved .hsio trace instead of constructing one")
 	fs.BoolVar(&o.compactRNG, "compact-rng", false, "use the compact splitmix64 tenant RNG (~60x less generator state; different deterministic sequences)")
 
 	fs.Float64Var(&o.linkGbps, "link", 200, "I/O link bandwidth in Gb/s")
@@ -178,22 +176,20 @@ func main() {
 // validate rejects bad inputs before any page table is built or any
 // simulation event fires, so errors are fast and the exit is clean.
 func (o options) validate() error {
-	if o.replayFile == "" {
-		if _, err := hypertrio.ParseBenchmark(o.benchmark); err != nil {
-			return err
-		}
-		if _, err := hypertrio.ParseInterleave(o.interleave); err != nil {
-			return err
-		}
-		if o.tenants <= 0 {
-			return fmt.Errorf("-tenants must be positive, got %d", o.tenants)
-		}
-		if o.tenants > 1_000_000 {
-			return fmt.Errorf("-tenants must be at most 1000000, got %d", o.tenants)
-		}
-		if !(o.scale > 0 && o.scale <= 1) {
-			return fmt.Errorf("-scale must be in (0,1], got %g", o.scale)
-		}
+	if _, err := hypertrio.ParseBenchmark(o.benchmark); err != nil {
+		return err
+	}
+	if _, err := hypertrio.ParseInterleave(o.interleave); err != nil {
+		return err
+	}
+	if o.tenants <= 0 {
+		return fmt.Errorf("-tenants must be positive, got %d", o.tenants)
+	}
+	if o.tenants > 1_000_000 {
+		return fmt.Errorf("-tenants must be at most 1000000, got %d", o.tenants)
+	}
+	if !(o.scale > 0 && o.scale <= 1) {
+		return fmt.Errorf("-scale must be in (0,1], got %g", o.scale)
 	}
 	if o.design != "base" && o.design != "hypertrio" {
 		return fmt.Errorf("unknown design %q (want base or hypertrio)", o.design)
@@ -203,8 +199,8 @@ func (o options) validate() error {
 			return err
 		}
 	}
-	if o.linkGbps <= 0 {
-		return fmt.Errorf("-link must be positive, got %g", o.linkGbps)
+	if !(o.linkGbps > 0) {
+		return fmt.Errorf("-link must be a positive link rate in Gb/s, got %g", o.linkGbps)
 	}
 	if o.ptb < 0 {
 		return fmt.Errorf("-ptb must be >= 0, got %d", o.ptb)
@@ -226,9 +222,6 @@ func (o options) validate() error {
 		return fmt.Errorf("-faults has no effect with -describe (nothing is simulated)")
 	}
 	if o.scenarioFile != "" {
-		if o.replayFile != "" {
-			return fmt.Errorf("-scenario and -replay are mutually exclusive (the scenario defines the traffic)")
-		}
 		if o.faultsFile != "" {
 			return fmt.Errorf("-scenario and -faults are mutually exclusive (the scenario composes its own fault script)")
 		}
@@ -400,32 +393,18 @@ func run(o options, out io.Writer) error {
 	return nil
 }
 
-// openSource returns the run's packet source: -replay's file, or else
-// the scenario's or the flags' trace, materialized unless it would pass
-// trace.MaxPackets packets, in which case the identical packets stream
-// online instead.
+// openSource returns the run's packet source: the scenario's or the
+// flags' trace, materialized unless it would pass trace.MaxPackets
+// packets, in which case the identical packets stream online instead.
 func openSource(o options, comp *scenario.Compiled, out io.Writer) (hypertrio.Source, error) {
 	var tr *trace.Trace
 	var err error
 	var stream func() (hypertrio.Source, error)
-	switch {
-	case o.replayFile != "":
-		f, ferr := os.Open(o.replayFile)
-		if ferr != nil {
-			return nil, ferr
-		}
-		tr, err = trace.Read(f)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("reading %s: %w", o.replayFile, err)
-		}
-		fmt.Fprintf(out, "replaying %s: %s trace, %d tenants, %v interleave\n",
-			o.replayFile, tr.Benchmark, tr.Tenants, tr.Interleave)
-	case comp != nil:
+	if comp != nil {
 		fmt.Fprintf(out, "materializing scenario trace...\n")
 		tr, err = comp.Materialize()
 		stream = func() (hypertrio.Source, error) { return comp.Stream() }
-	default:
+	} else {
 		kind, _ := hypertrio.ParseBenchmark(o.benchmark)
 		iv, _ := hypertrio.ParseInterleave(o.interleave)
 		tc := hypertrio.TraceConfig{

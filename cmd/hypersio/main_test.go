@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"hypertrio"
 	"hypertrio/internal/fault"
 	"hypertrio/internal/obs"
 	"hypertrio/internal/scenario"
@@ -30,18 +29,6 @@ func base() options {
 		sampleUs:   10,
 	}
 }
-
-func buildTrace() (*hypertrio.Trace, error) {
-	return hypertrio.ConstructTrace(hypertrio.TraceConfig{
-		Benchmark:  hypertrio.Iperf3,
-		Tenants:    4,
-		Interleave: hypertrio.RR1,
-		Seed:       1,
-		Scale:      0.002,
-	})
-}
-
-func writeTrace(w io.Writer, tr *hypertrio.Trace) error { return trace.Write(w, tr) }
 
 func TestRunBasic(t *testing.T) {
 	o := base()
@@ -86,7 +73,6 @@ func TestRunErrors(t *testing.T) {
 		{"indivisible devtlb", func(o *options) { o.devtlbSize = 100 }, ""},
 		{"negative sample interval", func(o *options) { o.sampleUs = -1 }, ""},
 		{"engine trace without trace file", func(o *options) { o.engineEvents = true }, ""},
-		{"missing replay file", func(o *options) { o.replayFile = "/nonexistent.hsio" }, ""},
 		{"tenants above cap", func(o *options) { o.tenants = 1_000_001; o.compactRNG = true }, ""},
 		{"huge standard-RNG population", func(o *options) { o.tenants = 200_000 }, ""},
 	}
@@ -140,21 +126,6 @@ func TestValidationBeforeSimulation(t *testing.T) {
 	}
 	if _, err := os.Stat(o.traceFile); !os.IsNotExist(err) {
 		t.Error("trace file created before validation failed")
-	}
-}
-
-func TestRunFromReplayFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "t.hsio")
-	if err := writeTestTrace(path); err != nil {
-		t.Fatal(err)
-	}
-	o := base()
-	// Construction inputs are ignored when replaying.
-	o.benchmark, o.tenants, o.scale = "", 0, 0
-	o.replayFile = path
-	if err := run(o, io.Discard); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -241,40 +212,6 @@ func TestMetricsCSVOutput(t *testing.T) {
 	if len(lines) < 2 {
 		t.Fatal("csv has no data rows")
 	}
-}
-
-func writeTestTrace(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	tr, err := buildTrace()
-	if err != nil {
-		return err
-	}
-	return writeTrace(f, tr)
-}
-
-// writeMutatedTrace writes the 4-tenant test trace after mutate and
-// returns its path: the crafted-replay-file cases.
-func writeMutatedTrace(t *testing.T, mutate func(*trace.Trace)) string {
-	t.Helper()
-	tr, err := buildTrace()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mutate(tr)
-	path := filepath.Join(t.TempDir(), "crafted.hsio")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := writeTrace(f, tr); err != nil {
-		t.Fatal(err)
-	}
-	return path
 }
 
 // mustRead returns the contents of the file at path.
@@ -372,7 +309,6 @@ func TestCLIScenarioErrors(t *testing.T) {
 		name string
 		args []string
 	}{
-		{"with replay", []string{"-scenario", "storm", "-replay", "x.hsio"}},
 		{"with faults", []string{"-scenario", "storm", "-faults", plan}},
 		{"with describe", []string{"-scenario", "storm", "-describe"}},
 		{"unknown name", []string{"-scenario", "hurricane"}},
@@ -416,13 +352,6 @@ func TestCLIExitCodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	small := []string{"-tenants", "4", "-scale", "0.002"}
-	badSID := writeMutatedTrace(t, func(tr *trace.Trace) { tr.Packets[len(tr.Packets)/2].SID = 9 })
-	hugeTenants := writeMutatedTrace(t, func(tr *trace.Trace) { tr.Tenants = 1 << 30 })
-	badBenchmark := writeMutatedTrace(t, func(tr *trace.Trace) {
-		tr.Benchmark = 9
-		tr.Profile = hypertrio.Profile{}
-	})
-	badProfile := writeMutatedTrace(t, func(tr *trace.Trace) { tr.Profile.Streams = 0 })
 	trailingPlan := filepath.Join(t.TempDir(), "trailing-plan.json")
 	if err := os.WriteFile(trailingPlan, append(mustRead(t, plan), "junk"...), 0o644); err != nil {
 		t.Fatal(err)
@@ -466,10 +395,10 @@ func TestCLIExitCodes(t *testing.T) {
 		{"256 retries", append(small, "-faults", retryPlan), 1},
 		{"bad cpuprofile path", append(small, "-cpuprofile", "/nonexistent/dir/cpu.pprof"), 1},
 		{"bad memprofile path", append(small, "-memprofile", "/nonexistent/dir/mem.pprof"), 1},
-		{"replay packet SID beyond tenants", []string{"-replay", badSID}, 1},
-		{"replay 2^30 tenants with 4 stats", []string{"-replay", hugeTenants}, 1},
-		{"replay unknown benchmark", []string{"-replay", badBenchmark}, 1},
-		{"replay bad embedded profile", []string{"-replay", badProfile}, 1},
+		{"removed replay flag", []string{"-replay", "x.hsio"}, 2},
+		{"interleave with trailing junk", append(small, "-interleave", "RR1x"), 1},
+		{"NaN link rate", append(small, "-link", "NaN"), 1},
+		{"link rate too low for the clock", append(small, "-link", "1e-300"), 1},
 		{"sample interval past the clock range", append(small, "-sample-us", "9223372036855"), 1},
 		{"sample interval wrapping negative", append(small, "-sample-us", "10000000000000"), 1},
 	}
@@ -484,9 +413,18 @@ func TestCLIExitCodes(t *testing.T) {
 			}
 		})
 	}
-	var stdout, stderr strings.Builder
-	if cliMain(append(small, "-faults", retryPlan), &stdout, &stderr); !strings.Contains(stderr.String(), "max_retries") {
-		t.Errorf("256 retries: stderr %q does not name max_retries", stderr.String())
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{append(small, "-faults", retryPlan), "max_retries"},
+		{append(small, "-link", "NaN"), "link rate"},
+		{append(small, "-link", "1e-300"), "link rate"},
+	} {
+		var stdout, stderr strings.Builder
+		if cliMain(c.args, &stdout, &stderr); !strings.Contains(stderr.String(), c.want) {
+			t.Errorf("%v: stderr %q does not name %s", c.args, stderr.String(), c.want)
+		}
 	}
 }
 

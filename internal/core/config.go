@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"hypertrio/internal/device"
 	"hypertrio/internal/fault"
@@ -43,9 +44,18 @@ func DefaultParams() Params {
 
 // Interarrival returns the packet inter-arrival gap implied by the
 // offered load.
-func (p Params) Interarrival() sim.Duration {
-	return sim.FromNanos(float64(p.PacketBytes*8) / p.offeredGbps())
-}
+func (p Params) Interarrival() sim.Duration { return sim.FromNanos(p.gapNs()) }
+
+// gapNs is the inter-arrival gap in float nanoseconds.
+func (p Params) gapNs() float64 { return float64(p.PacketBytes) * 8 / p.offeredGbps() }
+
+// maxGapNs caps the inter-arrival gap at one second. A slower packet
+// rate is a link under 13 kb/s, which no I/O device the model describes
+// runs at, and the cap keeps the gap far inside sim.Duration's range: at
+// one second the picosecond clock still spans 9*10^6 packets (106 days).
+// The bound is checked before the float-to-int conversion, whose result
+// Go leaves implementation-defined when it overflows.
+const maxGapNs = 1e9
 
 // offeredGbps is the offered load: ArrivalGbps, or the link rate when
 // it is unset.
@@ -62,10 +72,18 @@ func (p Params) validate() error {
 		return fmt.Errorf("core: latencies must be positive: %+v", p)
 	case p.PacketBytes <= 0:
 		return fmt.Errorf("core: packet size must be positive")
-	case p.LinkGbps <= 0:
-		return fmt.Errorf("core: link rate must be positive")
-	case p.ArrivalGbps < 0 || p.ArrivalGbps > p.LinkGbps:
-		return fmt.Errorf("core: arrival rate must be in (0, link rate]")
+	// Written so that NaN fails each test.
+	case !(p.LinkGbps > 0 && p.LinkGbps <= math.MaxFloat64):
+		return fmt.Errorf("core: link rate must be finite and positive, got %g Gb/s", p.LinkGbps)
+	case !(p.ArrivalGbps >= 0 && p.ArrivalGbps <= p.LinkGbps):
+		return fmt.Errorf("core: arrival rate must be in [0, link rate %g] Gb/s (0 means the link rate), got %g", p.LinkGbps, p.ArrivalGbps)
+	case p.gapNs() > maxGapNs:
+		rate := "link rate"
+		if p.ArrivalGbps != 0 {
+			rate = "arrival rate"
+		}
+		return fmt.Errorf("core: at a %s of %g Gb/s a %d B packet arrives every %.3g s; the inter-arrival gap must be at most 1 s",
+			rate, p.offeredGbps(), p.PacketBytes, p.gapNs()/1e9)
 	case p.Interarrival() < 1:
 		// A zero gap would offer every link slot at the same picosecond:
 		// a dropped packet would retry at one instant forever.

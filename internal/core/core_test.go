@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -100,22 +101,37 @@ func TestConfigValidation(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("zero PTB accepted")
 	}
-	bad = good
-	bad.Params.LinkGbps = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero link rate accepted")
+	for _, c := range []struct {
+		name string
+		edit func(*Params)
+		want string // a substring of the error
+	}{
+		{"zero link rate", func(p *Params) { p.LinkGbps = 0 }, "link rate"},
+		{"NaN link rate", func(p *Params) { p.LinkGbps = math.NaN() }, "link rate"},
+		{"infinite link rate", func(p *Params) { p.LinkGbps = math.Inf(1) }, "link rate"},
+		{"arrival above link", func(p *Params) { p.ArrivalGbps = 300 }, "arrival rate"},
+		{"negative arrival rate", func(p *Params) { p.ArrivalGbps = -1 }, "arrival rate"},
+		{"NaN arrival rate", func(p *Params) { p.ArrivalGbps = math.NaN() }, "arrival rate"},
+		// A gap past sim.Duration's range must not reach the float-to-int
+		// conversion, whose overflow Go leaves implementation-defined.
+		{"link rate too low for the clock", func(p *Params) { p.LinkGbps = 1e-300 }, "link rate"},
+		{"arrival rate too low for the clock", func(p *Params) { p.ArrivalGbps = 1e-300 }, "arrival rate"},
+		{"gap just over 1 s", func(p *Params) { p.LinkGbps = 12336e-9 * 0.999 }, "at most 1 s"},
+		// Above ~2.5e7 Gb/s a 1542 B packet's gap rounds to 0 ps, and a
+		// dropped packet would retry at the same instant forever.
+		{"zero inter-arrival gap", func(p *Params) { p.LinkGbps = 1e9 }, "at least 1 ps"},
+	} {
+		bad := good
+		c.edit(&bad.Params)
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate = %v, want an error naming %q", c.name, err, c.want)
+		}
 	}
-	bad = good
-	bad.Params.ArrivalGbps = 300
-	if err := bad.Validate(); err == nil {
-		t.Error("arrival above link accepted")
-	}
-	// Above ~2.5e7 Gb/s a 1542 B packet's gap rounds to 0 ps, and a
-	// dropped packet would retry at the same instant forever.
-	bad = good
-	bad.Params.LinkGbps = 1e9
-	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "at least 1 ps") {
-		t.Errorf("zero inter-arrival gap: Validate = %v", err)
+	// A gap of exactly 1 s is the slowest rate accepted.
+	slow := good
+	slow.Params.LinkGbps = 12336e-9
+	if err := slow.Validate(); err != nil {
+		t.Errorf("1 s gap: Validate = %v", err)
 	}
 }
 

@@ -54,6 +54,7 @@ func TestReadScenarioRejects(t *testing.T) {
 		{"bad benchmark", strings.Replace(valid, `"benchmark": "iperf3"`, `"benchmark": "doom"`, 1), "doom"},
 		{"bad role", strings.Replace(valid, `"role": "noisy-neighbor"`, `"role": "saint"`, 1), "role"},
 		{"bad interleave", strings.Replace(valid, `"interleave": "RR1"`, `"interleave": "ZZ1"`, 1), "interleav"},
+		{"fractional interleave burst", strings.Replace(valid, `"interleave": "RR1"`, `"interleave": "RR1.5"`, 1), "RR1.5"},
 		{"bad envelope kind", strings.Replace(valid, `"kind": "flat"`, `"kind": "cubic"`, 1), "envelope"},
 		{"invalid scenario", strings.Replace(valid, `"tenants": 12`, `"tenants": -3`, 1), "tenants"},
 		{"trailing junk", valid + " trailing junk", "after the JSON document"},

@@ -1,67 +1,28 @@
 package trace
 
 import (
-	"bytes"
+	"strings"
 	"testing"
-
-	"hypertrio/internal/workload"
 )
 
-// FuzzReadBinary throws arbitrary bytes at the binary-trace decoder. The
-// decoder must never panic or allocate unboundedly (a hostile header can
-// declare 2^31 records); anything it accepts must have every packet SID
-// in 1..Tenants and survive a re-encode/re-decode round trip unchanged.
-func FuzzReadBinary(f *testing.F) {
-	tr, err := Construct(Config{
-		Benchmark: workload.Iperf3, Tenants: 2, Interleave: RR1, Seed: 7, Scale: 0.001,
-	})
-	if err != nil {
-		f.Fatal(err)
+// FuzzParseInterleave throws arbitrary strings at the interleaving
+// parser. Anything it accepts must be the interleaving's own notation up
+// to case, so no trailing junk, sign, space or leading zero gets through,
+// and the notation must parse back to the same interleaving.
+func FuzzParseInterleave(f *testing.F) {
+	for _, s := range []string{"RR1", "rr4", "RAND1", "rand16", "RR1x", "rr4junk", "RR1.5", "RR 3", "RR+2", "RR01", "RAND-1", "RR", ""} {
+		f.Add(s)
 	}
-	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2]) // truncated mid-body
-	f.Add(valid[:5])            // truncated mid-header
-	f.Add([]byte("HSIO"))       // magic only
-	f.Add([]byte("XSIO\x01"))   // bad magic
-	f.Add([]byte{})
-	// Declared record counts far beyond the bytes that follow.
-	huge := append(append([]byte{}, valid[:20]...), 0xFF, 0xFF, 0xFF, 0xFF, 0x07)
-	f.Add(huge)
-	for _, data := range malformedTraces(f) {
-		f.Add(data)
-	}
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := Read(bytes.NewReader(data))
+	f.Fuzz(func(t *testing.T, s string) {
+		iv, err := ParseInterleave(s)
 		if err != nil {
-			return // rejected input: fine, as long as we got here without panicking
+			return
 		}
-		for i, p := range got.Packets {
-			if p.SID == 0 || int(p.SID) > got.Tenants {
-				t.Fatalf("accepted packet %d with SID %d outside 1..%d", i, p.SID, got.Tenants)
-			}
+		if !strings.EqualFold(s, iv.String()) {
+			t.Fatalf("ParseInterleave(%q) = %v, whose notation differs from the input", s, iv)
 		}
-		var out bytes.Buffer
-		if err := Write(&out, got); err != nil {
-			t.Fatalf("re-encoding an accepted trace failed: %v", err)
-		}
-		again, err := Read(bytes.NewReader(out.Bytes()))
-		if err != nil {
-			t.Fatalf("re-decoding a re-encoded trace failed: %v", err)
-		}
-		// Compare via a second encode: byte equality sidesteps NaN scales,
-		// which a crafted header can smuggle in and DeepEqual rejects.
-		var out2 bytes.Buffer
-		if err := Write(&out2, again); err != nil {
-			t.Fatalf("second re-encode failed: %v", err)
-		}
-		if !bytes.Equal(out.Bytes(), out2.Bytes()) {
-			t.Fatalf("accepted trace does not reach an encoding fixpoint:\n got   %+v\n again %+v", got, again)
+		if again, err := ParseInterleave(iv.String()); err != nil || again != iv {
+			t.Fatalf("ParseInterleave(%q) = %v, %v; want %v", iv.String(), again, err, iv)
 		}
 	})
 }

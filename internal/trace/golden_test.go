@@ -1,71 +1,13 @@
 package trace
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"flag"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"hypertrio/internal/workload"
 )
-
-var update = flag.Bool("update", false, "rewrite the byte goldens under testdata/")
-
-// goldenConfig is the trace behind testdata/iperf3-4t.hsio: four
-// small-data iperf3 tenants, whose short buffer runs put unmap records
-// (and their shift byte) into the file.
-func goldenConfig() Config {
-	small := workload.SmallDataVariant(workload.ProfileFor(workload.Iperf3))
-	return Config{Benchmark: workload.Iperf3, Tenants: 4, Interleave: RR1, Seed: 42, Scale: 0.002, Profile: &small}
-}
-
-// TestHSIOGolden pins the HSIO encoding byte for byte: Write of the
-// golden trace reproduces the committed file, and Read of the file
-// yields the constructed trace. Run with -update to rewrite the file on
-// a deliberate format change.
-func TestHSIOGolden(t *testing.T) {
-	tr := mustConstruct(t, goldenConfig())
-	unmaps := 0
-	for _, p := range tr.Packets {
-		if p.UnmapIOVA != 0 {
-			unmaps++
-		}
-	}
-	if unmaps == 0 {
-		t.Fatal("golden trace has no unmap packet; it would not pin the shift byte")
-	}
-	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join("testdata", "iperf3-4t.hsio")
-	if *update {
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("Write output (%d bytes) differs from %s (%d bytes)", buf.Len(), path, len(want))
-	}
-	got, err := Read(bytes.NewReader(want))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Profile != tr.Profile || len(got.Packets) != len(tr.Packets) || len(got.Stats) != len(tr.Stats) {
-		t.Fatalf("decoded golden header/counts differ: %+v", got.Profile)
-	}
-	if d, w := sequenceDigest(got.Packets, got.Stats), sequenceDigest(tr.Packets, tr.Stats); d != w {
-		t.Fatalf("decoded golden sequence digest %s, constructed %s", d, w)
-	}
-}
 
 // sequenceDigest hashes a packet sequence and its tenant accounting in a
 // fixed little-endian layout.

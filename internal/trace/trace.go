@@ -2,13 +2,15 @@
 // per-tenant packet streams into a single hyper-tenant trace using the
 // paper's inter-tenant interleavings (round-robin or random, with a
 // configurable burst length), truncates at the edge effect (generation
-// stops when any tenant runs out of requests, §IV-B), computes Table III
-// style statistics, and serializes traces to a compact binary format.
+// stops when any tenant runs out of requests, §IV-B) and computes Table
+// III style statistics. A trace is always built from its Config; it is
+// never read from a file.
 package trace
 
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"hypertrio/internal/mem"
 	"hypertrio/internal/workload"
@@ -64,10 +66,11 @@ func (iv Interleave) Validate() error {
 	return nil
 }
 
-// ParseInterleave accepts "RR1", "rr4", "RAND1", ...
+// ParseInterleave accepts "RR1", "rr4", "RAND1", ...: the kind, then
+// the burst in plain decimal digits, with no sign, space or leading zero,
+// so every accepted string is Interleave.String up to case.
 func ParseInterleave(s string) (Interleave, error) {
 	var kind InterleaveKind
-	var burst int
 	var tail string
 	switch {
 	case len(s) >= 4 && (s[:4] == "RAND" || s[:4] == "rand"):
@@ -77,7 +80,10 @@ func ParseInterleave(s string) (Interleave, error) {
 	default:
 		return Interleave{}, fmt.Errorf("trace: unknown interleaving %q", s)
 	}
-	if _, err := fmt.Sscanf(tail, "%d", &burst); err != nil || burst <= 0 {
+	// Atoi takes a leading sign; a first digit of 1-9 rules it and a
+	// leading zero out.
+	burst, err := strconv.Atoi(tail)
+	if err != nil || tail[0] < '1' || tail[0] > '9' {
 		return Interleave{}, fmt.Errorf("trace: bad burst in %q", s)
 	}
 	return Interleave{kind, burst}, nil
@@ -93,12 +99,10 @@ type TenantStat struct {
 
 // Trace is a constructed hyper-tenant trace: the identity of its
 // stream (Meta, whose fields read as tr.Benchmark, tr.Tenants, ...) plus
-// the packets and per-tenant accounting. Meta.Classes is not part of the
-// binary serialization format — mixes are regenerated from their
-// scenario, never shipped as trace files.
+// the packets and per-tenant accounting.
 //
 // Immutability contract: a Trace is frozen the moment Construct (or
-// binary decoding) returns. Nothing in this module writes to Packets,
+// ConstructMix) returns. Nothing in this module writes to Packets,
 // Stats or Profile afterwards — core.System treats its trace as strictly
 // read-only, and Profile contains only scalar fields, so copying it by
 // value shares nothing mutable. Any number of concurrent simulations may
@@ -162,9 +166,7 @@ type Config struct {
 	// RNG selects the per-tenant random-source implementation.
 	// workload.StdRNG (the zero value) reproduces every golden sequence;
 	// workload.CompactRNG shrinks generator state ~60x for million-tenant
-	// streaming and draws different (still deterministic) sequences. The
-	// choice is part of a stream's identity but is not serialized: binary
-	// traces are always written from StdRNG constructions.
+	// streaming and draws different (still deterministic) sequences.
 	RNG workload.RNG
 }
 
